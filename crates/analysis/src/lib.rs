@@ -1,43 +1,33 @@
 //! # idse-lint — workspace static analysis for determinism and real-time safety
 //!
-//! A self-contained, two-phase static-analysis pass over the workspace
-//! source. No rustc plugin, no network dependencies — the same vendored-shim
-//! philosophy as `third_party/`: a small lexer (see [`source`]) feeds a rule
-//! engine (see [`rules`]) that enforces the properties the paper's scorecard
-//! methodology depends on. Identical inputs must yield byte-identical
-//! scores; these rules make the hazard classes that broke that property in
-//! PR 1 (hash-seeded iteration order) unrepresentable going forward.
+//! Identical inputs must yield byte-identical scores: the paper's scorecard
+//! means nothing otherwise. The guard is split in two.
 //!
-//! **Phase 1** scans each file independently — line rules, allow-directive
-//! validation, and extraction of a lightweight semantic model (see
-//! [`model`]): `fn`/`impl`/`mod` definitions, `use` imports, call-site
-//! tokens, and taint seeds. Files are independent, so this phase fans out
-//! through [`idse_exec::Executor::par_map`] and merges in submission order.
+//! **clippy** checks the direct, token-level hazards through workspace
+//! configuration: `[workspace.lints.clippy]` (`unwrap_used`, `panic`,
+//! `todo`, `unimplemented`, `float_cmp`) and `disallowed-methods` /
+//! `disallowed-types` in `clippy.toml` (wall clocks, ambient entropy, raw
+//! threads everywhere; `HashMap`/`HashSet` in the report crates). Audited
+//! exceptions are `#[expect(clippy::..., reason = "...")]`, which clippy
+//! itself reports once they stop being needed.
 //!
-//! **Phase 3** runs value dataflow (see [`dataflow`]) over the same
-//! models: seed lineage (`literal-seed`, `seed-label-reuse`,
-//! `seed-label-collision` — the last judged by *evaluating* the real
-//! `derive_seed` at lint time), reduction order over `par_map` output
-//! (`unordered-float-reduce`), and run-id hash purity
-//! (`impure-store-record`). Phase 1 results can be cached per file (see
-//! [`cache`]), so warm runs skip re-lexing unchanged files while staying
-//! byte-identical to cold runs.
+//! **idse-lint** checks what only this repository can express. A small
+//! lexer (see [`source`]) feeds three phases, no rustc plugin required:
 //!
-//! **Phase 4** is the performance pass (see [`perf`]): phase 1's loop
-//! model (header text, bound provenance, nesting, spans) marks hot roots
-//! — per-record/per-byte loops in the hot-path crates, or any loop
-//! annotated `// idse-lint: hot` — and hotness propagates *forward* over
-//! the phase-2 call graph, so helpers called per record inherit the
-//! loop's temperature. Five rules fire on hot code
-//! (`alloc-in-hot-loop`, `quadratic-accumulation`, `per-byte-dispatch`,
-//! `hot-loop-rederive`, `collect-in-hot-path`), each with a witness
-//! chain hot-root → call chain → site, priced by `BENCH_hotpath.json`.
+//! **Phase 1** scans each file independently — the line rules of
+//! [`rules`] (`sink-side-effect`, `materialized-feed-in-experiment`),
+//! allow-directive validation, and extraction of a lightweight semantic
+//! model (see [`model`]): `fn`/`impl`/`mod` definitions, `use` imports,
+//! call-site tokens, and taint seeds. Files are independent, so this phase
+//! fans out through [`idse_exec::Executor::par_map`] and merges in
+//! submission order.
 //!
 //! **Phase 2** assembles the per-file models into a workspace call graph
 //! and propagates taint labels (see [`taint`]) backwards from every hazard
 //! token, so a function that merely *reaches* a wall clock, ambient
 //! entropy, a hash container, a panicking helper, or raw threads — at any
-//! depth, across crates — is flagged with the full call chain:
+//! depth, across crates — is flagged with the full call chain. clippy sees
+//! only the token; this is the half it cannot see:
 //!
 //! ```text
 //! error[transitive-wall-clock-in-sim] crates/sim/src/lib.rs:4:24 — `step`
@@ -45,22 +35,32 @@
 //!   idse-sim::step -> idse-sim::util::now_ms -> std::time::Instant::now
 //! ```
 //!
+//! **Phase 3** runs value dataflow (see [`dataflow`]) over the same
+//! models: seed lineage (`literal-seed`, `seed-label-reuse`,
+//! `seed-label-collision` — the last judged by *evaluating* the real
+//! `derive_seed` at lint time), reduction order over `par_map` output
+//! (`unordered-float-reduce`), and run-id hash purity
+//! (`impure-store-record`).
+//!
 //! ## Escape hatch
 //!
 //! A finding can be suppressed with an allow comment that *requires* a
 //! written reason, either trailing the offending line or on the line above:
 //!
 //! ```text
-//! // idse-lint: allow(float-eq-comparison, reason = "exact-zero sentinel")
-//! if weight == 0.0 { continue; }
+//! // idse-lint: allow(materialized-feed-in-experiment, reason = "30-second demo feed")
+//! let feed = request.build_feed();
 //! ```
 //!
 //! Transitive rules honor allows **at the taint source**: one directive on
 //! the hazard line (naming the transitive rule) shields every downstream
-//! caller, so an audited helper never needs N call-site suppressions. A
-//! directive with an unknown rule name or a missing/empty reason is itself
-//! an error (`invalid-allow`), and a directive that suppresses nothing is
-//! flagged (`unused-allow`) so stale suppressions get deleted.
+//! caller, so an audited helper never needs N call-site suppressions. An
+//! `#[expect(clippy::...)]` on the hazard line that names the lint
+//! checking it (see [`rules::TaintLabel::clippy_lints`]) shields the same
+//! way: the exception is audited once, where the token is. A directive
+//! with an unknown rule name or a missing/empty reason is itself an error
+//! (`invalid-allow`), and a directive that suppresses nothing is flagged
+//! (`unused-allow`) so stale suppressions get deleted.
 //!
 //! ## Determinism of the lint itself
 //!
@@ -72,11 +72,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod dataflow;
-pub mod fix;
 pub mod model;
-pub mod perf;
 pub mod rules;
 pub mod sarif;
 pub mod source;
@@ -84,13 +81,13 @@ pub mod taint;
 
 use idse_exec::Executor;
 use rules::{FileKind, LineCtx, RuleId, Severity, TaintLabel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One reported finding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Finding {
     /// Rule name (kebab-case, as used in allow directives).
     pub rule: String,
@@ -125,7 +122,7 @@ impl Finding {
 }
 
 /// A finding suppressed by a valid allow directive.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Suppressed {
     /// The finding that would have been reported.
     pub finding: Finding,
@@ -134,7 +131,7 @@ pub struct Suppressed {
 }
 
 /// Result of analyzing one file or a whole workspace.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize)]
 pub struct Report {
     /// Active findings (not suppressed), in file/line order.
     pub findings: Vec<Finding>,
@@ -300,60 +297,18 @@ pub struct Workspace {
     pub deps: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Lifecycle state of an allow directive after a full analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum DirectiveState {
-    /// Suppressed at least one finding (directly or as a taint-source
-    /// shield).
-    Used,
-    /// Valid but suppressed nothing: `unused-allow` fires, `--fix`
-    /// deletes it.
-    Unused,
-    /// Failed validation: `invalid-allow` fires, `--fix` normalizes it
-    /// when the intent is recoverable.
-    Malformed,
-}
-
-/// Post-analysis status of one allow directive, for `lint --fix`.
-#[derive(Debug, Clone, Serialize)]
-pub struct DirectiveStatus {
-    /// Workspace-relative path of the file containing the directive.
-    pub file: String,
-    /// 0-based line the directive comment sits on.
-    pub on_line: usize,
-    /// Rule name as written (possibly unknown for malformed directives).
-    pub rule_name: String,
-    /// The written reason, when one parsed.
-    pub reason: Option<String>,
-    /// Lifecycle state.
-    pub state: DirectiveState,
-}
-
-/// Full analysis output: the report plus per-directive lifecycle, which
-/// `--fix` consumes.
 #[derive(Debug)]
-pub struct Analysis {
-    /// The findings report.
-    pub report: Report,
-    /// Every allow directive in the workspace with its resolved state,
-    /// sorted by (file, line).
-    pub directives: Vec<DirectiveStatus>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ValidDirective {
     target: usize,
-    on_line: usize,
     rule: RuleId,
     reason: String,
     used: bool,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
 struct FilePass {
     report: Report,
     valid: Vec<ValidDirective>,
-    malformed: Vec<(usize, String)>,
+    expects: Vec<source::ClippyExpect>,
     model: model::FileModel,
     lines: Vec<source::Line>,
     test_flags: Vec<bool>,
@@ -370,7 +325,6 @@ fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
 
     let mut report = Report { files_scanned: 1, ..Report::default() };
     let mut valid: Vec<ValidDirective> = Vec::new();
-    let mut malformed: Vec<(usize, String)> = Vec::new();
 
     // Validate directives first: bad ones are findings in their own right
     // and never suppress anything.
@@ -379,14 +333,12 @@ fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
             (Some(rule), Some(reason)) if !reason.trim().is_empty() => {
                 valid.push(ValidDirective {
                     target: d.target_line,
-                    on_line: d.on_line,
                     rule,
                     reason: reason.clone(),
                     used: false,
                 });
             }
             (None, _) => {
-                malformed.push((d.on_line, d.rule_name.clone()));
                 report.findings.push(finding_at(
                     RuleId::InvalidAllow,
                     Severity::Error,
@@ -399,7 +351,6 @@ fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
                 ));
             }
             (Some(_), _) => {
-                malformed.push((d.on_line, d.rule_name.clone()));
                 report.findings.push(finding_at(
                     RuleId::InvalidAllow,
                     Severity::Error,
@@ -445,71 +396,43 @@ fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
     }
 
     let model = model::extract(&input.path, crate_name, kind, file_idx, &lines, &test_flags);
-    FilePass { report, valid, malformed, model, lines, test_flags }
+    let expects = source::clippy_expects(&lines);
+    FilePass { report, valid, expects, model, lines, test_flags }
 }
 
 /// How an allow-at-source directive kills a taint seed.
 enum SeedKill {
     /// Directive at the seed line names the transitive rule.
     BySourceAllow(usize),
-    /// Directive at the seed line names the direct rule and already
-    /// suppressed the direct finding there.
+    /// An `#[expect(clippy::...)]` on the item covering the seed line
+    /// names a lint that checks the label's direct half: clippy holds the
+    /// audited exception (and fails the build once it stops being needed).
     ByDirectAllow,
 }
 
 fn seed_kill(passes: &[FilePass], label: TaintLabel, s: &model::SeedInfo) -> Option<SeedKill> {
     let pass = passes.get(s.file)?;
-    for (di, d) in pass.valid.iter().enumerate() {
-        if d.target != s.line {
-            continue;
-        }
-        if d.rule == label.transitive_rule() {
-            return Some(SeedKill::BySourceAllow(di));
-        }
-        if d.rule == label.direct_rule() && d.used {
-            return Some(SeedKill::ByDirectAllow);
-        }
+    if let Some(di) =
+        pass.valid.iter().position(|d| d.target == s.line && d.rule == label.transitive_rule())
+    {
+        return Some(SeedKill::BySourceAllow(di));
     }
-    None
+    let direct = label.clippy_lints();
+    pass.expects
+        .iter()
+        .any(|e| {
+            (e.first_line..=e.last_line).contains(&s.line)
+                && e.lints.iter().any(|l| direct.contains(&l.as_str()))
+        })
+        .then_some(SeedKill::ByDirectAllow)
 }
 
-/// Analyze a workspace and also report directive lifecycle (for `--fix`).
-pub fn analyze_full(ws: &Workspace, exec: &Executor) -> Analysis {
-    analyze_full_with_cache(ws, exec, None).0
-}
-
-/// [`analyze_full`] with an optional phase-1 cache. Cached files skip
-/// re-lexing; phases 2 and 3 always run, so the output is byte-identical
-/// to an uncached run. Returns the analysis plus hit/miss counts.
-pub fn analyze_full_with_cache(
-    ws: &Workspace,
-    exec: &Executor,
-    file_cache: Option<&cache::Cache>,
-) -> (Analysis, cache::CacheStats) {
+/// Analyze a workspace: phase 1 per file in parallel, then the call
+/// graph, taint, and dataflow phases over the merged models.
+pub fn analyze(ws: &Workspace, exec: &Executor) -> Report {
     // Phase 1: per-file, embarrassingly parallel, merged in submission
     // order by par_map — the scan is byte-identical at any worker count.
-    // Cache keys are unique per file, so parallel stores never collide.
-    let results: Vec<(FilePass, bool)> = exec.par_map(&ws.files, |i, input| match file_cache {
-        Some(c) => match c.load(i, input) {
-            Some(pass) => (pass, true),
-            None => {
-                let pass = analyze_file(i, input);
-                c.store(i, input, &pass);
-                (pass, false)
-            }
-        },
-        None => (analyze_file(i, input), false),
-    });
-    let mut cache_stats = cache::CacheStats::default();
-    let mut passes: Vec<FilePass> = Vec::with_capacity(results.len());
-    for (pass, hit) in results {
-        if hit {
-            cache_stats.hits += 1;
-        } else {
-            cache_stats.misses += 1;
-        }
-        passes.push(pass);
-    }
+    let mut passes: Vec<FilePass> = exec.par_map(&ws.files, analyze_file);
 
     // Phase 2: whole-workspace call graph and taint propagation (serial —
     // the graph is one shared structure and the pass is cheap).
@@ -631,10 +554,8 @@ pub fn analyze_full_with_cache(
     }
 
     // Phase 3: value dataflow over the same models — seed lineage,
-    // reduction order, store-record purity. Phase 4: hot-path
-    // performance over the loop model and the phase-2 call graph. Both
-    // serial and deterministic; their hits share one reporting path
-    // (allow at the finding line, shield at the chain's origin).
+    // reduction order, store-record purity. Serial and deterministic; an
+    // allow at the finding line or at the chain's origin suppresses.
     let dataflow_hits = {
         let views: Vec<dataflow::FileView<'_>> = metas
             .iter()
@@ -646,9 +567,7 @@ pub fn analyze_full_with_cache(
                 test_flags: &pass.test_flags,
             })
             .collect();
-        let mut hits = dataflow::analyze(&views);
-        hits.extend(perf::analyze(&views, &graph));
-        hits
+        dataflow::analyze(&views)
     };
     for hit in dataflow_hits {
         let finding = Finding {
@@ -714,30 +633,6 @@ pub fn analyze_full_with_cache(
         }
     }
 
-    // Directive lifecycle for --fix.
-    let mut directives: Vec<DirectiveStatus> = Vec::new();
-    for (fi, pass) in passes.iter().enumerate() {
-        for d in &pass.valid {
-            directives.push(DirectiveStatus {
-                file: metas[fi].path.clone(),
-                on_line: d.on_line,
-                rule_name: d.rule.name().to_string(),
-                reason: Some(d.reason.clone()),
-                state: if d.used { DirectiveState::Used } else { DirectiveState::Unused },
-            });
-        }
-        for (on_line, rule_name) in &pass.malformed {
-            directives.push(DirectiveStatus {
-                file: metas[fi].path.clone(),
-                on_line: *on_line,
-                rule_name: rule_name.clone(),
-                reason: None,
-                state: DirectiveState::Malformed,
-            });
-        }
-    }
-    directives.sort_by(|a, b| (&a.file, a.on_line).cmp(&(&b.file, b.on_line)));
-
     // Merge in canonical file order, then sort: the final report is a
     // pure function of the workspace, independent of scheduling.
     let mut report = Report::default();
@@ -758,12 +653,7 @@ pub fn analyze_full_with_cache(
         ))
     });
 
-    (Analysis { report, directives }, cache_stats)
-}
-
-/// Analyze a workspace: the two-phase pass, report only.
-pub fn analyze(ws: &Workspace, exec: &Executor) -> Report {
-    analyze_full(ws, exec).report
+    report
 }
 
 /// Analyze one file's text. `file` is the workspace-relative display path.
@@ -963,29 +853,34 @@ mod tests {
         assert_eq!(classify(Path::new("benches/scorecard.rs")), FileKind::Bench);
     }
 
+    /// A structural `sink-side-effect` hit: the telemetry crate naming
+    /// the simulator.
+    const SINK_LINE: &str = "use idse_sim::event::EventQueue;";
+
     #[test]
     fn allow_suppresses_and_records_reason() {
-        let src = "use std::collections::HashMap; // idse-lint: allow(unordered-iteration-in-report, reason = \"membership only, order never observed\")\n";
-        let r = analyze_source("x.rs", "idse-eval", FileKind::Library, src);
+        let src = format!(
+            "{SINK_LINE} // idse-lint: allow(sink-side-effect, reason = \"type name only, never scheduled\")\n"
+        );
+        let r = analyze_source("x.rs", "idse-telemetry", FileKind::Library, &src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed.len(), 1);
-        assert_eq!(r.suppressed[0].reason, "membership only, order never observed");
+        assert_eq!(r.suppressed[0].reason, "type name only, never scheduled");
     }
 
     #[test]
     fn allow_without_reason_is_invalid() {
-        let src =
-            "// idse-lint: allow(unordered-iteration-in-report)\nuse std::collections::HashMap;\n";
-        let r = analyze_source("x.rs", "idse-eval", FileKind::Library, src);
+        let src = format!("// idse-lint: allow(sink-side-effect)\n{SINK_LINE}\n");
+        let r = analyze_source("x.rs", "idse-telemetry", FileKind::Library, &src);
         assert!(r.findings.iter().any(|f| f.rule == "invalid-allow"));
         // The underlying finding still fires: an invalid allow suppresses nothing.
-        assert!(r.findings.iter().any(|f| f.rule == "unordered-iteration-in-report"));
+        assert!(r.findings.iter().any(|f| f.rule == "sink-side-effect"));
     }
 
     #[test]
     fn unused_allow_is_flagged() {
-        let src = "// idse-lint: allow(wall-clock-in-sim, reason = \"speculative\")\nlet x = 1;\n";
-        let r = analyze_source("x.rs", "idse-sim", FileKind::Library, src);
+        let src = "// idse-lint: allow(sink-side-effect, reason = \"speculative\")\nlet x = 1;\n";
+        let r = analyze_source("x.rs", "idse-telemetry", FileKind::Library, src);
         assert!(r.findings.iter().any(|f| f.rule == "unused-allow"));
     }
 
@@ -1002,33 +897,24 @@ mod tests {
 
     #[test]
     fn stats_counts_by_crate_and_rule() {
-        let mut r = analyze_source(
-            "a.rs",
-            "idse-eval",
-            FileKind::Library,
-            "use std::collections::HashMap;\n",
-        );
+        let mut r = analyze_source("a.rs", "idse-telemetry", FileKind::Library, SINK_LINE);
         r.absorb(analyze_source(
             "b.rs",
-            "idse-sim",
-            FileKind::Library,
-            "let t = Instant::now();\n",
+            "idse-bench",
+            FileKind::Bin,
+            "let feed = request.build_feed();\n",
         ));
         let stats = r.stats();
-        assert_eq!(stats.totals.errors, 2);
-        assert_eq!(stats.per_crate["idse-eval"]["unordered-iteration-in-report"].errors, 1);
-        assert_eq!(stats.per_crate["idse-sim"]["wall-clock-in-sim"].errors, 1);
+        assert_eq!((stats.totals.errors, stats.totals.warnings), (1, 1));
+        assert_eq!(stats.per_crate["idse-telemetry"]["sink-side-effect"].errors, 1);
+        assert_eq!(stats.per_crate["idse-bench"]["materialized-feed-in-experiment"].warnings, 1);
     }
 
     #[test]
     fn json_report_is_deterministic() {
         let run = || {
-            let r = analyze_source(
-                "a.rs",
-                "idse-eval",
-                FileKind::Library,
-                "use std::collections::HashMap;\nlet x = y == 0.5;\n",
-            );
+            let src = format!("{SINK_LINE}\nfn f(q: &mut EventQueue) {{}}\n");
+            let r = analyze_source("a.rs", "idse-telemetry", FileKind::Library, &src);
             serde_json::to_string(&r.stats()).expect("stats serialize")
         };
         assert_eq!(run(), run());
@@ -1036,9 +922,9 @@ mod tests {
 
     #[test]
     fn transitive_finding_carries_the_chain() {
-        // The seed lives in a tooling crate where the direct wall-clock
-        // rule does not apply: without the taint pass this launders the
-        // clock straight into the sim crate.
+        // The seed lives in a tooling crate outside the wall-clock scope:
+        // clippy's configuration there need not ban it, and without the
+        // taint pass this launders the clock straight into the sim crate.
         let ws = Workspace {
             files: vec![
                 FileInput {
@@ -1060,10 +946,9 @@ mod tests {
             deps: BTreeMap::new(),
         };
         let r = analyze(&ws, &Executor::serial());
-        let direct: Vec<_> = r.findings.iter().filter(|f| f.rule == "wall-clock-in-sim").collect();
         let trans: Vec<_> =
             r.findings.iter().filter(|f| f.rule == "transitive-wall-clock-in-sim").collect();
-        assert!(direct.is_empty(), "{:?}", r.findings);
+        assert_eq!(trans.len(), r.findings.len(), "{:?}", r.findings);
         assert_eq!(trans.len(), 1, "{:?}", r.findings);
         assert_eq!(
             trans[0].chain,
@@ -1099,10 +984,43 @@ mod tests {
             ],
             deps: BTreeMap::new(),
         };
-        let a = analyze_full(&ws, &Executor::serial());
-        assert!(a.report.findings.is_empty(), "{:?}", a.report.findings);
-        assert_eq!(a.report.suppressed.len(), 1, "{:?}", a.report.suppressed);
-        assert!(a.report.suppressed[0].finding.message.contains("shields 1 in-scope function"));
-        assert!(a.directives.iter().all(|d| d.state == DirectiveState::Used), "{:?}", a.directives);
+        // No unused-allow finding either: the shield counts as used.
+        let r = analyze(&ws, &Executor::serial());
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
+        assert!(r.suppressed[0].finding.message.contains("shields 1 in-scope function"));
+    }
+
+    #[test]
+    fn clippy_expect_at_the_seed_shields_callers() {
+        // The panic sits in a tooling crate, outside the panic scope; a
+        // sim-crate function reaches it. An `#[expect(clippy::panic)]` on
+        // the seed line is the audited exception: no caller inherits it.
+        let ws = |expect: &str| Workspace {
+            files: vec![
+                FileInput {
+                    path: "crates/simx/src/lib.rs".to_string(),
+                    crate_name: "idse-sim".to_string(),
+                    kind: FileKind::Library,
+                    text: "pub fn step() { idse_tool::fail() }\n".to_string(),
+                },
+                FileInput {
+                    path: "crates/tool/src/lib.rs".to_string(),
+                    crate_name: "idse-tool".to_string(),
+                    kind: FileKind::Library,
+                    text: format!("pub fn fail() {{\n{expect}\n    panic!(\"boom\");\n}}\n"),
+                },
+            ],
+            deps: BTreeMap::new(),
+        };
+        let bare = analyze(&ws(""), &Executor::serial());
+        assert_eq!(bare.findings.len(), 1, "{:?}", bare.findings);
+        assert_eq!(bare.findings[0].rule, "transitive-panic-in-library");
+        let expected = r#"    #[expect(clippy::panic, reason = "re-raise")]"#;
+        let shielded = analyze(&ws(expected), &Executor::serial());
+        assert!(shielded.findings.is_empty(), "{:?}", shielded.findings);
+        // An expect naming an unrelated lint shields nothing.
+        let other = analyze(&ws("    #[expect(clippy::float_cmp)]"), &Executor::serial());
+        assert_eq!(other.findings.len(), 1, "{:?}", other.findings);
     }
 }

@@ -27,11 +27,10 @@
 
 use crate::rules::{self, FileKind, TaintLabel};
 use crate::source::Line;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One function (or method) definition in the workspace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FnDef {
     /// Display-qualified name: `crate::module::[Type::]name`.
     pub qual: String,
@@ -54,7 +53,7 @@ pub struct FnDef {
 }
 
 /// How a call site names its callee.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum CalleeRef {
     /// Free or associated call written as a path: `foo(..)`, `a::b::f(..)`.
     Path(Vec<String>),
@@ -64,7 +63,7 @@ pub enum CalleeRef {
 
 /// One call site inside a function body (caller is file-local until
 /// assembly renumbers it).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CallSite {
     /// File-local index of the calling function.
     pub caller: usize,
@@ -77,7 +76,7 @@ pub struct CallSite {
 }
 
 /// A taint seed found inside a function body.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalSeed {
     /// File-local index of the owning function.
     pub fn_local: usize,
@@ -91,44 +90,9 @@ pub struct LocalSeed {
     pub column: usize,
 }
 
-/// The three loop forms the extractor distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LoopKind {
-    /// `for pat in expr { .. }` — the bound is the iterated expression.
-    For,
-    /// `while cond { .. }` (including `while let`).
-    While,
-    /// Bare `loop { .. }` — unbounded until `break`.
-    Loop,
-}
-
-/// One loop scope inside a file: the performance phase's unit of hotness.
-///
-/// `head` is the whitespace-normalized header text (`for rec in records`),
-/// which is the loop's *bound provenance*: the performance phase reads it
-/// to decide whether the loop walks per-record/per-byte input and whether
-/// its bound names the same collection a body accumulation grows with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LoopInfo {
-    /// File-local index of the innermost enclosing function, if any.
-    pub fn_local: Option<usize>,
-    /// Loop form.
-    pub kind: LoopKind,
-    /// Whitespace-normalized header text preceding the `{`.
-    pub head: String,
-    /// 0-based line of the header.
-    pub line: usize,
-    /// Nesting depth among *loops* in the same function (0 = outermost).
-    pub depth: usize,
-    /// 0-based line of the closing `}` (== `line` for one-line loops).
-    pub end_line: usize,
-    /// Whether the loop sits in a `#[cfg(test)]` region or test file.
-    pub in_test: bool,
-}
-
 /// A taint seed found in a type declaration (struct/enum field of a hazard
 /// type): taints every method of the type in the same crate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeSeed {
     /// The struct/enum name.
     pub type_name: String,
@@ -143,7 +107,7 @@ pub struct TypeSeed {
 }
 
 /// Everything phase 1 learns about one file.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FileModel {
     /// Functions defined in the file, in definition order.
     pub fns: Vec<FnDef>,
@@ -151,9 +115,6 @@ pub struct FileModel {
     pub calls: Vec<CallSite>,
     /// Function-body taint seeds.
     pub seeds: Vec<LocalSeed>,
-    /// Loop scopes, in header order — the performance phase's loop model.
-    #[serde(default)]
-    pub loops: Vec<LoopInfo>,
     /// Type-declaration taint seeds.
     pub type_seeds: Vec<TypeSeed>,
     /// `use` imports: visible name → full path segments.
@@ -206,8 +167,6 @@ enum ScopeKind {
     Trait(String),
     TypeDecl(String),
     Fn(usize),
-    /// A loop body; the index points into `FileModel::loops`.
-    Loop(usize),
     Block,
 }
 
@@ -280,29 +239,8 @@ fn classify_header(stmt: &str) -> ScopeKind {
             ident_after(stmt, at + kw.len()).expect("classify_header only picks named types"),
         ),
         Some((at, "impl")) => ScopeKind::Impl(impl_type_name(&stmt[at + 4..])),
-        // No item keyword: a loop keyword makes this a loop body. Item
-        // detection runs first, so `impl Iterator for Chunks` stays Impl.
-        _ => match loop_header(stmt) {
-            Some(_) => ScopeKind::Loop(usize::MAX),
-            None => ScopeKind::Block,
-        },
+        _ => ScopeKind::Block,
     }
-}
-
-/// Detect a loop header: the earliest word-boundary `for`/`while`/`loop`
-/// keyword, with its byte position. Method chains (`.for_each`) and
-/// capitalized enum variants do not match at a word boundary.
-fn loop_header(stmt: &str) -> Option<(usize, LoopKind)> {
-    let mut best: Option<(usize, LoopKind)> = None;
-    for (kw, kind) in [("for", LoopKind::For), ("while", LoopKind::While), ("loop", LoopKind::Loop)]
-    {
-        if let Some(at) = word_pos(stmt, kw) {
-            if best.is_none_or(|(b, _)| at < b) {
-                best = Some((at, kind));
-            }
-        }
-    }
-    best
 }
 
 /// Extract the `Self` type name from an `impl` header tail (everything
@@ -657,29 +595,6 @@ pub fn extract(
                         });
                         kind_of = ScopeKind::Fn(local);
                     }
-                    if let ScopeKind::Loop(_) = kind_of {
-                        let head_line = stmt_line.unwrap_or(li);
-                        let (at, lk) =
-                            loop_header(&stmt).expect("classify_header only picks loop headers");
-                        let fn_local = stack.iter().rev().find_map(|s| match s.kind {
-                            ScopeKind::Fn(local) => Some(local),
-                            _ => None,
-                        });
-                        let ldepth =
-                            stack.iter().filter(|s| matches!(s.kind, ScopeKind::Loop(_))).count();
-                        let idx = model.loops.len();
-                        model.loops.push(LoopInfo {
-                            fn_local,
-                            kind: lk,
-                            head: stmt[at..].split_whitespace().collect::<Vec<_>>().join(" "),
-                            line: head_line,
-                            depth: ldepth,
-                            end_line: head_line,
-                            in_test: test_flags.get(head_line).copied().unwrap_or(false)
-                                || kind.is_test(),
-                        });
-                        kind_of = ScopeKind::Loop(idx);
-                    }
                     stack.push(Scope { kind: kind_of, depth });
                     depth += 1;
                     stmt.clear();
@@ -688,13 +603,7 @@ pub fn extract(
                 '}' => {
                     depth -= 1;
                     while stack.last().is_some_and(|s| s.depth >= depth) {
-                        if let Some(scope) = stack.pop() {
-                            if let ScopeKind::Loop(idx) = scope.kind {
-                                if let Some(l) = model.loops.get_mut(idx) {
-                                    l.end_line = li;
-                                }
-                            }
-                        }
+                        stack.pop();
                     }
                     stmt.clear();
                     stmt_line = None;
@@ -1195,32 +1104,6 @@ mod tests {
         let m = model_of("crates/x/src/lib.rs", "idse-x", src);
         assert!(m.seeds.is_empty(), "{:?}", m.seeds);
         assert!(m.fns[0].in_test);
-    }
-
-    #[test]
-    fn loops_are_modeled_with_bounds_and_nesting() {
-        let src = "pub fn scan(records: &[u32]) -> u32 {\n    let mut acc = 0;\n    \
-                   for rec in records {\n        while acc < *rec {\n            acc += 1;\n        \
-                   }\n    }\n    acc\n}\n";
-        let m = model_of("crates/x/src/lib.rs", "idse-x", src);
-        assert_eq!(m.loops.len(), 2, "{:?}", m.loops);
-        assert_eq!(m.loops[0].kind, LoopKind::For);
-        assert_eq!(m.loops[0].head, "for rec in records");
-        assert_eq!(m.loops[0].depth, 0);
-        assert_eq!(m.loops[0].fn_local, Some(0));
-        assert_eq!((m.loops[0].line, m.loops[0].end_line), (2, 6));
-        assert_eq!(m.loops[1].kind, LoopKind::While);
-        assert_eq!(m.loops[1].depth, 1);
-        assert_eq!((m.loops[1].line, m.loops[1].end_line), (3, 5));
-    }
-
-    #[test]
-    fn impl_trait_for_type_is_not_a_loop() {
-        let src = "struct C;\nimpl Iterator for C {\n    type Item = u8;\n    \
-                   fn next(&mut self) -> Option<u8> { None }\n}\n";
-        let m = model_of("crates/x/src/lib.rs", "idse-x", src);
-        assert!(m.loops.is_empty(), "{:?}", m.loops);
-        assert_eq!(m.fns.len(), 1);
     }
 
     #[test]

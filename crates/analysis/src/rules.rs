@@ -1,38 +1,34 @@
-//! The rule set. Each rule is a line-level predicate over the masked
-//! code channel, scoped by crate, file kind, and test-region flag, with
-//! a severity that can be tiered per crate.
+//! The rule set idse-lint owns: the properties clippy cannot express.
 //!
-//! Every rule here is grounded in a hazard this repo has actually hit or
-//! must structurally prevent:
+//! The direct, token-level halves of the determinism hazards are clippy
+//! configuration (the workspace `[workspace.lints.clippy]` table plus
+//! `disallowed-methods`/`disallowed-types` in `clippy.toml`):
 //!
-//! - `unordered-iteration-in-report` — PR 1 shipped a real bug where a
-//!   `HashMap` float-summation order leaked the hash seed into the
-//!   reported `host_impact` ulp. Report paths (`idse-eval`, `idse-core`)
-//!   must use ordered containers.
-//! - `wall-clock-in-sim` — sim time is the only clock in `idse-sim`,
-//!   `idse-ids`, `idse-net` (and `idse-telemetry`, which timestamps with
-//!   sim nanos). `Instant`/`SystemTime` would make runs unrepeatable.
-//! - `unseeded-entropy` — every random draw must come from a seeded,
-//!   named `RngStream`; ambient entropy destroys reproducibility.
-//! - `panic-in-library` — library code must not `unwrap()`/`panic!`;
-//!   `expect("invariant message")` is the sanctioned form for true
-//!   invariants. Severity is tiered: substrate crates error, harness
-//!   crates warn.
-//! - `float-eq-comparison` — exact `==`/`!=` on floats is almost always
-//!   a latent ulp bug in a scoring pipeline; exact-zero sentinels must
-//!   be allowlisted with a reason.
+//! | hazard | clippy lint |
+//! |---|---|
+//! | hash-ordered iteration in a report | `disallowed_types` (`HashMap`/`HashSet` in idse-eval, idse-core) |
+//! | wall-clock time | `disallowed_methods`/`disallowed_types` (`Instant`, `SystemTime`) |
+//! | ambient entropy | `disallowed_methods`/`disallowed_types` (`RandomState`) |
+//! | raw threads outside idse-exec | `disallowed_methods` (`thread::spawn`, `mpsc::channel`, ...) |
+//! | exact float equality | `float_cmp` |
+//! | panics in library code | `unwrap_used`, `panic`, `todo`, `unimplemented` |
+//!
+//! idse-lint checks what only this repo can say:
+//!
+//! - the five `transitive-*` rules — a function that merely *reaches* one
+//!   of those hazards through the workspace call graph, at any depth and
+//!   across crates (see [`TaintLabel`]);
 //! - `sink-side-effect` — telemetry is observation-only: the telemetry
 //!   crate must never reach back into the simulator, and no record call
-//!   may share a statement with event scheduling.
-//! - `thread-outside-exec` — all parallelism flows through the
-//!   `idse-exec` executor, whose canonical-order reduce is what makes
-//!   `--jobs N` byte-identical. Ad-hoc `thread::spawn`/channel use
-//!   anywhere else reintroduces scheduling-dependent behavior.
-
-use serde::{Deserialize, Serialize};
+//!   may share a statement with event scheduling;
+//! - `materialized-feed-in-experiment` — experiment surfaces should stream
+//!   the test feed rather than build it whole;
+//! - the dataflow rules of [`crate::dataflow`] (seed lineage, reduction
+//!   order, store-record purity);
+//! - `invalid-allow` / `unused-allow`, which keep the suppressions honest.
 
 /// Finding severity. Errors fail the build; warnings are debt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Reported, counted, but does not fail the run.
     Warn,
@@ -51,22 +47,10 @@ impl Severity {
 }
 
 /// Identity of a lint rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// HashMap/HashSet in `idse-eval`/`idse-core` report paths.
-    UnorderedIterationInReport,
-    /// `Instant`/`SystemTime` in simulation-clock crates.
-    WallClockInSim,
-    /// `thread_rng`/`from_entropy`/`RandomState`/`OsRng` outside tests.
-    UnseededEntropy,
-    /// `unwrap()`/`panic!`/`todo!`/`unimplemented!` in library code.
-    PanicInLibrary,
-    /// `==`/`!=` against a float operand.
-    FloatEqComparison,
     /// Telemetry recording entangled with event scheduling.
     SinkSideEffect,
-    /// Raw threads/channels anywhere but the executor crate.
-    ThreadOutsideExec,
     /// Reaching a hash-container helper transitively from a report path.
     TransitiveUnorderedIteration,
     /// Reaching a wall-clock source transitively from a sim-clock crate.
@@ -93,16 +77,6 @@ pub enum RuleId {
     /// Materializing a whole test feed in experiment-surface code
     /// (bins/examples) instead of streaming it.
     MaterializedFeedInExperiment,
-    /// Heap allocation inside a hot loop (per-record/per-byte path).
-    AllocInHotLoop,
-    /// Container growth inside a loop bounded by the grown input's length.
-    QuadraticAccumulation,
-    /// Match-on-enum or trait-object dispatch inside a per-byte scan loop.
-    PerByteDispatch,
-    /// Seed/hash-state re-derivation inside a per-record loop.
-    HotLoopRederive,
-    /// Materializing an intermediate `Vec` inside a hot function.
-    CollectInHotPath,
     /// Malformed allow directive (unknown rule or missing reason).
     InvalidAllow,
     /// Allow directive that suppressed nothing.
@@ -111,14 +85,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in stable display order.
-    pub const ALL: [RuleId; 25] = [
-        RuleId::UnorderedIterationInReport,
-        RuleId::WallClockInSim,
-        RuleId::UnseededEntropy,
-        RuleId::PanicInLibrary,
-        RuleId::FloatEqComparison,
+    pub const ALL: [RuleId; 14] = [
         RuleId::SinkSideEffect,
-        RuleId::ThreadOutsideExec,
         RuleId::TransitiveUnorderedIteration,
         RuleId::TransitiveWallClock,
         RuleId::TransitiveUnseededEntropy,
@@ -130,11 +98,6 @@ impl RuleId {
         RuleId::UnorderedFloatReduce,
         RuleId::ImpureStoreRecord,
         RuleId::MaterializedFeedInExperiment,
-        RuleId::AllocInHotLoop,
-        RuleId::QuadraticAccumulation,
-        RuleId::PerByteDispatch,
-        RuleId::HotLoopRederive,
-        RuleId::CollectInHotPath,
         RuleId::InvalidAllow,
         RuleId::UnusedAllow,
     ];
@@ -142,13 +105,7 @@ impl RuleId {
     /// Kebab-case rule name as written in allow directives.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::UnorderedIterationInReport => "unordered-iteration-in-report",
-            RuleId::WallClockInSim => "wall-clock-in-sim",
-            RuleId::UnseededEntropy => "unseeded-entropy",
-            RuleId::PanicInLibrary => "panic-in-library",
-            RuleId::FloatEqComparison => "float-eq-comparison",
             RuleId::SinkSideEffect => "sink-side-effect",
-            RuleId::ThreadOutsideExec => "thread-outside-exec",
             RuleId::TransitiveUnorderedIteration => "transitive-unordered-iteration-in-report",
             RuleId::TransitiveWallClock => "transitive-wall-clock-in-sim",
             RuleId::TransitiveUnseededEntropy => "transitive-unseeded-entropy",
@@ -160,11 +117,6 @@ impl RuleId {
             RuleId::UnorderedFloatReduce => "unordered-float-reduce",
             RuleId::ImpureStoreRecord => "impure-store-record",
             RuleId::MaterializedFeedInExperiment => "materialized-feed-in-experiment",
-            RuleId::AllocInHotLoop => "alloc-in-hot-loop",
-            RuleId::QuadraticAccumulation => "quadratic-accumulation",
-            RuleId::PerByteDispatch => "per-byte-dispatch",
-            RuleId::HotLoopRederive => "hot-loop-rederive",
-            RuleId::CollectInHotPath => "collect-in-hot-path",
             RuleId::InvalidAllow => "invalid-allow",
             RuleId::UnusedAllow => "unused-allow",
         }
@@ -178,32 +130,9 @@ impl RuleId {
     /// One-line description for `--help`-style output.
     pub fn description(self) -> &'static str {
         match self {
-            RuleId::UnorderedIterationInReport => {
-                "HashMap/HashSet in a report path: iteration order leaks the hash seed \
-                 into reported values; use BTreeMap/BTreeSet or sort before reducing"
-            }
-            RuleId::WallClockInSim => {
-                "wall-clock time in a simulation crate: sim time is the only clock; \
-                 Instant/SystemTime make runs unrepeatable"
-            }
-            RuleId::UnseededEntropy => {
-                "ambient entropy outside test code: draw from a seeded, named RngStream"
-            }
-            RuleId::PanicInLibrary => {
-                "panicking call in library code: return Result, or use \
-                 expect(\"invariant message\") for true invariants"
-            }
-            RuleId::FloatEqComparison => {
-                "exact equality on a float operand: compare within a tolerance, or \
-                 allowlist exact-zero sentinels with a reason"
-            }
             RuleId::SinkSideEffect => {
                 "telemetry entangled with event scheduling: observation must stay \
                  observation-only"
-            }
-            RuleId::ThreadOutsideExec => {
-                "raw thread or channel use outside idse-exec: route parallelism \
-                 through the executor so results merge in canonical job order"
             }
             RuleId::TransitiveUnorderedIteration => {
                 "report-path function reaches a hash-container helper through the call \
@@ -219,7 +148,7 @@ impl RuleId {
             }
             RuleId::TransitivePanic => {
                 "library function reaches a panicking helper through the call graph: \
-                 tiered like panic-in-library"
+                 errors in substrate crates, warnings in harness crates"
             }
             RuleId::TransitiveThreadOutsideExec => {
                 "function reaches raw thread machinery through the call graph without \
@@ -250,31 +179,6 @@ impl RuleId {
                  path (evaluate_stream / ShardFeed), which is O(chunk) memory at any \
                  scale, or allowlist a deliberately small materialized run with a reason"
             }
-            RuleId::AllocInHotLoop => {
-                "heap allocation inside a hot loop: every record/byte pays the \
-                 allocator; hoist the buffer out of the loop and reuse it \
-                 (BENCH_hotpath.json prices the per-record cost)"
-            }
-            RuleId::QuadraticAccumulation => {
-                "container grows inside a loop bounded by the same input's length: \
-                 O(n\u{b2}) accumulation, the vendored-serde_json bug class; reserve \
-                 up front or append at the tail"
-            }
-            RuleId::PerByteDispatch => {
-                "per-byte scan loop dispatches through a match or trait object: one \
-                 branchy decision per input byte; compile to a table-driven DFA \
-                 (ROADMAP item 2) so each byte costs one load"
-            }
-            RuleId::HotLoopRederive => {
-                "seed or hash-state derivation inside a per-record loop: \
-                 derive_seed/RngStream::derive hash their label every call; hoist \
-                 the derivation per chunk and reuse the stream"
-            }
-            RuleId::CollectInHotPath => {
-                "hot-path function materializes an intermediate Vec: the streaming \
-                 API suffices; iterate lazily so memory stays O(chunk) and the \
-                 allocator stays off the per-record path"
-            }
             RuleId::InvalidAllow => {
                 "malformed idse-lint allow directive: unknown rule name or missing \
                  non-empty reason"
@@ -285,7 +189,7 @@ impl RuleId {
 }
 
 /// What part of a crate a file belongs to. Rules scope themselves by kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/**` (excluding `src/bin`): the library proper.
     Library,
@@ -305,7 +209,7 @@ impl FileKind {
     }
 }
 
-/// Crate strictness tier for `panic-in-library`.
+/// Crate strictness tier: decides where panics and literal seeds matter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// Substrate crates: determinism and panic-freedom are load-bearing.
@@ -341,14 +245,13 @@ const SIM_CLOCK_CRATES: [&str; 7] = [
 
 /// The hazard classes the taint pass propagates along the call graph.
 ///
-/// Each label pairs a *direct* rule (the line-level check that fires where
-/// the hazard token appears, when that location is in the rule's scope)
-/// with a *transitive* rule (fires on an in-scope function that merely
-/// *reaches* the hazard through calls). Both share one scope predicate —
-/// [`TaintLabel::applies`] — so a wrapper function can never launder a
-/// violation past the lint: the scope that bans the token also bans
-/// reaching it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+/// Each label has a *direct* half, checked by clippy where the hazard
+/// token appears (see [`TaintLabel::clippy_lints`]), and a *transitive*
+/// rule here that fires on an in-scope function that merely *reaches* the
+/// hazard through calls. [`TaintLabel::applies`] is the scope of both
+/// halves, so a wrapper function can never launder a violation past the
+/// lint: the scope that bans the token also bans reaching it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TaintLabel {
     /// Hash-seeded container use (`HashMap`/`HashSet`).
     UnorderedIter,
@@ -383,14 +286,17 @@ impl TaintLabel {
         }
     }
 
-    /// The line-level rule that fires where the hazard token appears.
-    pub fn direct_rule(self) -> RuleId {
+    /// The clippy lints that check this label's direct half. An
+    /// `#[expect(clippy::<lint>, reason = "...")]` naming one of them on a
+    /// seed line is the audited exception, so it also shields every caller
+    /// from the transitive rule.
+    pub fn clippy_lints(self) -> &'static [&'static str] {
         match self {
-            TaintLabel::UnorderedIter => RuleId::UnorderedIterationInReport,
-            TaintLabel::WallClock => RuleId::WallClockInSim,
-            TaintLabel::Entropy => RuleId::UnseededEntropy,
-            TaintLabel::MayPanic => RuleId::PanicInLibrary,
-            TaintLabel::ThreadSpawn => RuleId::ThreadOutsideExec,
+            TaintLabel::UnorderedIter | TaintLabel::WallClock | TaintLabel::Entropy => {
+                &["disallowed_methods", "disallowed_types"]
+            }
+            TaintLabel::MayPanic => &["panic", "todo", "unimplemented", "unwrap_used"],
+            TaintLabel::ThreadSpawn => &["disallowed_methods"],
         }
     }
 
@@ -440,11 +346,11 @@ impl TaintLabel {
         }
     }
 
-    /// The shared scope predicate: does this label's rule pair apply to
-    /// code at (crate, kind, test-region)? Returns the severity when it
-    /// does. This is the *same* policy for the direct and the transitive
-    /// rule — crate tiering included — which is what makes the transitive
-    /// variants an extension of the line rules rather than a new regime.
+    /// The shared scope predicate: does this label apply to code at
+    /// (crate, kind, test-region)? Returns the severity when it does. The
+    /// clippy configuration enforces the direct half over (at least) the
+    /// same scope, so a seed inside it is already reported by clippy and
+    /// only a caller reaching it through the call graph is reported here.
     pub fn applies(self, crate_name: &str, kind: FileKind, in_test: bool) -> Option<Severity> {
         let in_test_code = in_test || kind.is_test();
         match self {
@@ -539,51 +445,6 @@ pub(crate) fn is_floatish_token(tok: &str) -> bool {
         && tok.chars().any(|c| c.is_ascii_digit())
 }
 
-fn operand_before(code: &str, op_at: usize) -> &str {
-    let head = code[..op_at].trim_end();
-    let start = head
-        .rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.' || c == ':'))
-        .map_or(0, |p| p + 1);
-    &head[start..]
-}
-
-fn operand_after(code: &str, after_op: usize) -> &str {
-    let tail = code[after_op..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.' || c == ':'))
-        .unwrap_or(tail.len());
-    &tail[..end]
-}
-
-fn float_eq_hit(code: &str) -> Option<usize> {
-    let mut from = 0;
-    while from + 1 < code.len() {
-        let rel = code[from..].find(['=', '!'])?;
-        let at = from + rel;
-        let two = code.get(at..at + 2).unwrap_or("");
-        if two != "==" && two != "!=" {
-            from = at + 1;
-            continue;
-        }
-        // Exclude `<=`, `>=`, `=>`, `..=` style neighbors.
-        let prev = code[..at].chars().next_back();
-        let next2 = code.get(at + 2..at + 3).and_then(|s| s.chars().next());
-        if matches!(prev, Some('<') | Some('>') | Some('=') | Some('!'))
-            || matches!(next2, Some('='))
-        {
-            from = at + 2;
-            continue;
-        }
-        if is_floatish_token(operand_before(code, at))
-            || is_floatish_token(operand_after(code, at + 2))
-        {
-            return Some(at);
-        }
-        from = at + 2;
-    }
-    None
-}
-
 const TELEMETRY_RECORD_CALLS: [&str; 5] =
     [".span_enter(", ".span_exit(", ".span(", ".counter(", ".gauge("];
 
@@ -603,7 +464,7 @@ fn first_substring(code: &str, tokens: &'static [&'static str]) -> Option<(usize
     best
 }
 
-/// Run every applicable rule against one line.
+/// Run every applicable line rule against one line.
 pub fn check_line(ctx: &LineCtx<'_>) -> Vec<Hit> {
     let mut hits = Vec::new();
     let code = ctx.code;
@@ -611,108 +472,6 @@ pub fn check_line(ctx: &LineCtx<'_>) -> Vec<Hit> {
         return hits;
     }
     let in_test_code = ctx.in_test || ctx.kind.is_test();
-    let tier = crate_tier(ctx.crate_name);
-
-    // unordered-iteration-in-report: library, non-test, report crates.
-    if REPORT_CRATES.contains(&ctx.crate_name) && ctx.kind == FileKind::Library && !in_test_code {
-        if let Some((at, w)) = first_word(code, &["HashMap", "HashSet"]) {
-            hits.push(Hit {
-                rule: RuleId::UnorderedIterationInReport,
-                severity: Severity::Error,
-                column: at,
-                message: format!(
-                    "`{w}` in a report path of `{}`: hash-seed iteration order can leak \
-                     into reported values; use BTreeMap/BTreeSet or sort before reducing",
-                    ctx.crate_name
-                ),
-            });
-        }
-    }
-
-    // wall-clock-in-sim: every file of the sim-clock crates, tests included —
-    // timing assertions there must also be expressed in sim time.
-    if SIM_CLOCK_CRATES.contains(&ctx.crate_name) {
-        if let Some((at, w)) = first_word(code, &["Instant", "SystemTime", "UNIX_EPOCH"]) {
-            hits.push(Hit {
-                rule: RuleId::WallClockInSim,
-                severity: Severity::Error,
-                column: at,
-                message: format!(
-                    "`{w}` in `{}`: sim time is the only clock in simulation crates",
-                    ctx.crate_name
-                ),
-            });
-        }
-    }
-
-    // unseeded-entropy: any non-test code in any crate.
-    if !in_test_code {
-        if let Some((at, w)) =
-            first_word(code, &["thread_rng", "from_entropy", "RandomState", "OsRng"])
-        {
-            hits.push(Hit {
-                rule: RuleId::UnseededEntropy,
-                severity: Severity::Error,
-                column: at,
-                message: format!(
-                    "`{w}` draws ambient entropy: derive a seeded RngStream instead so \
-                     identical inputs yield byte-identical runs"
-                ),
-            });
-        }
-    }
-
-    // panic-in-library: library code outside tests, tiered by crate.
-    if ctx.kind == FileKind::Library && !in_test_code && tier != Tier::Tooling {
-        let token = first_word(code, &["panic!", "todo!", "unimplemented!"])
-            .or_else(|| code.find(".unwrap()").map(|at| (at, ".unwrap()")));
-        if let Some((at, w)) = token {
-            let severity = if tier == Tier::Strict { Severity::Error } else { Severity::Warn };
-            hits.push(Hit {
-                rule: RuleId::PanicInLibrary,
-                severity,
-                column: at,
-                message: format!(
-                    "`{w}` in library code: return Result, or use expect(\"invariant \
-                     message\") for a true invariant"
-                ),
-            });
-        }
-    }
-
-    // float-eq-comparison: library/bin code outside tests. Exact compares
-    // are legitimate in tests (byte-identical determinism assertions).
-    if matches!(ctx.kind, FileKind::Library | FileKind::Bin) && !in_test_code {
-        if let Some(at) = float_eq_hit(code) {
-            hits.push(Hit {
-                rule: RuleId::FloatEqComparison,
-                severity: Severity::Warn,
-                column: at,
-                message: "exact `==`/`!=` on a float operand: compare within a tolerance, \
-                          or allowlist an exact-zero sentinel with a reason"
-                    .to_string(),
-            });
-        }
-    }
-
-    // thread-outside-exec: every crate and file kind, tests included —
-    // a test that spawns its own threads can observe (and then encode)
-    // scheduling-dependent behavior. Only the executor crate, whose whole
-    // job is the deterministic fan-out/reduce, may touch these.
-    if ctx.crate_name != "idse-exec" {
-        if let Some((at, w)) = first_substring(code, &THREAD_TOKENS) {
-            hits.push(Hit {
-                rule: RuleId::ThreadOutsideExec,
-                severity: Severity::Error,
-                column: at,
-                message: format!(
-                    "`{w}` outside idse-exec: route parallelism through the executor \
-                     (Executor::par_map / ExperimentPlan::run) so results and telemetry \
-                     merge in canonical job order"
-                ),
-            });
-        }
-    }
 
     // sink-side-effect, structural half: the telemetry crate must never
     // reference the simulator or scheduling machinery.
@@ -773,71 +532,53 @@ pub fn check_line(ctx: &LineCtx<'_>) -> Vec<Hit> {
 mod tests {
     use super::*;
 
-    fn lib_ctx<'a>(crate_name: &'a str, code: &'a str) -> LineCtx<'a> {
-        LineCtx { crate_name, kind: FileKind::Library, in_test: false, code }
-    }
-
     #[test]
     fn rule_names_round_trip() {
         for r in RuleId::ALL {
             assert_eq!(RuleId::parse(r.name()), Some(r));
         }
         assert_eq!(RuleId::parse("no-such-rule"), None);
+        // Direct token rules are clippy's, not idse-lint rule names.
+        assert_eq!(RuleId::parse("panic-in-library"), None);
     }
 
     #[test]
     fn unordered_only_fires_in_report_crates() {
-        let code = "use std::collections::HashMap;";
-        assert!(check_line(&lib_ctx("idse-eval", code))
-            .iter()
-            .any(|h| h.rule == RuleId::UnorderedIterationInReport));
-        assert!(check_line(&lib_ctx("idse-ids", code))
-            .iter()
-            .all(|h| h.rule != RuleId::UnorderedIterationInReport));
-    }
-
-    #[test]
-    fn float_eq_detects_literals_and_casts() {
-        assert!(float_eq_hit("if da == 0.0 {").is_some());
-        assert!(float_eq_hit("while 1.5 != x {").is_some());
-        assert!(float_eq_hit("a as f64 == b").is_some());
-        assert!(float_eq_hit("n == 0").is_none());
-        assert!(float_eq_hit("x.len() == 0").is_none());
-        assert!(float_eq_hit("a <= 0.5").is_none());
-        assert!(float_eq_hit("let y = t.0 == u;").is_none());
+        let lib = |c| TaintLabel::UnorderedIter.applies(c, FileKind::Library, false);
+        assert_eq!(lib("idse-eval"), Some(Severity::Error));
+        assert_eq!(lib("idse-ids"), None);
+        assert_eq!(
+            TaintLabel::UnorderedIter.applies("idse-eval", FileKind::IntegrationTest, false),
+            None
+        );
     }
 
     #[test]
     fn panic_severity_is_tiered() {
-        let strict = check_line(&lib_ctx("idse-sim", "x.unwrap();"));
-        assert_eq!(strict[0].severity, Severity::Error);
-        let standard = check_line(&lib_ctx("idse-eval", "x.unwrap();"));
-        assert_eq!(standard[0].severity, Severity::Warn);
-        let tooling = check_line(&lib_ctx("idse-bench", "x.unwrap();"));
-        assert!(tooling.is_empty());
+        let lib = |c| TaintLabel::MayPanic.applies(c, FileKind::Library, false);
+        assert_eq!(lib("idse-sim"), Some(Severity::Error));
+        assert_eq!(lib("idse-eval"), Some(Severity::Warn));
+        assert_eq!(lib("idse-bench"), None);
     }
 
     #[test]
     fn threads_are_confined_to_the_executor_crate() {
-        let code = "std::thread::spawn(move || work());";
-        let hit = check_line(&lib_ctx("idse-eval", code));
-        assert_eq!(hit[0].rule, RuleId::ThreadOutsideExec);
-        assert_eq!(hit[0].severity, Severity::Error);
-        assert!(check_line(&lib_ctx("idse-exec", code)).is_empty());
-        // Fires even in test code: scheduling-dependent tests are how
+        let t = TaintLabel::ThreadSpawn;
+        assert_eq!(t.applies("idse-eval", FileKind::Library, false), Some(Severity::Error));
+        assert_eq!(t.applies("idse-exec", FileKind::Library, false), None);
+        assert!(!t.seeds_in("idse-exec", false));
+        // Applies even in test code: scheduling-dependent tests are how
         // nondeterminism gets encoded as "expected" behavior.
-        let test_ctx = LineCtx {
-            crate_name: "idse-ids",
-            kind: FileKind::IntegrationTest,
-            in_test: true,
-            code: "let (tx, rx) = mpsc::channel();",
-        };
-        assert_eq!(check_line(&test_ctx)[0].rule, RuleId::ThreadOutsideExec);
+        assert_eq!(t.applies("idse-ids", FileKind::IntegrationTest, true), Some(Severity::Error));
     }
 
     #[test]
     fn unwrap_or_is_not_unwrap() {
-        assert!(check_line(&lib_ctx("idse-sim", "x.unwrap_or(0);")).is_empty());
-        assert!(check_line(&lib_ctx("idse-sim", "x.expect(\"invariant\");")).is_empty());
+        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n\
+                   fn g(x: Option<u32>) -> u32 { x.expect(\"set\") }\n";
+        let lines = crate::source::mask(src);
+        let flags = crate::source::test_regions(&lines);
+        let m = crate::model::extract("lib.rs", "idse-sim", FileKind::Library, 0, &lines, &flags);
+        assert!(m.seeds.is_empty(), "{:?}", m.seeds);
     }
 }

@@ -120,23 +120,23 @@ mod tests {
     #[test]
     fn findings_become_results_with_rule_indexes() {
         let r = analyze_source(
-            "crates/evalx/src/lib.rs",
-            "idse-eval",
+            "crates/telemetryx/src/lib.rs",
+            "idse-telemetry",
             FileKind::Library,
-            "use std::collections::HashMap;\n",
+            "use idse_sim::event::EventQueue;\n",
         );
         let sarif = to_sarif(&r);
         let doc: Value = serde_json::from_str(&sarif).expect("sarif parses back");
         let Value::Object(top) = &doc else { panic!("not an object") };
         assert!(top.iter().any(|(k, v)| k == "version" && *v == Value::Str("2.1.0".into())));
-        assert!(sarif.contains("\"ruleId\": \"unordered-iteration-in-report\""));
+        assert!(sarif.contains("\"ruleId\": \"sink-side-effect\""));
         assert!(sarif.contains("\"startLine\": 1"));
     }
 
     #[test]
     fn suppressions_carry_the_written_reason() {
-        let src = "use std::collections::HashMap; // idse-lint: allow(unordered-iteration-in-report, reason = \"membership only\")\n";
-        let r = analyze_source("x.rs", "idse-eval", FileKind::Library, src);
+        let src = "use idse_sim::event::EventQueue; // idse-lint: allow(sink-side-effect, reason = \"membership only\")\n";
+        let r = analyze_source("x.rs", "idse-telemetry", FileKind::Library, src);
         let sarif = to_sarif(&r);
         assert!(sarif.contains("\"kind\": \"inSource\""));
         assert!(sarif.contains("\"justification\": \"membership only\""));
@@ -145,8 +145,12 @@ mod tests {
     #[test]
     fn output_is_deterministic() {
         let run = || {
-            let r =
-                analyze_source("x.rs", "idse-sim", FileKind::Library, "let t = Instant::now();\n");
+            let r = analyze_source(
+                "x.rs",
+                "idse-telemetry",
+                FileKind::Library,
+                "use idse_sim::event::EventQueue;\n",
+            );
             to_sarif(&r)
         };
         assert_eq!(run(), run());

@@ -1,6 +1,7 @@
 //! Line-level source model: a small lexer that separates *code* from
-//! *strings* and *comments*, plus `#[cfg(test)]` region tracking and
-//! `// idse-lint: allow(...)` directive parsing.
+//! *strings* and *comments*, plus `#[cfg(test)]` region tracking,
+//! `// idse-lint: allow(...)` directive parsing, and the lines covered by
+//! `#[expect(clippy::...)]` attributes.
 //!
 //! The rule engine never looks at raw file text. It looks at the masked
 //! `code` view (string and char literal contents blanked, comments
@@ -10,10 +11,8 @@
 //! honest: the classic failure mode of grep-based lint is matching
 //! inside literals.
 
-use serde::{Deserialize, Serialize};
-
 /// One physical source line, split into its lexical channels.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Line {
     /// Code with string/char-literal contents masked to spaces and
     /// comments removed. Delimiting quotes are kept so token boundaries
@@ -276,43 +275,41 @@ fn is_cfg_test_attr(code: &str) -> bool {
         || code.contains("#[test]")
 }
 
+/// Last line (0-based) of the item, statement, or match arm whose
+/// attributes start at line `start`: through its closing brace when it
+/// opens one, otherwise through its terminating `;`. (A brace-less match
+/// arm runs on to the next `;` — an over-approximation.)
+fn item_end(lines: &[Line], start: usize) -> usize {
+    let mut depth: i64 = 0;
+    let mut opened = false;
+    for (li, line) in lines.iter().enumerate().skip(start) {
+        let code = &line.code;
+        opened |= code.contains('{');
+        depth += brace_delta(code);
+        let t = code.trim();
+        let attr_only = !t.is_empty() && t.starts_with("#[") && t.ends_with(']');
+        let done = if opened { depth <= 0 } else { !attr_only && code.contains(';') && depth <= 0 };
+        if done {
+            return li;
+        }
+    }
+    lines.len().saturating_sub(1)
+}
+
 /// Per-line flags: `true` when the line belongs to a `#[cfg(test)]`
 /// (or `#[test]`) item — the attribute, the item header, and everything
 /// through the item's closing brace (or terminating `;`).
 pub fn test_regions(lines: &[Line]) -> Vec<bool> {
     let mut flags = vec![false; lines.len()];
-    let mut depth: i64 = 0;
     let mut idx = 0usize;
     while idx < lines.len() {
-        let code = &lines[idx].code;
-        if is_cfg_test_attr(code) {
-            let start_depth = depth;
-            let mut opened = false;
-            while idx < lines.len() {
-                let line_code = &lines[idx].code;
-                flags[idx] = true;
-                if line_code.contains('{') {
-                    opened = true;
-                }
-                depth += brace_delta(line_code);
-                let attr_only = {
-                    let t = line_code.trim();
-                    !t.is_empty() && t.starts_with("#[") && t.ends_with(']')
-                };
-                let done = if opened {
-                    depth <= start_depth
-                } else {
-                    !attr_only && line_code.contains(';') && depth <= start_depth
-                };
-                idx += 1;
-                if done {
-                    break;
-                }
-            }
-            continue;
+        if is_cfg_test_attr(&lines[idx].code) {
+            let end = item_end(lines, idx);
+            flags[idx..=end].fill(true);
+            idx = end + 1;
+        } else {
+            idx += 1;
         }
-        depth += brace_delta(code);
-        idx += 1;
     }
     flags
 }
@@ -349,35 +346,42 @@ pub fn allow_directives(lines: &[Line]) -> Vec<AllowDirective> {
     out
 }
 
-/// A parsed `// idse-lint: hot` directive: the author asserts the
-/// targeted loop is a hot path even though no heuristic marks it.
+/// An `#[expect(clippy::...)]` attribute: the clippy lints it names and
+/// the lines of the item, statement, or match arm it annotates.
 #[derive(Debug, Clone)]
-pub struct HotDirective {
-    /// Line (0-based) the directive was written on.
-    pub on_line: usize,
-    /// Line (0-based) of the loop header the directive marks.
-    pub target_line: usize,
+pub struct ClippyExpect {
+    /// Lint names without the `clippy::` prefix.
+    pub lints: Vec<String>,
+    /// First covered line (0-based): the attribute's own line.
+    pub first_line: usize,
+    /// Last covered line (0-based), found the way [`test_regions`] finds
+    /// the end of a `#[cfg(test)]` item.
+    pub last_line: usize,
 }
 
-/// Extract `// idse-lint: hot` directives. Targeting works exactly like
-/// allow directives: trailing → own line, comment-only line → next line.
-pub fn hot_directives(lines: &[Line]) -> Vec<HotDirective> {
+/// Extract `#[expect(...)]` attributes that name clippy lints. The
+/// attribute may span lines (rustfmt wraps a long reason); string contents
+/// are masked, so a reason can never be mistaken for a lint path.
+pub fn clippy_expects(lines: &[Line]) -> Vec<ClippyExpect> {
     let mut out = Vec::new();
     for (i, line) in lines.iter().enumerate() {
-        let Some(after_tag) = line.comment.split("idse-lint:").nth(1) else {
-            continue;
-        };
-        let word = after_tag.trim();
-        let tail_ok = |r: &str| !r.starts_with(|c: char| c.is_alphanumeric() || c == '_');
-        if !word.strip_prefix("hot").is_some_and(|r| r.is_empty() || tail_ok(r)) {
+        if !line.code.contains("#[expect(") {
             continue;
         }
-        let target_line = if line.code.trim().is_empty() {
-            (i + 1).min(lines.len().saturating_sub(1))
-        } else {
-            i
-        };
-        out.push(HotDirective { on_line: i, target_line });
+        let attr_end = (i..lines.len()).find(|&j| lines[j].code.contains(")]")).unwrap_or(i);
+        let mut lints = Vec::new();
+        for l in &lines[i..=attr_end] {
+            for (pos, _) in l.code.match_indices("clippy::") {
+                let name: String = l.code[pos + 8..]
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                lints.push(name);
+            }
+        }
+        if !lints.is_empty() {
+            out.push(ClippyExpect { lints, first_line: i, last_line: item_end(lines, i) });
+        }
     }
     out
 }
@@ -472,14 +476,14 @@ mod tests {
 
     #[test]
     fn allow_directive_trailing_and_preceding() {
-        let src = "bad(); // idse-lint: allow(float-eq-comparison, reason = \"exact zero sentinel\")\n// idse-lint: allow(panic-in-library, reason = \"bootstrap\")\nother();\n";
+        let src = "bad(); // idse-lint: allow(sink-side-effect, reason = \"type name only\")\n// idse-lint: allow(materialized-feed-in-experiment, reason = \"demo\")\nother();\n";
         let lines = mask(src);
         let dirs = allow_directives(&lines);
         assert_eq!(dirs.len(), 2);
-        assert_eq!(dirs[0].rule_name, "float-eq-comparison");
+        assert_eq!(dirs[0].rule_name, "sink-side-effect");
         assert_eq!(dirs[0].target_line, 0);
-        assert_eq!(dirs[0].reason.as_deref(), Some("exact zero sentinel"));
-        assert_eq!(dirs[1].rule_name, "panic-in-library");
+        assert_eq!(dirs[0].reason.as_deref(), Some("type name only"));
+        assert_eq!(dirs[1].rule_name, "materialized-feed-in-experiment");
         assert_eq!(dirs[1].target_line, 2);
     }
 
@@ -510,18 +514,31 @@ mod tests {
     }
 
     #[test]
-    fn hot_directive_trailing_and_preceding() {
-        let src = "for b in bytes { // idse-lint: hot\n}\n// idse-lint: hot (demux loop)\nwhile q.pop() {\n}\n// idse-lint: hotel\nx();\n";
-        let dirs = hot_directives(&mask(src));
-        assert_eq!(dirs.len(), 2, "{dirs:?}");
-        assert_eq!(dirs[0].target_line, 0);
-        assert_eq!(dirs[1].on_line, 2);
-        assert_eq!(dirs[1].target_line, 3);
+    fn clippy_expect_covers_the_annotated_item() {
+        let src = "match slot {\n\
+                   #[expect(clippy::panic, reason = \"re-raise\")]\n\
+                   Err(p) => {\n    panic!(\"{p}\");\n}\n\
+                   #[expect(\n    clippy::unwrap_used,\n    reason = \"wrapped; over lines\"\n)]\n\
+                   let v = x.unwrap();\n\
+                   #[expect(clippy::float_cmp)] let same = a == b;\n\
+                   #[expect(dead_code)]\nfn unused() {}\n";
+        let got: Vec<(Vec<String>, usize, usize)> = clippy_expects(&mask(src))
+            .into_iter()
+            .map(|e| (e.lints, e.first_line, e.last_line))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (vec!["panic".to_string()], 1, 4),
+                (vec!["unwrap_used".to_string()], 5, 9),
+                (vec!["float_cmp".to_string()], 10, 10),
+            ]
+        );
     }
 
     #[test]
     fn allow_directive_without_reason_parses_as_none() {
-        let lines = mask("// idse-lint: allow(wall-clock-in-sim)\nx();\n");
+        let lines = mask("// idse-lint: allow(sink-side-effect)\nx();\n");
         let dirs = allow_directives(&lines);
         assert_eq!(dirs.len(), 1);
         assert!(dirs[0].reason.is_none());

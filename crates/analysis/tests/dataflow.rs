@@ -1,18 +1,18 @@
 //! End-to-end tests for phase 3, the value-dataflow rules: one positive
 //! and one negative fixture per rule, witness chains, tier policy,
-//! allow + shield composition, SARIF coverage — and the incremental
-//! phase-1 cache: cold vs warm runs must emit byte-identical text, JSON,
-//! and SARIF at any worker count, including after touching one file.
+//! allow + shield composition, SARIF coverage, and byte identity across
+//! worker counts.
 
 use idse_exec::Executor;
-use idse_lint::cache::Cache;
 use idse_lint::rules::FileKind;
-use idse_lint::{
-    analyze_full_with_cache, analyze_source, load_workspace, render_text, Report, Workspace,
-};
+use idse_lint::{analyze_source, render_text, Report, Workspace};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+#[expect(
+    clippy::panic,
+    reason = "test helper outside #[test]: the panic names the fixture that failed"
+)]
 fn lint_fixture(name: &str, crate_name: &str, kind: FileKind) -> Report {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     let text = std::fs::read_to_string(&path)
@@ -249,171 +249,6 @@ fn sarif_lists_the_dataflow_rules_and_their_findings() {
     assert!(sarif.contains("derive_seed"), "finding message survives into SARIF");
 }
 
-// --- incremental cache: byte identity and invalidation ---
-
-/// A scratch workspace with enough surface to exercise line rules, taint,
-/// and every dataflow rule at once.
-fn write_cache_workspace(dir: &Path) {
-    let sim = dir.join("crates/sim/src");
-    let eval = dir.join("crates/eval/src");
-    std::fs::create_dir_all(&sim).expect("scratch dirs create");
-    std::fs::create_dir_all(&eval).expect("scratch dirs create");
-    std::fs::write(
-        dir.join("crates/sim/Cargo.toml"),
-        "[package]\nname = \"idse-sim\"\n\n[dependencies]\n",
-    )
-    .expect("manifest writes");
-    std::fs::write(
-        dir.join("crates/eval/Cargo.toml"),
-        "[package]\nname = \"idse-eval\"\n\n[dependencies]\nidse-sim = { path = \"../sim\" }\n",
-    )
-    .expect("manifest writes");
-    std::fs::write(
-        sim.join("lib.rs"),
-        "pub fn a(m: u64) -> u64 { derive_seed(m, \"stream\") }\n\
-         pub fn b(m: u64) -> u64 { derive_seed(m, \"stream\") }\n\
-         pub fn c() -> u64 { StdRng::seed_from_u64(9) }\n",
-    )
-    .expect("lib writes");
-    std::fs::write(
-        eval.join("lib.rs"),
-        "pub fn t(exec: &Executor, xs: &[f64]) -> f64 {\n\
-         \x20   let parts = exec.par_map(xs, |_, x| x * 2.0);\n\
-         \x20   parts.iter().sum::<f64>()\n\
-         }\n",
-    )
-    .expect("lib writes");
-}
-
-/// All three output formats plus cache stats for one run.
-fn cached_outputs(
-    root: &Path,
-    exec: &Executor,
-    cache: Option<&Cache>,
-) -> (String, String, String, usize, usize) {
-    let ws = load_workspace(root).expect("workspace loads");
-    let (analysis, stats) = analyze_full_with_cache(&ws, exec, cache);
-    let report = analysis.report;
-    let text = render_text(&report);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let sarif = idse_lint::sarif::to_sarif(&report);
-    (text, json, sarif, stats.hits, stats.misses)
-}
-
-#[test]
-fn warm_cache_is_byte_identical_and_invalidates_per_file() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint-cache-identity");
-    let _ = std::fs::remove_dir_all(&dir);
-    write_cache_workspace(&dir);
-    let cache_dir = dir.join("cache");
-    let cache = Cache::open(&cache_dir).expect("cache opens");
-
-    // Cold: everything misses and the findings match an uncached run.
-    let uncached = cached_outputs(&dir, &Executor::serial(), None);
-    let cold = cached_outputs(&dir, &Executor::serial(), Some(&cache));
-    assert_eq!(cold.4, 2, "two files analyzed cold");
-    assert_eq!((&cold.0, &cold.1, &cold.2), (&uncached.0, &uncached.1, &uncached.2));
-    assert!(cold.0.contains("seed-label-reuse"), "{}", cold.0);
-    assert!(cold.0.contains("literal-seed"), "{}", cold.0);
-    assert!(cold.0.contains("unordered-float-reduce"), "{}", cold.0);
-
-    // Warm: everything hits, bytes identical, at any worker count.
-    for exec in [Executor::serial(), Executor::new(1), Executor::new(4)] {
-        let warm = cached_outputs(&dir, &exec, Some(&cache));
-        assert_eq!((warm.3, warm.4), (2, 0), "warm run hits every file");
-        assert_eq!((&warm.0, &warm.1, &warm.2), (&cold.0, &cold.1, &cold.2));
-    }
-
-    // Touch one file: exactly that file misses, and the output tracks the
-    // edit — stale entries must not leak old findings.
-    std::fs::write(
-        dir.join("crates/eval/src/lib.rs"),
-        "pub fn t(exec: &Executor, xs: &[f64]) -> f64 {\n\
-         \x20   let parts = exec.par_map(xs, |i, x| (i, x * 2.0));\n\
-         \x20   let ordered = reduce_in_order(parts, xs.len());\n\
-         \x20   ordered.iter().fold(0.0, |acc, x| acc + x)\n\
-         }\n",
-    )
-    .expect("edit writes");
-    let touched = cached_outputs(&dir, &Executor::new(4), Some(&cache));
-    assert_eq!((touched.3, touched.4), (1, 1), "one hit, one miss after the edit");
-    let fresh = cached_outputs(&dir, &Executor::serial(), None);
-    assert_eq!((&touched.0, &touched.1, &touched.2), (&fresh.0, &fresh.1, &fresh.2));
-    assert!(!touched.0.contains("unordered-float-reduce"), "fixed file is clean: {}", touched.0);
-    assert!(touched.0.contains("seed-label-reuse"), "untouched findings survive: {}", touched.0);
-}
-
-#[test]
-fn corrupt_cache_entries_are_treated_as_misses() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint-cache-corrupt");
-    let _ = std::fs::remove_dir_all(&dir);
-    write_cache_workspace(&dir);
-    let cache_dir = dir.join("cache");
-    let cache = Cache::open(&cache_dir).expect("cache opens");
-    let cold = cached_outputs(&dir, &Executor::serial(), Some(&cache));
-    for entry in std::fs::read_dir(&cache_dir).expect("cache dir lists") {
-        std::fs::write(entry.expect("entry").path(), "{ truncated").expect("corrupt writes");
-    }
-    let recovered = cached_outputs(&dir, &Executor::serial(), Some(&cache));
-    assert_eq!((recovered.3, recovered.4), (0, 2), "corrupt entries re-analyze");
-    assert_eq!((&recovered.0, &recovered.1, &recovered.2), (&cold.0, &cold.1, &cold.2));
-}
-
-/// The key an old cache format version would have used for this file:
-/// same length-delimited FNV-1a, version field pinned to `version`.
-fn versioned_key(version: u32, file_idx: usize, input: &idse_lint::FileInput) -> u64 {
-    fn push(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100000001b3);
-        }
-        *h ^= bytes.len() as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
-    let mut h: u64 = 0xcbf29ce484222325;
-    push(&mut h, &version.to_le_bytes());
-    push(&mut h, &(file_idx as u64).to_le_bytes());
-    push(&mut h, input.path.as_bytes());
-    push(&mut h, input.crate_name.as_bytes());
-    push(&mut h, format!("{:?}", input.kind).as_bytes());
-    push(&mut h, input.text.as_bytes());
-    h
-}
-
-#[test]
-fn stale_cache_version_entries_are_misses() {
-    // v2 of the cache format added the loop model and hot directives; a
-    // v1 entry must never deserialize into current-version structs. The
-    // version is part of the key, so planted v1 entries — even ones that
-    // would parse as JSON — read as misses and the run re-analyzes.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint-cache-stale-version");
-    let _ = std::fs::remove_dir_all(&dir);
-    write_cache_workspace(&dir);
-    let cache_dir = dir.join("cache");
-    let cache = Cache::open(&cache_dir).expect("cache opens");
-    let ws = load_workspace(&dir).expect("workspace loads");
-    assert_eq!(ws.files.len(), 2);
-    for (idx, input) in ws.files.iter().enumerate() {
-        let key = versioned_key(1, idx, input);
-        std::fs::write(cache_dir.join(format!("{key:016x}.json")), "{\"pre_loop_model\":true}")
-            .expect("stale entry writes");
-    }
-    let uncached = cached_outputs(&dir, &Executor::serial(), None);
-    let run = cached_outputs(&dir, &Executor::serial(), Some(&cache));
-    assert_eq!((run.3, run.4), (0, 2), "stale-version entries never hit");
-    assert_eq!((&run.0, &run.1, &run.2), (&uncached.0, &uncached.1, &uncached.2));
-    // The run stored current-version entries alongside the stale ones
-    // (4 files total), and a second warm run hits only the new pair.
-    let entries = std::fs::read_dir(&cache_dir)
-        .expect("cache dir lists")
-        .filter(|e| e.as_ref().is_ok_and(|e| e.path().extension().is_some_and(|x| x == "json")))
-        .count();
-    assert_eq!(entries, 4, "stale and fresh entries coexist under distinct keys");
-    let warm = cached_outputs(&dir, &Executor::serial(), Some(&cache));
-    assert_eq!((warm.3, warm.4), (2, 0), "fresh entries hit on the next run");
-    assert_eq!((&warm.0, &warm.1, &warm.2), (&uncached.0, &uncached.1, &uncached.2));
-}
-
 // --- determinism across worker counts, fixtures in one workspace ---
 
 fn dataflow_fixture_workspace() -> Workspace {
@@ -425,11 +260,6 @@ fn dataflow_fixture_workspace() -> Workspace {
         ("seed_collision_pos.rs", "idse-sim"),
         ("float_reduce_pos.rs", "idse-eval"),
         ("store_record_pos.rs", "idse-store"),
-        // Phase-4 coverage: direct hot-loop findings, a two-hop
-        // transitive chain, and the hotness-independent quadratic rule.
-        ("hot_alloc_pos.rs", "idse-sim"),
-        ("hot_transitive_pos.rs", "idse-sim"),
-        ("quadratic_pos.rs", "idse-eval"),
     ] {
         ws.files.push(idse_lint::FileInput {
             path: name.to_string(),

@@ -1,12 +1,17 @@
-//! End-to-end tests for the lint engine: the fixture corpus (one positive
-//! and one negative case per rule) plus the live-workspace gate — the
-//! workspace this crate ships in must itself be lint-clean.
+//! End-to-end tests for the lint engine: the line-rule and allow-directive
+//! fixture corpus plus the live-workspace gate — the workspace this crate
+//! ships in must itself be lint-clean. (The direct token rules are
+//! clippy's; their cases live in the `idse-lint-clippy-fixtures` crate.)
 
 use idse_lint::rules::FileKind;
 use idse_lint::{analyze_source, run_workspace, Report};
 use std::path::Path;
 
 /// Lint one fixture file under a given crate identity and file kind.
+#[expect(
+    clippy::panic,
+    reason = "test helper outside #[test]: the panic names the fixture that failed"
+)]
 fn lint_fixture(name: &str, crate_name: &str, kind: FileKind) -> Report {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     let text = std::fs::read_to_string(&path)
@@ -16,112 +21,6 @@ fn lint_fixture(name: &str, crate_name: &str, kind: FileKind) -> Report {
 
 fn rules_of(report: &Report) -> Vec<&str> {
     report.findings.iter().map(|f| f.rule.as_str()).collect()
-}
-
-#[test]
-fn unordered_iteration_positive() {
-    let r = lint_fixture("unordered_iteration_pos.rs", "idse-eval", FileKind::Library);
-    assert!(r.has_errors());
-    assert!(!r.findings.is_empty());
-    assert!(
-        r.findings.iter().all(|f| f.rule == "unordered-iteration-in-report"),
-        "{:?}",
-        rules_of(&r)
-    );
-    // Both hash containers are caught.
-    let excerpts: Vec<&str> = r.findings.iter().map(|f| f.excerpt.as_str()).collect();
-    assert!(excerpts.iter().any(|e| e.contains("HashMap")));
-    assert!(excerpts.iter().any(|e| e.contains("HashSet")));
-}
-
-#[test]
-fn unordered_iteration_negative() {
-    let r = lint_fixture("unordered_iteration_neg.rs", "idse-eval", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn unordered_iteration_is_scoped_to_report_crates() {
-    // The same hash-container code is legal outside the report crates.
-    let r = lint_fixture("unordered_iteration_pos.rs", "idse-traffic", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-    // And legal in integration tests even of report crates.
-    let r = lint_fixture("unordered_iteration_pos.rs", "idse-eval", FileKind::IntegrationTest);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn wall_clock_positive_fires_even_in_tests() {
-    let r = lint_fixture("wall_clock_pos.rs", "idse-sim", FileKind::Library);
-    assert!(r.has_errors());
-    assert!(r.findings.iter().all(|f| f.rule == "wall-clock-in-sim"), "{:?}", rules_of(&r));
-    // The SystemTime use inside #[cfg(test)] is among the findings: sim
-    // crates may not use wall clocks even in test code.
-    assert!(r.findings.iter().any(|f| f.excerpt.contains("SystemTime")));
-}
-
-#[test]
-fn wall_clock_negative_ignores_string_literals() {
-    let r = lint_fixture("wall_clock_neg.rs", "idse-sim", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn wall_clock_is_scoped_to_sim_crates() {
-    let r = lint_fixture("wall_clock_pos.rs", "idse-bench", FileKind::Library);
-    assert!(r.findings.iter().all(|f| f.rule != "wall-clock-in-sim"), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn unseeded_entropy_positive() {
-    let r = lint_fixture("unseeded_entropy_pos.rs", "idse-traffic", FileKind::Library);
-    assert!(r.has_errors());
-    assert!(r.findings.iter().all(|f| f.rule == "unseeded-entropy"), "{:?}", rules_of(&r));
-    let excerpts: Vec<&str> = r.findings.iter().map(|f| f.excerpt.as_str()).collect();
-    assert!(excerpts.iter().any(|e| e.contains("thread_rng")));
-    assert!(excerpts.iter().any(|e| e.contains("RandomState")));
-}
-
-#[test]
-fn unseeded_entropy_negative() {
-    let r = lint_fixture("unseeded_entropy_neg.rs", "idse-traffic", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn panic_positive_is_tiered_by_crate() {
-    // Strict tier: errors.
-    let strict = lint_fixture("panic_pos.rs", "idse-sim", FileKind::Library);
-    assert!(strict.has_errors());
-    assert_eq!(strict.error_count(), 3, "{:?}", strict.findings);
-    assert!(strict.findings.iter().all(|f| f.rule == "panic-in-library"));
-    // Standard tier: same findings, warn severity.
-    let standard = lint_fixture("panic_pos.rs", "idse-eval", FileKind::Library);
-    assert!(!standard.has_errors());
-    assert_eq!(standard.warning_count(), 3, "{:?}", standard.findings);
-    // Tooling tier: rule does not apply.
-    let tooling = lint_fixture("panic_pos.rs", "idse-bench", FileKind::Library);
-    assert!(tooling.findings.is_empty(), "{:?}", rules_of(&tooling));
-}
-
-#[test]
-fn panic_negative() {
-    let r = lint_fixture("panic_neg.rs", "idse-sim", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn float_eq_positive() {
-    let r = lint_fixture("float_eq_pos.rs", "idse-eval", FileKind::Library);
-    assert!(!r.has_errors(), "float-eq is warn severity");
-    assert_eq!(r.warning_count(), 2, "{:?}", r.findings);
-    assert!(r.findings.iter().all(|f| f.rule == "float-eq-comparison"));
-}
-
-#[test]
-fn float_eq_negative() {
-    let r = lint_fixture("float_eq_neg.rs", "idse-eval", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
 }
 
 #[test]
@@ -146,46 +45,21 @@ fn sink_side_effect_negative() {
 }
 
 #[test]
-fn thread_outside_exec_positive_fires_even_in_tests() {
-    let r = lint_fixture("thread_outside_exec_pos.rs", "idse-eval", FileKind::Library);
-    assert!(r.has_errors());
-    assert!(r.findings.iter().all(|f| f.rule == "thread-outside-exec"), "{:?}", rules_of(&r));
-    let excerpts: Vec<&str> = r.findings.iter().map(|f| f.excerpt.as_str()).collect();
-    assert!(excerpts.iter().any(|e| e.contains("thread::spawn")));
-    assert!(excerpts.iter().any(|e| e.contains("mpsc::channel")));
-    // The thread::scope inside #[cfg(test)] is among the findings.
-    assert!(excerpts.iter().any(|e| e.contains("thread::scope")));
-    // Integration tests are no refuge either.
-    let t = lint_fixture("thread_outside_exec_pos.rs", "idse-ids", FileKind::IntegrationTest);
-    assert!(t.has_errors(), "{:?}", rules_of(&t));
-}
-
-#[test]
-fn thread_outside_exec_negative_and_exemption() {
-    let r = lint_fixture("thread_outside_exec_neg.rs", "idse-eval", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-    // The executor crate itself is the one legal home for these tokens.
-    let exec = lint_fixture("thread_outside_exec_pos.rs", "idse-exec", FileKind::Library);
-    assert!(exec.findings.iter().all(|f| f.rule != "thread-outside-exec"), "{:?}", rules_of(&exec));
-}
-
-#[test]
 fn valid_allow_suppresses_and_keeps_reason() {
-    let r = lint_fixture("allow_valid.rs", "idse-eval", FileKind::Library);
+    let r = lint_fixture("allow_valid.rs", "idse-telemetry", FileKind::Library);
     assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
     assert_eq!(r.suppressed.len(), 3, "{:?}", r.suppressed);
     for s in &r.suppressed {
-        assert_eq!(s.finding.rule, "unordered-iteration-in-report");
-        assert!(s.reason.contains("membership checks only"));
+        assert_eq!(s.finding.rule, "sink-side-effect");
+        assert!(s.reason.contains("type name only"));
     }
 }
 
 #[test]
 fn invalid_allow_is_an_error_and_suppresses_nothing() {
-    let r = lint_fixture("allow_invalid.rs", "idse-eval", FileKind::Library);
+    let r = lint_fixture("allow_invalid.rs", "idse-telemetry", FileKind::Library);
     let invalid = r.findings.iter().filter(|f| f.rule == "invalid-allow").count();
-    let underlying =
-        r.findings.iter().filter(|f| f.rule == "unordered-iteration-in-report").count();
+    let underlying = r.findings.iter().filter(|f| f.rule == "sink-side-effect").count();
     assert_eq!(invalid, 2, "{:?}", rules_of(&r));
     assert_eq!(underlying, 3, "{:?}", rules_of(&r));
     assert!(r.suppressed.is_empty());
@@ -193,7 +67,7 @@ fn invalid_allow_is_an_error_and_suppresses_nothing() {
 
 #[test]
 fn unused_allow_is_flagged() {
-    let r = lint_fixture("allow_unused.rs", "idse-sim", FileKind::Library);
+    let r = lint_fixture("allow_unused.rs", "idse-telemetry", FileKind::Library);
     assert_eq!(rules_of(&r), vec!["unused-allow"]);
     assert!(!r.has_errors(), "unused-allow is warn severity");
 }
@@ -237,9 +111,9 @@ fn fixture_reports_are_deterministic() {
     let run = || {
         let mut all = Report::default();
         for (name, crate_name) in [
-            ("unordered_iteration_pos.rs", "idse-eval"),
-            ("panic_pos.rs", "idse-sim"),
-            ("allow_valid.rs", "idse-eval"),
+            ("sink_structural_pos.rs", "idse-telemetry"),
+            ("sink_callsite_pos.rs", "idse-ids"),
+            ("allow_valid.rs", "idse-telemetry"),
         ] {
             all.absorb(lint_fixture(name, crate_name, FileKind::Library));
         }

@@ -1,9 +1,9 @@
 // A valid allow directive: known rule, non-empty reason, trailing the
 // offending line. The finding is suppressed and the reason recorded.
-// Linted as crate `idse-eval`, FileKind::Library.
-use std::collections::HashMap; // idse-lint: allow(unordered-iteration-in-report, reason = "membership checks only; iteration order never reaches a report")
+// Linted as crate `idse-telemetry`, FileKind::Library.
+use idse_sim::event::EventQueue; // idse-lint: allow(sink-side-effect, reason = "type name only; telemetry never schedules through it")
 
-pub fn seen() -> HashMap<u32, bool> // idse-lint: allow(unordered-iteration-in-report, reason = "membership checks only; iteration order never reaches a report")
+pub fn seen() -> EventQueue // idse-lint: allow(sink-side-effect, reason = "type name only; telemetry never schedules through it")
 {
-    HashMap::new() // idse-lint: allow(unordered-iteration-in-report, reason = "membership checks only; iteration order never reaches a report")
+    EventQueue::new() // idse-lint: allow(sink-side-effect, reason = "type name only; telemetry never schedules through it")
 }

@@ -4,12 +4,11 @@
 //! naming, and the dependency-direction filter are all exercised exactly as
 //! in a real run. Alongside the corpus: the `--jobs` byte-identity
 //! guarantee, checked on the fixtures, on this repository's own workspace,
-//! and property-tested across worker counts; and the `--fix` apply path in
-//! a scratch workspace.
+//! and property-tested across worker counts.
 
 use idse_exec::Executor;
 use idse_lint::rules::FileKind;
-use idse_lint::{analyze, analyze_full, load_workspace, render_text, DirectiveState, Report};
+use idse_lint::{analyze, load_workspace, render_text, Report};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -17,6 +16,10 @@ fn fixture_root(case: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/taint").join(case)
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper outside #[test]: the panic names the fixture that failed"
+)]
 fn lint_case(case: &str) -> Report {
     let ws = load_workspace(&fixture_root(case))
         .unwrap_or_else(|e| panic!("fixture workspace {case} must load: {e}"));
@@ -29,17 +32,18 @@ fn rules_of(report: &Report) -> Vec<&str> {
 
 #[test]
 fn direct_hazard_reports_once_with_no_transitive_echo() {
+    // The token itself is clippy's to report (disallowed_methods in the
+    // sim crate); idse-lint adds no transitive echo of it.
     let r = lint_case("direct");
-    assert_eq!(rules_of(&r), vec!["wall-clock-in-sim"]);
+    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
 }
 
 #[test]
 fn in_crate_chain_defers_to_the_direct_finding() {
-    // step -> now_ms -> raw_clock, all in idse-sim: the direct finding at
+    // step -> now_ms -> raw_clock, all in idse-sim: clippy's finding at
     // raw_clock is the root-cause report and the chain stays silent.
     let r = lint_case("two_hop");
-    assert_eq!(rules_of(&r), vec!["wall-clock-in-sim"]);
-    assert!(r.findings[0].excerpt.contains("Instant"), "{:?}", r.findings);
+    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
 }
 
 #[test]
@@ -77,14 +81,15 @@ fn the_negative_twin_stays_clean() {
 fn allow_at_the_source_shields_the_report_crate() {
     let root = fixture_root("allow_at_source");
     let ws = load_workspace(&root).expect("fixture workspace loads");
-    let a = analyze_full(&ws, &Executor::serial());
-    assert!(a.report.findings.is_empty(), "{:?}", a.report.findings);
-    assert_eq!(a.report.suppressed.len(), 1, "{:?}", a.report.suppressed);
-    let s = &a.report.suppressed[0];
+    // No findings at all: in particular no unused-allow, so the shield
+    // counts as used.
+    let r = analyze(&ws, &Executor::serial());
+    assert!(r.findings.is_empty(), "{:?}", r.findings);
+    assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
+    let s = &r.suppressed[0];
     assert_eq!(s.finding.file, "crates/ids/src/lib.rs", "suppression sits at the source");
     assert!(s.finding.message.contains("shields 1 in-scope function"), "{}", s.finding.message);
     assert_eq!(s.reason, "size query only, order never observed");
-    assert!(a.directives.iter().all(|d| d.state == DirectiveState::Used), "{:?}", a.directives);
 }
 
 #[test]
@@ -161,61 +166,6 @@ proptest! {
         let serial = outputs(&root, &Executor::serial());
         prop_assert_eq!(serial, outputs(&root, &Executor::new(jobs)));
     }
-}
-
-// --- `--fix` apply path, in a scratch workspace under the target dir ---
-
-fn write_scratch_workspace(dir: &Path, lib_rs: &str) {
-    let src = dir.join("crates/sim/src");
-    std::fs::create_dir_all(&src).expect("scratch dirs create");
-    std::fs::write(
-        dir.join("crates/sim/Cargo.toml"),
-        "[package]\nname = \"idse-sim\"\n\n[dependencies]\n",
-    )
-    .expect("scratch manifest writes");
-    std::fs::write(src.join("lib.rs"), lib_rs).expect("scratch lib writes");
-}
-
-#[test]
-fn fix_write_cleans_directives_and_is_idempotent() {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-fix-apply");
-    let _ = std::fs::remove_dir_all(&dir);
-    write_scratch_workspace(
-        &dir,
-        "// idse-lint: allow(wall-clock-in-sim, reason: boot only)\n\
-         pub fn f() -> u64 { std::time::Instant::now().elapsed().as_millis() as u64 }\n\
-         \n\
-         // idse-lint: allow(unseeded-entropy, reason = \"stale\")\n\
-         pub fn g() -> u64 { 7 }\n",
-    );
-
-    let ws = load_workspace(&dir).expect("scratch workspace loads");
-    let a = analyze_full(&ws, &Executor::serial());
-    // Before: the malformed allow is an error and suppresses nothing, so
-    // the wall clock fires too; the stale allow is unused.
-    assert!(a.report.findings.iter().any(|f| f.rule == "invalid-allow"));
-    assert!(a.report.findings.iter().any(|f| f.rule == "wall-clock-in-sim"));
-    assert!(a.report.findings.iter().any(|f| f.rule == "unused-allow"));
-
-    let plan = idse_lint::fix::plan(&ws, &a);
-    assert_eq!(plan.edits.len(), 2, "{}", plan.render());
-    let applied = idse_lint::fix::apply(&plan, &dir).expect("fixes apply");
-    assert_eq!(applied, 2);
-
-    let fixed = std::fs::read_to_string(dir.join("crates/sim/src/lib.rs")).expect("lib reads");
-    assert!(
-        fixed.starts_with("// idse-lint: allow(wall-clock-in-sim, reason = \"boot only\")\n"),
-        "{fixed}"
-    );
-    assert!(!fixed.contains("unseeded-entropy"), "{fixed}");
-
-    // After: the normalized allow suppresses the clock, nothing is left to
-    // fix, and a second plan is empty (idempotence).
-    let ws2 = load_workspace(&dir).expect("scratch workspace reloads");
-    let a2 = analyze_full(&ws2, &Executor::serial());
-    assert!(a2.report.findings.is_empty(), "{:?}", a2.report.findings);
-    assert_eq!(a2.report.suppressed.len(), 1);
-    assert!(idse_lint::fix::plan(&ws2, &a2).is_empty());
 }
 
 #[test]

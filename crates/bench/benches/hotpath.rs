@@ -1,12 +1,9 @@
-//! Hot-path benchmarks backing the lint's performance phase.
-//!
-//! The v4 lint rules (`alloc-in-hot-loop`, `per-byte-dispatch`, …) exist
-//! because two loops multiply everything the paper measures: the
-//! signature engine's per-byte automaton walk and the DES kernel's
-//! per-event dispatch. These benches price exactly those loops so the
-//! rules' cost claims are numbers, not folklore — the results round-trip
-//! through `store bench-import` into the committed `BENCH_hotpath.json`
-//! as `bench.engine_mb_s` and `bench.sim_events_s`.
+//! Hot-path benchmarks: the guard on the two loops that multiply
+//! everything the paper measures — the signature engine's per-byte
+//! automaton walk and the DES kernel's per-event dispatch. A regression
+//! in either shows here (CI re-runs both) before it shows end to end; the
+//! results round-trip through `store bench-import` into the committed
+//! `BENCH_hotpath.json` as `bench.engine_mb_s` and `bench.sim_events_s`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use idse_ids::aho::AhoCorasick;
@@ -67,7 +64,7 @@ impl World for Relay {
     }
 }
 
-/// DES kernel dispatch throughput: the `// idse-lint: hot` drain loop in
+/// DES kernel dispatch throughput: the per-event drain loop in
 /// `idse-sim`, one event at a time. `bench.sim_events_s`.
 fn bench_sim_dispatch(c: &mut Criterion) {
     const EVENTS: u64 = 100_000;

@@ -6,26 +6,28 @@
 //! cargo run -p idse-bench --bin lint -- --json out.json
 //! cargo run -p idse-bench --bin lint -- --sarif lint.sarif
 //! cargo run -p idse-bench --bin lint -- --stats       # per-crate rule-hit counts
-//! cargo run -p idse-bench --bin lint -- --fix         # dry-run directive cleanup
-//! cargo run -p idse-bench --bin lint -- --fix --write # apply it
 //! cargo run -p idse-bench --bin lint -- --write-baseline lint-baseline.json
-//! cargo run -p idse-bench --bin lint -- --no-cache     # force full re-extraction
+//! cargo run -p idse-bench --bin lint -- --rules       # list the rules
 //! ```
 //!
-//! Runs in CI between clippy and the test suite; exits nonzero when any
-//! error-severity finding is active. `--jobs N` fans the per-file phase out
-//! over N workers (`0` = one per core) and is guaranteed byte-identical to
-//! serial for the text, JSON, and SARIF outputs — CI diffs them. `--stats`
-//! prints the suppression-debt ledger (per-crate, per-rule
-//! error/warning/suppressed counts) so allowlist growth is visible over
-//! time; `--write-baseline` snapshots it to the committed
-//! `lint-baseline.json`. `--fix` plans mechanical allow-directive cleanup
-//! (delete unused, normalize malformed) and only touches files with
-//! `--write`. Per-file models are cached content-addressed under
-//! `<root>/target/idse-lint-cache/` (override with `--cache-dir DIR`,
-//! disable with `--no-cache`): a warm scan re-extracts only changed files
-//! and is byte-identical to cold; the wall time and hit/miss counts print
-//! to stderr so they never perturb the diffable stdout.
+//! The determinism guard is split between two tools. clippy
+//! (`cargo clippy --workspace --all-targets -- -D warnings`) checks the
+//! direct token rules through the workspace lint table and `clippy.toml`:
+//! wall clocks, ambient entropy, raw threads, hash containers in report
+//! crates, exact float compares, and panicking calls in library code. This
+//! binary checks the rest, which clippy cannot express: transitive taint
+//! through the call graph, seed lineage and label collisions, reduction
+//! order over `par_map`, store-record purity, telemetry side effects, and
+//! materialized feeds in experiment code.
+//!
+//! Runs in CI after clippy; exits nonzero when any error-severity finding
+//! is active. `--jobs N` fans the per-file phase out over N workers
+//! (`0` = one per core) and is guaranteed byte-identical to serial for the
+//! text, JSON, and SARIF outputs — CI diffs them. `--stats` prints the
+//! suppression-debt ledger (per-crate, per-rule error/warning/suppressed
+//! counts) so allowlist growth is visible over time; `--write-baseline`
+//! snapshots it to the committed `lint-baseline.json`. The wall time
+//! prints to stderr so it never perturbs the diffable stdout.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -37,18 +39,13 @@ struct Args {
     sarif: Option<PathBuf>,
     stats: bool,
     write_baseline: Option<PathBuf>,
-    fix: bool,
-    write: bool,
     list_rules: bool,
-    cache_dir: Option<PathBuf>,
-    no_cache: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: lint [--root DIR] [--jobs N] [--json FILE|-] [--sarif FILE|-] [--stats]\n\
-         \x20           [--fix [--write]] [--write-baseline FILE] [--rules]\n\
-         \x20           [--cache-dir DIR] [--no-cache]"
+         \x20           [--write-baseline FILE] [--rules]"
     );
     std::process::exit(2);
 }
@@ -61,11 +58,7 @@ fn parse_args() -> Args {
         sarif: None,
         stats: false,
         write_baseline: None,
-        fix: false,
-        write: false,
         list_rules: false,
-        cache_dir: None,
-        no_cache: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -81,20 +74,10 @@ fn parse_args() -> Args {
             "--write-baseline" => {
                 args.write_baseline = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
-            "--fix" => args.fix = true,
-            "--write" => args.write = true,
             "--rules" => args.list_rules = true,
-            "--cache-dir" => {
-                args.cache_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
-            }
-            "--no-cache" => args.no_cache = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
-    }
-    if args.write && !args.fix {
-        eprintln!("lint: --write requires --fix");
-        std::process::exit(2);
     }
     args
 }
@@ -148,56 +131,14 @@ fn main() -> ExitCode {
         Some(n) => idse_exec::Executor::new(n),
         None => idse_exec::Executor::serial(),
     };
-    // Incremental phase-1 cache, on by default under target/. The cache
-    // only changes wall time, never findings; timing goes to stderr so the
-    // stdout byte-diff across --jobs values stays clean.
-    let cache_dir = match (&args.cache_dir, args.no_cache) {
-        (_, true) => None,
-        (Some(dir), false) => Some(dir.clone()),
-        (None, false) => Some(args.root.join("target").join("idse-lint-cache")),
-    };
-    let file_cache = cache_dir.and_then(|dir| match idse_lint::cache::Cache::open(&dir) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("lint: cache disabled ({}: {e})", dir.display());
-            None
-        }
-    });
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "wall time of the lint itself, printed to stderr outside the diffed output"
+    )]
     let started = std::time::Instant::now();
-    let (analysis, cache_stats) =
-        idse_lint::analyze_full_with_cache(&ws, &exec, file_cache.as_ref());
-    eprintln!(
-        "lint: analyzed in {} ms ({} cached, {} analyzed)",
-        started.elapsed().as_millis(),
-        cache_stats.hits,
-        cache_stats.misses
-    );
-
-    if args.fix {
-        let plan = idse_lint::fix::plan(&ws, &analysis);
-        if plan.is_empty() {
-            println!("lint --fix: nothing to do");
-            return ExitCode::SUCCESS;
-        }
-        print!("{}", plan.render());
-        if args.write {
-            match idse_lint::fix::apply(&plan, &args.root) {
-                Ok(n) => println!("lint --fix: applied {n} edit(s)"),
-                Err(e) => {
-                    eprintln!("lint: failed to apply fixes: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            println!(
-                "lint --fix: {} edit(s) planned (dry run; add --write to apply)",
-                plan.edits.len()
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let report = analysis.report;
+    let report = idse_lint::analyze(&ws, &exec);
+    eprintln!("lint: analyzed in {} ms", started.elapsed().as_millis());
 
     if let Some(path) = &args.json {
         let payload = serde_json::to_string_pretty(&report).expect("report serializes");

@@ -309,7 +309,8 @@ fn bench_export(run: &StoredRun) -> Result<Value, StoreError> {
     // Integral wall times re-render as the integers they were imported
     // from; fractional values (and the speedup) stay floats.
     let renumber = |v: f64| {
-        // idse-lint: allow(float-eq-comparison, reason = "exact-zero sentinel: only a bit-exact integral value re-renders as the integer it was imported from")
+        // Exact-zero fraction: only a bit-exact integral value re-renders as
+        // the integer it was imported from.
         if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
             Value::U64(v as u64)
         } else {

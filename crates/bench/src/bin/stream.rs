@@ -78,6 +78,11 @@ fn main() {
          {} worker(s)…",
         request.executor().workers()
     );
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "wall time of the run, reported beside the scorecard and never hashed into it"
+    )]
     let started = std::time::Instant::now();
     let evals: Vec<StreamEvaluation> = request.evaluate_stream(&products, sensitivity);
     let wall_ms = started.elapsed().as_millis() as u64;

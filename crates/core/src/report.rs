@@ -66,7 +66,8 @@ pub fn render_comparison(cards: &[&Scorecard], weights: &WeightSet) -> String {
         out.push_str(&format!("--- {} (class {}) ---\n", class.name(), class.index()));
         for m in catalog::metrics_of_class(class) {
             let w = weights.get(m.id);
-            // idse-lint: allow(float-eq-comparison, reason = "exact-zero sentinel: Weights::get returns literal 0.0 for unset metrics; this hides only never-weighted, never-scored rows")
+            // Exact-zero sentinel: Weights::get returns literal 0.0 for unset
+            // metrics; this hides only never-weighted, never-scored rows.
             if w == 0.0 && cards.iter().all(|c| c.get(m.id).is_none()) {
                 continue;
             }

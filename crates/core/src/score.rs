@@ -162,7 +162,8 @@ impl WeightSet {
 
     /// Iterate `(metric, weight)` for nonzero weights.
     pub fn iter(&self) -> impl Iterator<Item = (MetricId, f64)> + '_ {
-        // idse-lint: allow(float-eq-comparison, reason = "exact-zero sentinel: unset weights are stored as literal 0.0, never computed, so exact comparison is the correct membership test")
+        // Exact-zero sentinel: unset weights are stored as literal 0.0, never
+        // computed, so exact comparison is the correct membership test.
         self.weights.iter().filter(|(_, &w)| w != 0.0).map(|(&k, &v)| (k, v))
     }
 

@@ -12,7 +12,7 @@
 //! plain line-at-a-time I/O. One connection may carry many requests;
 //! `watch` streams incrementally until the job reaches a terminal state.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::Mutex;
@@ -21,6 +21,12 @@ use idse_exec::{breathe, with_worker};
 
 use crate::core::{execute_job, DaemonCore};
 use crate::protocol::{error_line, line, Request};
+
+/// Longest request line the daemon reads, newline included. The largest
+/// legitimate request, a submit carrying a job spec, is well under 1 KiB;
+/// a longer line is answered with a reason and its connection dropped
+/// before the line can grow the daemon's memory.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Serve the protocol on `socket` until a shutdown request completes.
 ///
@@ -89,12 +95,20 @@ fn serve_client(stream: UnixStream, shared: &Mutex<DaemonCore>) -> std::io::Resu
     stream.set_nonblocking(false)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut text = String::new();
+    let mut raw = Vec::new();
     loop {
-        text.clear();
-        if reader.read_line(&mut text)? == 0 {
+        raw.clear();
+        if (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut raw)? == 0 {
             return Ok(());
         }
+        if raw.len() > MAX_REQUEST_LINE {
+            let reason =
+                format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing this connection");
+            writeln!(writer, "{}", error_line(&reason))?;
+            writer.flush()?;
+            return Ok(());
+        }
+        let text = String::from_utf8_lossy(&raw);
         let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;

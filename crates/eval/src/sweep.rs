@@ -96,7 +96,8 @@ impl ErrorCurve {
             let (a, b) = (w[0], w[1]);
             let da = a.false_positive_ratio - a.false_negative_ratio;
             let db = b.false_positive_ratio - b.false_negative_ratio;
-            // idse-lint: allow(float-eq-comparison, reason = "exact-zero crossing: the EER point is returned verbatim only when the curves touch exactly; near-misses take the interpolation branch")
+            // Exact-zero crossing: the EER point is returned verbatim only
+            // when the curves touch exactly; near-misses interpolate below.
             if da == 0.0 {
                 return Some((a.sensitivity, a.false_positive_ratio));
             }
@@ -110,8 +111,13 @@ impl ErrorCurve {
             }
         }
         self.points.last().and_then(|p| {
-            (p.false_positive_ratio == p.false_negative_ratio)
-                .then_some((p.sensitivity, p.false_positive_ratio))
+            #[expect(
+                clippy::float_cmp,
+                reason = "exact touch at the last point, like the exact-zero crossing above: \
+                          near-misses have no later segment to interpolate into"
+            )]
+            let touch = p.false_positive_ratio == p.false_negative_ratio;
+            touch.then_some((p.sensitivity, p.false_positive_ratio))
         })
     }
 
@@ -320,6 +326,38 @@ mod tests {
             ],
         };
         assert!(curve.equal_error_rate().is_none());
+    }
+
+    fn touching(points: &[(f64, f64, f64)]) -> ErrorCurve {
+        ErrorCurve {
+            product: "synthetic".into(),
+            points: points
+                .iter()
+                .map(|&(sensitivity, fp, fn_)| SweepPoint {
+                    sensitivity,
+                    false_positive_ratio: fp,
+                    false_negative_ratio: fn_,
+                    alerts: 0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn eer_when_curves_touch_at_the_first_point() {
+        let curve = touching(&[(0.0, 0.2, 0.2), (1.0, 0.5, 0.1)]);
+        assert_eq!(curve.equal_error_rate(), Some((0.0, 0.2)));
+    }
+
+    #[test]
+    fn eer_when_curves_touch_at_the_last_point() {
+        // No sign change anywhere: fp - fn goes -0.4, -0.2, 0. Only the
+        // exact touch at the end yields the EER.
+        let curve = touching(&[(0.0, 0.0, 0.4), (0.5, 0.1, 0.3), (1.0, 0.25, 0.25)]);
+        assert_eq!(curve.equal_error_rate(), Some((1.0, 0.25)));
+        // A near-miss at the end has no crossing and no later segment.
+        let near = touching(&[(0.0, 0.0, 0.4), (1.0, 0.25, 0.25 + 1e-12)]);
+        assert_eq!(near.equal_error_rate(), None);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! partitions transactions, ratios stay in range, and scoring rubrics are
 //! monotone.
 
+#![allow(clippy::float_cmp, reason = "tests assert bit-exact determinism")]
+
 use idse_eval::confusion::TransactionLedger;
 use idse_eval::measure;
 use idse_ids::alert::{Alert, DetectionSource};

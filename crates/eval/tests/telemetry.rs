@@ -3,6 +3,8 @@
 //! disabled, and the recorded stream itself is deterministic — at any
 //! executor width.
 
+#![allow(clippy::float_cmp, reason = "tests assert bit-exact determinism")]
+
 use idse_eval::feeds::FeedConfig;
 use idse_eval::EvaluationRequest;
 use idse_ids::products::{IdsProduct, ProductId};

@@ -6,7 +6,7 @@
 //! functions of their inputs, so they can run on every core the machine
 //! has — *provided* nothing about scheduling ever reaches the results.
 //! This crate is the one place in the workspace where threads exist
-//! (enforced by the `thread-outside-exec` lint rule), and it is built so
+//! (enforced by clippy's `disallowed-methods`, see `clippy.toml`), and it is built so
 //! that output is **byte-identical at any worker count**:
 //!
 //! * jobs are identified by an ordered [`JobKey`] and executed from a
@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 pub mod cancel;
 pub mod plan;
@@ -167,6 +168,10 @@ impl Executor {
         }
 
         let next = AtomicUsize::new(0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
+        )]
         let per_worker: Vec<Vec<(usize, Result<O, JobPanic>)>> =
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
@@ -237,6 +242,10 @@ impl Executor {
         }
 
         let next = AtomicUsize::new(0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
+        )]
         let per_worker: Vec<Vec<(usize, Result<O, JobPanic>)>> =
             crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
@@ -277,10 +286,14 @@ impl Executor {
 /// calling thread; returns both results after the worker joins.
 ///
 /// This exists for the evaluation daemon: its socket accept loop and its
-/// job runner are two long-lived loops, and the `thread-outside-exec` lint
-/// rule confines thread spawning to this crate. The scope guarantees the
+/// job runner are two long-lived loops, and the workspace clippy.toml
+/// confines thread spawning to this crate. The scope guarantees the
 /// worker cannot outlive the borrows it captures, and a worker panic
 /// propagates after `foreground` returns rather than being silently lost.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
+)]
 pub fn with_worker<R, S>(
     worker: impl FnOnce() -> R + Send,
     foreground: impl FnOnce() -> S,

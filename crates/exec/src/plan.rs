@@ -224,8 +224,11 @@ impl<T> ExperimentPlan<T> {
         for (slot, job) in completed.into_iter().zip(ordered) {
             match slot {
                 None => stopped = true,
+                #[expect(
+                    clippy::panic,
+                    reason = "re-raises a job panic the executor contained for slot accounting; swallowing it would report a poisoned run as a clean cancellation"
+                )]
                 Some(Err(job_panic)) => {
-                    // idse-lint: allow(panic-in-library, reason = "re-raises a job panic the executor contained for slot accounting; swallowing it would report a poisoned run as a clean cancellation")
                     panic!("plan job panicked; contain it inside the job: {job_panic}")
                 }
                 Some(Ok((output, recorder))) => {

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 pub mod addr;
 pub mod flow;

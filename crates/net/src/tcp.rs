@@ -142,7 +142,6 @@ pub fn synthesize_session(spec: &SessionSpec, exchanges: &[Exchange]) -> Vec<(Di
                 Packet::tcp(
                     spec.header(dir),
                     spec.tcp(dir, seq, ack, TcpFlags::PSH_ACK),
-                    // idse-lint: allow(alloc-in-hot-loop, reason = "trace synthesis: each emitted packet owns its payload bytes by design")
                     chunk.to_vec(),
                 ),
             ));
@@ -164,7 +163,6 @@ pub fn synthesize_session(spec: &SessionSpec, exchanges: &[Exchange]) -> Vec<(Di
                 Packet::tcp(
                     spec.header(rdir),
                     spec.tcp(rdir, rseq, rack, TcpFlags::ACK),
-                    // idse-lint: allow(alloc-in-hot-loop, reason = "empty ACK payload: a zero-capacity Vec never touches the allocator")
                     Vec::new(),
                 ),
             ));

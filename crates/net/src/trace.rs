@@ -228,7 +228,6 @@ impl Trace {
             for r in &self.records {
                 out.push(TraceRecord {
                     at: r.at + shift,
-                    // idse-lint: allow(alloc-in-hot-loop, reason = "builds an owned N-times copy of a borrowed trace: the clone is the product, and runs at setup time, not per evaluated record")
                     packet: r.packet.clone(),
                     truth: r.truth,
                 });
@@ -247,7 +246,6 @@ impl Trace {
         for r in &self.records {
             out.push(TraceRecord {
                 at: SimTime::from_secs_f64(r.at.as_secs_f64() / factor),
-                // idse-lint: allow(alloc-in-hot-loop, reason = "time-compression replay materializes an owned rescaled trace once per rate step, not per evaluated record")
                 packet: r.packet.clone(),
                 truth: r.truth,
             });

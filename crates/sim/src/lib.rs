@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 pub mod event;
 pub mod host;
@@ -142,10 +143,8 @@ impl<E> Simulation<E> {
     {
         let mut count = 0;
         // Per-event dispatch: everything here runs once per simulated
-        // event, millions of times per run (`bench.sim_events_s` prices
-        // it). The header names no per-record input, so mark it for the
-        // lint's performance phase explicitly.
-        // idse-lint: hot
+        // event, millions of times per run (`benches/hotpath.rs` guards
+        // it as `bench.sim_events_s`).
         while let Some(&Scheduled { at, .. }) = self.queue.peek() {
             if at > limit || (!inclusive && at == limit) {
                 break;

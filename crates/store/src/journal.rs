@@ -9,8 +9,9 @@
 //! cheap and deterministic, silent half-results are not).
 //!
 //! Crash tolerance is structural, not transactional: appends flush and
-//! sync line-at-a-time, and the loader ignores a torn trailing line (the
-//! one write a crash can interrupt). Everything else is ordinary JSONL —
+//! sync line-at-a-time, and opening the journal truncates a torn trailing
+//! line (the one write a crash can interrupt) so later appends start on a
+//! fresh line. Everything else is ordinary JSONL —
 //! inspectable with the same tools as the run store's records.
 
 use serde::{Deserialize, Serialize};
@@ -105,8 +106,8 @@ impl Journal {
     /// Open (or create) the journal at `path`, loading every intact line.
     ///
     /// A torn trailing line — the footprint of a crash mid-append — is
-    /// skipped; any other malformed line is an error, because it means
-    /// something other than this daemon wrote the file.
+    /// truncated from the file; any other malformed line is an error,
+    /// because it means something other than this daemon wrote the file.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Journal> {
         let path = path.into();
         if let Some(parent) = path.parent() {
@@ -115,9 +116,18 @@ impl Journal {
             }
         }
         let mut file = OpenOptions::new().create(true).read(true).append(true).open(&path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        let entries = parse_journal(&text).map_err(std::io::Error::other)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        // Cut the torn tail off the file itself, not just the parse: the
+        // next append would otherwise land on the fragment and turn it into
+        // a corrupt line that hides the appended transition.
+        let intact = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if intact < bytes.len() {
+            file.set_len(intact as u64)?;
+            file.sync_data()?;
+        }
+        let text = std::str::from_utf8(&bytes[..intact]).map_err(std::io::Error::other)?;
+        let entries = parse_journal(text).map_err(std::io::Error::other)?;
         Ok(Journal { path, file, entries })
     }
 
@@ -186,23 +196,17 @@ impl Journal {
     }
 }
 
-/// Parse journal text, tolerating exactly one torn trailing line.
+/// Parse the intact (newline-terminated) part of a journal. Every line
+/// must be an entry: the torn tail is already gone, so a malformed line
+/// means something other than this daemon wrote the file.
 fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
-    let mut entries = Vec::new();
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((idx, line)) = lines.next() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<JournalEntry>(line) {
-            Ok(entry) => entries.push(entry),
-            // The final line may be torn by a crash mid-write; anything
-            // earlier is corruption worth failing loudly over.
-            Err(_) if lines.peek().is_none() => break,
-            Err(e) => return Err(format!("journal line {}: {e}", idx + 1)),
-        }
-    }
-    Ok(entries)
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(idx, line)| {
+            serde_json::from_str(line).map_err(|e| format!("journal line {}: {e}", idx + 1))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -285,6 +289,52 @@ mod tests {
         // Recovery is itself journaled: a second restart sees the abort.
         let journal = Journal::open(&path).expect("reopens again");
         assert_eq!(journal.fold()[&2].state, JobState::Aborted);
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn a_crash_at_any_byte_survives_three_restarts() {
+        // Record a multi-job journal, then tear it at every byte offset —
+        // every point a crash mid-append can leave behind — and restart
+        // three times from each prefix.
+        let source = temp_journal("tear-source");
+        let _ = std::fs::remove_file(&source);
+        {
+            let mut journal = Journal::open(&source).expect("opens");
+            for id in 1..=3 {
+                let mut queued = JournalEntry::transition(id, JobState::Queued);
+                queued.spec = Some(json!({ "kind": "stream", "transactions": 1000 * id }));
+                journal.append(queued).expect("appends");
+            }
+            journal.append(JournalEntry::transition(1, JobState::Running)).expect("appends");
+            let mut done = JournalEntry::transition(1, JobState::Completed);
+            done.detail = Some("run 5f3a — stored".to_owned());
+            journal.append(done).expect("appends");
+            journal.append(JournalEntry::transition(2, JobState::Running)).expect("appends");
+            journal.append(JournalEntry::transition(3, JobState::Running)).expect("appends");
+        }
+        let bytes = std::fs::read(&source).expect("reads");
+        std::fs::remove_file(&source).expect("cleanup");
+
+        let path = temp_journal("tear");
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).expect("writes the torn prefix");
+            let mut after_recovery = None;
+            for life in 1..=3 {
+                let mut journal = Journal::open(&path)
+                    .unwrap_or_else(|e| panic!("cut {cut}, life {life}: open failed: {e}"));
+                if let Some(previous) = &after_recovery {
+                    // Nothing an earlier life journaled may be lost.
+                    assert_eq!(&journal.fold(), previous, "cut {cut}, life {life}");
+                }
+                let folded = journal.recover("restarted").expect("recovers");
+                assert!(
+                    folded.values().all(|job| job.state != JobState::Running),
+                    "cut {cut}, life {life}: a running job survived recovery"
+                );
+                after_recovery = Some(folded);
+            }
+        }
         std::fs::remove_file(&path).expect("cleanup");
     }
 

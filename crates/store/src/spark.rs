@@ -38,7 +38,8 @@ pub fn sparkline(values: &[f64]) -> String {
 /// Render integral values as the integers they are, everything else with
 /// four decimals — matches how the store's own tables print measurements.
 fn fmt_value(v: f64) -> String {
-    // idse-lint: allow(float-eq-comparison, reason = "exact-zero sentinel: only a bit-exact integral value renders as an integer")
+    // Exact-zero fraction: only a bit-exact integral value renders as an
+    // integer.
     if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{v:.0}")
     } else {

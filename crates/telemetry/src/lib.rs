@@ -44,6 +44,8 @@
 //! assert_eq!(sink.events().len(), 4); // enter + exit + counter + gauge
 //! ```
 
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
+
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};

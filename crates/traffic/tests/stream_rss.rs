@@ -4,6 +4,10 @@
 
 /// Peak resident set size (`VmHWM`) of this process, in bytes.
 #[cfg(target_os = "linux")]
+#[expect(
+    clippy::panic,
+    reason = "test helper outside #[test]: without VmHWM there is nothing to measure"
+)]
 fn peak_rss_bytes() -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     for line in status.lines() {

@@ -2,6 +2,8 @@
 //! paper reports (or predicts) must hold in the reproduction — who detects
 //! what, and how the error curves move.
 
+#![allow(clippy::float_cmp, reason = "tests assert bit-exact determinism")]
+
 use idse_eval::confusion::TransactionLedger;
 use idse_eval::feeds::{FeedConfig, TestFeed};
 use idse_eval::sweep::{sweep, SweepPlan};
