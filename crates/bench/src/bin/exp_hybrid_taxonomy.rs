@@ -13,9 +13,9 @@
 //! tracks the hybrid's inspection cost across commits.
 
 use idse_bench::{cli, outln, standard_setup_with, table, STANDARD_SEED};
-use idse_eval::confusion::TransactionLedger;
 use idse_eval::provenance::{record_hybrid_taxonomy, HybridTaxonomyRow, StoreSpec};
 use idse_eval::throughput::throughput_search;
+use idse_eval::StreamLedger;
 use idse_ids::engine::anomaly::AnomalyConfig;
 use idse_ids::engine::signature::SignatureConfig;
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
@@ -45,7 +45,7 @@ fn main() {
     outln!(out, "Identical architecture (4 load-balanced sensors); only the detection");
     outln!(out, "mechanism differs. Sensitivity 0.8, cluster feed.\n");
     let (feed, request) = standard_setup_with(common.seed_or(STANDARD_SEED), common.jobs);
-    let ledger = TransactionLedger::of(&feed.test);
+    let ledger = StreamLedger::of(&feed.test);
 
     let suites = [
         (
@@ -87,7 +87,7 @@ fn main() {
         )
         .with_training(feed.training.clone())
         .run(&feed.test);
-        let c = ledger.score(&out.alerts);
+        let c = ledger.score_alerts(&out.alerts, &out.alert_truths);
         let tp = throughput_search(&product, &feed, request.max_throughput_factor);
         (c, tp)
     });

@@ -4,7 +4,7 @@
 //! or starve, and the protection of the network will be uneven" (§2.2).
 
 use idse_bench::{cli, outln, standard_setup_with, table, STANDARD_SEED};
-use idse_eval::confusion::TransactionLedger;
+use idse_eval::StreamLedger;
 use idse_ids::components::BalanceStrategy;
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::{IdsProduct, ProductId};
@@ -16,11 +16,11 @@ fn main() {
 
     outln!(out, "=== Ablation: load-balancing strategies on a 4-sensor deployment ===\n");
     let (feed, request) = standard_setup_with(common.seed_or(STANDARD_SEED), common.jobs);
-    let ledger = TransactionLedger::of(&feed.test);
+    let ledger = StreamLedger::of(&feed.test);
     // Offered load well above one sensor's capacity so the strategy
     // matters (tiled so buffers cannot absorb the burst).
     let hot = feed.test.time_scaled(1200.0).repeated(4);
-    let hot_ledger = TransactionLedger::of(&hot);
+    let hot_ledger = StreamLedger::of(&hot);
 
     let strategies = [
         BalanceStrategy::None,
@@ -40,7 +40,7 @@ fn main() {
         let out = PipelineRunner::new(product.clone(), run_config.clone())
             .with_training(feed.training.clone())
             .run(&hot);
-        let counts = hot_ledger.score(&out.alerts);
+        let counts = hot_ledger.score_alerts(&out.alerts, &out.alert_truths);
 
         let loads: Vec<u64> = out.sensor_counters.iter().map(|c| c.processed).collect();
         let max = *loads.iter().max().unwrap_or(&0) as f64;
@@ -51,7 +51,7 @@ fn main() {
         let out_normal = PipelineRunner::new(product, run_config)
             .with_training(feed.training.clone())
             .run(&feed.test);
-        let normal_counts = ledger.score(&out_normal.alerts);
+        let normal_counts = ledger.score_alerts(&out_normal.alerts, &out_normal.alert_truths);
 
         vec![
             format!("{strategy:?}"),

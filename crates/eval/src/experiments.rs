@@ -2,12 +2,12 @@
 //! plus the fault-injection survivability matrix over the Figure 2
 //! cardinalities.
 
-use crate::confusion::TransactionLedger;
+use crate::confusion::StreamLedger;
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::sweep::{sweep, ErrorCurve, SweepPlan, SweepPoint};
 use idse_exec::Executor;
 use idse_faults::{FaultComponent, FaultKind, FaultPlan, Survivability};
-use idse_ids::pipeline::{PipelineRunner, RunConfig};
+use idse_ids::pipeline::{PipelineOutcome, PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
 use idse_net::trace::AttackClass;
@@ -128,7 +128,7 @@ pub fn site_profile_experiment(
     let fc = site_profile_feed_config(seed);
     let cluster = TestFeed::realtime_cluster(&fc);
     let web = TestFeed::ecommerce(&fc);
-    let ledger = TransactionLedger::of(&cluster.test);
+    let ledger = StreamLedger::of(&cluster.test);
 
     exec.par_map(products, |_, p| {
         let run = |training: &idse_net::trace::Trace| {
@@ -140,7 +140,7 @@ pub fn site_profile_experiment(
             let out = PipelineRunner::new(p.clone(), config)
                 .with_training(training.clone())
                 .run(&cluster.test);
-            ledger.score(&out.alerts)
+            ledger.score_alerts(&out.alerts, &out.alert_truths)
         };
         let matched = run(&cluster.training);
         let mismatched = run(&web.training);
@@ -191,7 +191,7 @@ pub fn operating_point_experiment(
     let eer_point = curve.equal_error_rate();
     let low_fn_point = curve.operating_point(&plan);
 
-    let ledger = TransactionLedger::of(&feed.test);
+    let ledger = StreamLedger::of(&feed.test);
     let trust_rate_at = |s: f64| -> Option<f64> {
         let config = RunConfig {
             sensitivity: Sensitivity::new(s),
@@ -201,7 +201,9 @@ pub fn operating_point_experiment(
         let out = PipelineRunner::new(product.clone(), config)
             .with_training(feed.training.clone())
             .run(&feed.test);
-        ledger.score(&out.alerts).class_detection_rate(AttackClass::TrustExploit)
+        ledger
+            .score_alerts(&out.alerts, &out.alert_truths)
+            .class_detection_rate(AttackClass::TrustExploit)
     };
 
     let trust_detection_at_eer = eer_point.and_then(|(s, _)| trust_rate_at(s));
@@ -382,9 +384,7 @@ pub fn fault_matrix_experiment(
 ) -> Vec<FaultMatrixRow> {
     let fc = fault_matrix_feed_config(seed);
     let feed = TestFeed::realtime_cluster(&fc);
-    let true_alerts = |alerts: &[idse_ids::alert::Alert]| {
-        alerts.iter().filter(|a| feed.test.records()[a.trigger].truth.is_some()).count() as u64
-    };
+    let true_alerts = |o: &PipelineOutcome| o.alert_truths.iter().flatten().count() as u64;
     let run = |product: &IdsProduct, faults: Option<FaultPlan>| {
         let config = RunConfig {
             sensitivity: Sensitivity::new(sensitivity),
@@ -399,7 +399,7 @@ pub fn fault_matrix_experiment(
 
     // Fault-free twins first: one baseline per product, reused by every
     // scenario in that product's row.
-    let baselines = exec.par_map(products, |_, p| true_alerts(&run(p, None).alerts));
+    let baselines = exec.par_map(products, |_, p| true_alerts(&run(p, None)));
 
     let grid: Vec<(usize, usize)> =
         (0..products.len()).flat_map(|p| (0..scenarios.len()).map(move |s| (p, s))).collect();
@@ -409,7 +409,7 @@ pub fn fault_matrix_experiment(
         let faulted = run(product, Some(scenario.plan.clone()));
         let s = Survivability::measure(
             baselines[pi],
-            true_alerts(&faulted.alerts),
+            true_alerts(&faulted),
             faulted.alerts.len() as u64,
             &faulted.fault_stats,
         );

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::confusion::{ConfusionCounts, TransactionLedger};
+use crate::confusion::{join_alerts, ConfusionCounts, StreamLedger};
 use crate::evidence::{EvidencePolicy, EvidenceStore};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::measure::{self, EnvironmentNeeds};
@@ -238,7 +238,7 @@ impl EvaluationRequest {
     ) -> Result<Vec<ProductEvaluation>, Cancelled> {
         self.sweep.validate();
         let exec = self.executor();
-        let ledger = TransactionLedger::of(&feed.test);
+        let ledger = StreamLedger::of(&feed.test);
 
         // Phase 1+2a: the sweep fan-out — one job per (product, step).
         let mut sweep_jobs: ExperimentPlan<(usize, f64)> = ExperimentPlan::new(self.feed.seed);
@@ -430,14 +430,15 @@ impl EvaluationRequest {
         &self,
         product: &IdsProduct,
         feed: &TestFeed,
-        ledger: &TransactionLedger,
+        ledger: &StreamLedger,
         curve: ErrorCurve,
         operating_sensitivity: f64,
         outcome: PipelineOutcome,
         throughput: ThroughputReport,
         faulted: Option<PipelineOutcome>,
     ) -> ProductEvaluation {
-        let confusion = ledger.score(&outcome.alerts);
+        let (detected, flagged) = join_alerts(&outcome.alerts, &outcome.alert_truths);
+        let confusion = ledger.score(&detected, flagged.len(), outcome.alerts.len());
         let timing = timing_report(&feed.test, &outcome);
 
         // Fill the scorecard: open-source rubrics, then measured rubrics.
@@ -548,16 +549,7 @@ impl EvaluationRequest {
             * 1024;
         let policy = EvidencePolicy { byte_budget: budget, ..EvidencePolicy::alert_adjacent() };
         let store = EvidenceStore::collect(&feed.test, &outcome.alerts, policy);
-        let detected_ids: Vec<u32> = {
-            let mut ids: Vec<u32> = outcome
-                .alerts
-                .iter()
-                .filter_map(|a| feed.test.records()[a.trigger].truth.map(|t| t.attack_id))
-                .collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
+        let detected_ids: Vec<u32> = detected.into_iter().collect();
         let coverage = store.mean_coverage(&feed.test, &detected_ids);
         card.set_with_note(
             MetricId::EvidenceCollection,
@@ -575,10 +567,7 @@ impl EvaluationRequest {
         // fault plan ran, otherwise scored by static architecture analysis
         // (redundancy and failure behavior) so the card stays complete.
         let survivability = faulted.as_ref().map(|f| {
-            let true_alerts = |o: &PipelineOutcome| {
-                o.alerts.iter().filter(|a| feed.test.records()[a.trigger].truth.is_some()).count()
-                    as u64
-            };
+            let true_alerts = |o: &PipelineOutcome| o.alert_truths.iter().flatten().count() as u64;
             Survivability::measure(
                 true_alerts(&outcome),
                 true_alerts(f),

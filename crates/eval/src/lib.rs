@@ -60,7 +60,7 @@ pub mod throughput;
 pub mod timing;
 pub mod vendor;
 
-pub use confusion::{ConfusionCounts, StreamLedger, TransactionLedger};
+pub use confusion::{join_alerts, ConfusionCounts, StreamLedger};
 pub use feeds::{FeedConfig, FeedConfigBuilder, TestFeed};
 pub use harness::{EvaluationRequest, ProductEvaluation};
 pub use provenance::{record_evaluation, record_fault_matrix, Provenance, StoreSpec};

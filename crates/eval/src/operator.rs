@@ -17,8 +17,9 @@
 //! maximum is the *human-constrained* operating point, which can sit well
 //! below the machine-optimal one found by the Figure 4 sweep.
 
-use crate::confusion::{ConfusionCounts, TransactionLedger};
+use crate::confusion::{ConfusionCounts, StreamLedger};
 use idse_ids::alert::Alert;
+use idse_ids::pipeline::PipelineOutcome;
 use idse_ids::Severity;
 use serde::Serialize;
 
@@ -75,13 +76,16 @@ impl OperatorModel {
     /// alerts count as detections.
     pub fn effective_confusion(
         &self,
-        ledger: &TransactionLedger,
-        alerts: &[Alert],
+        ledger: &StreamLedger,
+        outcome: &PipelineOutcome,
         hours: f64,
     ) -> ConfusionCounts {
-        let kept = self.triaged_indices(alerts, hours);
-        let kept_alerts: Vec<Alert> = kept.into_iter().map(|i| alerts[i].clone()).collect();
-        ledger.score(&kept_alerts)
+        let (alerts, truths): (Vec<Alert>, Vec<_>) = self
+            .triaged_indices(&outcome.alerts, hours)
+            .into_iter()
+            .map(|i| (outcome.alerts[i].clone(), outcome.alert_truths[i]))
+            .unzip();
+        ledger.score_alerts(&alerts, &truths)
     }
 }
 
@@ -114,7 +118,7 @@ pub fn fatigue_sweep(
     steps: usize,
 ) -> Vec<FatigueRow> {
     use idse_ids::pipeline::{PipelineRunner, RunConfig};
-    let ledger = TransactionLedger::of(&feed.test);
+    let ledger = StreamLedger::of(&feed.test);
     let hours = window_hours;
     let mut rows = Vec::with_capacity(steps);
     for k in 0..steps {
@@ -129,8 +133,8 @@ pub fn fatigue_sweep(
         )
         .with_training(feed.training.clone())
         .run(&feed.test);
-        let machine = ledger.score(&out.alerts);
-        let effective = operator.effective_confusion(&ledger, &out.alerts, hours);
+        let machine = ledger.score_alerts(&out.alerts, &out.alert_truths);
+        let effective = operator.effective_confusion(&ledger, &out, hours);
         rows.push(FatigueRow {
             sensitivity: s,
             alerts: out.alerts.len(),

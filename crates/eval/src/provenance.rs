@@ -4,8 +4,10 @@
 //! report manifest and the persisted run header in the store. This module
 //! holds the one [`Provenance`] struct both serialize, so the two can
 //! never drift, plus the recording glue ([`record_evaluation`],
-//! [`record_fault_matrix`], [`record_hybrid_taxonomy`]) that turns
-//! harness results into store runs.
+//! [`record_fault_matrix`], [`record_hybrid_taxonomy`], …) that turns
+//! harness results into store runs. Every recorder builds its manifest
+//! with [`Provenance::new`] (or [`Provenance::for_request`]) and commits
+//! through one private path, so only the rows differ between them.
 //!
 //! Everything here follows the harness's determinism contract: the worker
 //! count is deliberately *absent* (results are byte-identical at any
@@ -170,19 +172,32 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    /// Capture an [`EvaluationRequest`]'s reproducibility surface.
-    pub fn for_request(request: &EvaluationRequest) -> Self {
+    /// The manifest of a run at `seed` over `feed`, choosing its operating
+    /// sensitivity by `sensitivity_policy`: no annotations, no fault plans.
+    pub fn new(seed: u64, feed: &FeedConfig, sensitivity_policy: SensitivityPolicy) -> Self {
         Provenance {
             crate_version: env!("CARGO_PKG_VERSION"),
-            seed: request.feed.seed,
+            seed,
             profile: None,
             weighting: None,
             git_rev: None,
-            feed: FeedProvenance::of(&request.feed),
-            sensitivity_policy: SensitivityPolicy::budgeted(&request.sweep),
-            fault_plans: request.fault_plan.iter().map(FaultPlanProvenance::of).collect(),
+            feed: FeedProvenance::of(feed),
+            sensitivity_policy,
+            fault_plans: Vec::new(),
             jobs_independence: JOBS_INDEPENDENCE,
             timebase: TIMEBASE,
+        }
+    }
+
+    /// Capture an [`EvaluationRequest`]'s reproducibility surface.
+    pub fn for_request(request: &EvaluationRequest) -> Self {
+        Provenance {
+            fault_plans: request.fault_plan.iter().map(FaultPlanProvenance::of).collect(),
+            ..Self::new(
+                request.feed.seed,
+                &request.feed,
+                SensitivityPolicy::budgeted(&request.sweep),
+            )
         }
     }
 
@@ -299,6 +314,25 @@ fn telemetry_annotation(telemetry: &Telemetry, products: &[&str]) -> Option<Valu
     ]))
 }
 
+/// The one recording path every `record_*` takes: annotate `provenance`
+/// with `spec`, open a draft for `context`, stamp it, attach the
+/// telemetry summary if any, let `fill` add the rows, and commit.
+fn record(
+    spec: &StoreSpec,
+    context: &str,
+    provenance: Provenance,
+    telemetry: Option<Value>,
+    fill: impl FnOnce(&mut RunDraft) -> Result<(), StoreError>,
+) -> Result<StoredRun, StoreError> {
+    let mut draft =
+        RunDraft::new(context, spec.annotate(provenance).to_value()).with_stamp(spec.stamp.clone());
+    if let Some(annotation) = telemetry {
+        draft = draft.with_telemetry(annotation);
+    }
+    fill(&mut draft)?;
+    RunStore::open(&spec.dir)?.commit(draft)
+}
+
 /// Record one full evaluation (one record per product per metric: all 56
 /// discrete scores with their notes, plus the continuous measurements)
 /// into the store named by `spec`. Returns the committed run — identical
@@ -308,49 +342,49 @@ pub fn record_evaluation(
     request: &EvaluationRequest,
     evals: &[ProductEvaluation],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance::for_request(request));
-    let mut draft = RunDraft::new("evaluate", provenance.to_value()).with_stamp(spec.stamp.clone());
     let names: Vec<&str> = evals.iter().map(|e| e.scorecard.system.as_str()).collect();
-    if let Some(annotation) = telemetry_annotation(&request.telemetry, &names) {
-        draft = draft.with_telemetry(annotation);
-    }
-    for eval in evals {
-        let product = eval.scorecard.system.as_str();
-        for (id, score) in eval.scorecard.iter() {
-            let key = format!("{id:?}");
-            match eval.scorecard.note(id) {
-                Some(note) => draft.record_noted(product, &key, f64::from(score.value()), note)?,
-                None => draft.record(product, &key, f64::from(score.value()))?,
+    let telemetry = telemetry_annotation(&request.telemetry, &names);
+    record(spec, "evaluate", Provenance::for_request(request), telemetry, |draft| {
+        for eval in evals {
+            let product = eval.scorecard.system.as_str();
+            for (id, score) in eval.scorecard.iter() {
+                let key = format!("{id:?}");
+                match eval.scorecard.note(id) {
+                    Some(note) => {
+                        draft.record_noted(product, &key, f64::from(score.value()), note)?
+                    }
+                    None => draft.record(product, &key, f64::from(score.value()))?,
+                }
+            }
+            draft.record(product, "measure.operating_sensitivity", eval.operating_sensitivity)?;
+            draft.record(product, "measure.fp_ratio", eval.confusion.false_positive_ratio())?;
+            draft.record(product, "measure.fn_ratio", eval.confusion.false_negative_ratio())?;
+            draft.record(product, "measure.detection_rate", eval.confusion.detection_rate())?;
+            draft.record(product, "measure.zero_loss_pps", eval.throughput.zero_loss_pps)?;
+            if let Some(pps) = eval.throughput.lethal_dose_pps {
+                draft.record(product, "measure.lethal_dose_pps", pps)?;
+            }
+            draft.record(
+                product,
+                "measure.induced_latency_ms",
+                eval.timing.induced_latency_mean.as_millis_f64(),
+            )?;
+            draft.record(
+                product,
+                "measure.timeliness_ms",
+                eval.timing.timeliness_mean.as_millis_f64(),
+            )?;
+            draft.record(product, "measure.host_impact", eval.host_impact)?;
+            draft.record(product, "measure.state_bytes", eval.state_bytes as f64)?;
+            if let Some(s) = &eval.survivability {
+                draft.record(product, "measure.detection_retention", s.detection_retention)?;
+                draft.record(product, "measure.alert_loss_ratio", s.alert_loss_ratio)?;
+                draft.record(product, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64())?;
+                draft.record(product, "measure.recovery_completeness", s.recovery_completeness)?;
             }
         }
-        draft.record(product, "measure.operating_sensitivity", eval.operating_sensitivity)?;
-        draft.record(product, "measure.fp_ratio", eval.confusion.false_positive_ratio())?;
-        draft.record(product, "measure.fn_ratio", eval.confusion.false_negative_ratio())?;
-        draft.record(product, "measure.detection_rate", eval.confusion.detection_rate())?;
-        draft.record(product, "measure.zero_loss_pps", eval.throughput.zero_loss_pps)?;
-        if let Some(pps) = eval.throughput.lethal_dose_pps {
-            draft.record(product, "measure.lethal_dose_pps", pps)?;
-        }
-        draft.record(
-            product,
-            "measure.induced_latency_ms",
-            eval.timing.induced_latency_mean.as_millis_f64(),
-        )?;
-        draft.record(
-            product,
-            "measure.timeliness_ms",
-            eval.timing.timeliness_mean.as_millis_f64(),
-        )?;
-        draft.record(product, "measure.host_impact", eval.host_impact)?;
-        draft.record(product, "measure.state_bytes", eval.state_bytes as f64)?;
-        if let Some(s) = &eval.survivability {
-            draft.record(product, "measure.detection_retention", s.detection_retention)?;
-            draft.record(product, "measure.alert_loss_ratio", s.alert_loss_ratio)?;
-            draft.record(product, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64())?;
-            draft.record(product, "measure.recovery_completeness", s.recovery_completeness)?;
-        }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+        Ok(())
+    })
 }
 
 /// Record an X7 fault-matrix run: one product per matrix cell, keyed
@@ -365,42 +399,34 @@ pub fn record_fault_matrix(
     seed: u64,
 ) -> Result<StoredRun, StoreError> {
     let feed = crate::experiments::fault_matrix_feed_config(seed);
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&feed),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
+    let provenance = Provenance {
         fault_plans: scenarios.iter().map(|s| FaultPlanProvenance::of(&s.plan)).collect(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("fault-matrix", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for row in rows {
-        let cell = format!("{}@{}", row.product, row.scenario);
-        let note = format!("relation {}", row.relation);
-        let discrete = [
-            "DetectionRetentionUnderFailure",
-            "AlertLossRatio",
-            "MeanTimeToReroute",
-            "RecoveryCompleteness",
-        ];
-        for (key, score) in discrete.iter().zip(row.scores) {
-            draft.record_noted(&cell, key, f64::from(score), note.clone())?;
+        ..Provenance::new(seed, &feed, SensitivityPolicy::fixed(sensitivity))
+    };
+    record(spec, "fault-matrix", provenance, None, |draft| {
+        for row in rows {
+            let cell = format!("{}@{}", row.product, row.scenario);
+            let note = format!("relation {}", row.relation);
+            let discrete = [
+                "DetectionRetentionUnderFailure",
+                "AlertLossRatio",
+                "MeanTimeToReroute",
+                "RecoveryCompleteness",
+            ];
+            for (key, score) in discrete.iter().zip(row.scores) {
+                draft.record_noted(&cell, key, f64::from(score), note.clone())?;
+            }
+            let s = &row.survivability;
+            draft.record(&cell, "measure.detection_retention", s.detection_retention)?;
+            draft.record(&cell, "measure.alert_loss_ratio", s.alert_loss_ratio)?;
+            draft.record(&cell, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64())?;
+            draft.record(&cell, "measure.recovery_completeness", s.recovery_completeness)?;
+            draft.record(&cell, "measure.rerouted", row.rerouted as f64)?;
+            draft.record(&cell, "measure.lost_alerts", row.lost_alerts as f64)?;
+            draft.record(&cell, "measure.replayed", row.replayed as f64)?;
         }
-        let s = &row.survivability;
-        draft.record(&cell, "measure.detection_retention", s.detection_retention)?;
-        draft.record(&cell, "measure.alert_loss_ratio", s.alert_loss_ratio)?;
-        draft.record(&cell, "measure.mean_reroute_us", s.mean_reroute.as_micros_f64())?;
-        draft.record(&cell, "measure.recovery_completeness", s.recovery_completeness)?;
-        draft.record(&cell, "measure.rerouted", row.rerouted as f64)?;
-        draft.record(&cell, "measure.lost_alerts", row.lost_alerts as f64)?;
-        draft.record(&cell, "measure.replayed", row.replayed as f64)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+        Ok(())
+    })
 }
 
 /// One mechanism row of the §2.1 taxonomy ablation: the confusion and
@@ -431,33 +457,23 @@ pub fn record_hybrid_taxonomy(
     sensitivity: f64,
     rows: &[HybridTaxonomyRow],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed: request.feed.seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&request.feed),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("hybrid-taxonomy", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for row in rows {
-        let product = row.mechanism.as_str();
-        draft.record_noted(
-            product,
-            "measure.detection_rate",
-            row.detection_rate,
-            format!("{} alerts", row.alerts),
-        )?;
-        draft.record(product, "measure.fp_ratio", row.fp_ratio)?;
-        draft.record(product, "measure.zero_loss_pps", row.zero_loss_pps)?;
-        draft.record(product, "measure.operating_sensitivity", sensitivity)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+    let provenance =
+        Provenance::new(request.feed.seed, &request.feed, SensitivityPolicy::fixed(sensitivity));
+    record(spec, "hybrid-taxonomy", provenance, None, |draft| {
+        for row in rows {
+            let product = row.mechanism.as_str();
+            draft.record_noted(
+                product,
+                "measure.detection_rate",
+                row.detection_rate,
+                format!("{} alerts", row.alerts),
+            )?;
+            draft.record(product, "measure.fp_ratio", row.fp_ratio)?;
+            draft.record(product, "measure.zero_loss_pps", row.zero_loss_pps)?;
+            draft.record(product, "measure.operating_sensitivity", sensitivity)?;
+        }
+        Ok(())
+    })
 }
 
 /// Record an X1 host-overhead run: one product key per audit level per
@@ -470,40 +486,30 @@ pub fn record_host_overhead(
     seed: u64,
     sections: &[(f64, Vec<crate::host_overhead::OverheadRow>)],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&FeedConfig::builder().seed(seed).build()),
-        sensitivity_policy: SensitivityPolicy {
-            rule: "not applicable (synthetic host load, no detection sweep)".to_owned(),
-            fp_budget: None,
-            sweep_steps: None,
-            sweep_low: None,
-            sweep_high: None,
-            fixed_sensitivity: None,
-        },
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("host-overhead", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for (load, rows) in sections {
-        for row in rows {
-            let cell = format!("{}@load{load:.2}", row.level);
-            draft.record(&cell, "measure.audit_share", row.audit_share)?;
-            draft.record(&cell, "measure.agent_share", row.with_agent_share)?;
-            draft.record(
-                &cell,
-                "measure.production_events_per_sec",
-                row.production_events_per_sec,
-            )?;
+    let policy = SensitivityPolicy {
+        rule: "not applicable (synthetic host load, no detection sweep)".to_owned(),
+        fp_budget: None,
+        sweep_steps: None,
+        sweep_low: None,
+        sweep_high: None,
+        fixed_sensitivity: None,
+    };
+    let provenance = Provenance::new(seed, &FeedConfig::builder().seed(seed).build(), policy);
+    record(spec, "host-overhead", provenance, None, |draft| {
+        for (load, rows) in sections {
+            for row in rows {
+                let cell = format!("{}@load{load:.2}", row.level);
+                draft.record(&cell, "measure.audit_share", row.audit_share)?;
+                draft.record(&cell, "measure.agent_share", row.with_agent_share)?;
+                draft.record(
+                    &cell,
+                    "measure.production_events_per_sec",
+                    row.production_events_per_sec,
+                )?;
+            }
         }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+        Ok(())
+    })
 }
 
 /// Record an X4 operating-point run: per product, an `@eer` cell (the
@@ -517,40 +523,30 @@ pub fn record_operating_point(
     reports: &[crate::experiments::OperatingPointReport],
 ) -> Result<StoredRun, StoreError> {
     let plan = SweepPlan::with_steps(9).with_fp_budget(fp_budget);
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&crate::experiments::operating_point_feed_config(seed)),
-        sensitivity_policy: SensitivityPolicy::budgeted(&plan),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("operating-point", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for report in reports {
-        if let Some((sensitivity, rate)) = report.eer_point {
-            let cell = format!("{}@eer", report.product);
-            draft.record(&cell, "measure.eer_sensitivity", sensitivity)?;
-            draft.record(&cell, "measure.eer_rate", rate)?;
-            if let Some(trust) = report.trust_detection_at_eer {
-                draft.record(&cell, "measure.trust_detection", trust)?;
+    let feed = crate::experiments::operating_point_feed_config(seed);
+    let provenance = Provenance::new(seed, &feed, SensitivityPolicy::budgeted(&plan));
+    record(spec, "operating-point", provenance, None, |draft| {
+        for report in reports {
+            if let Some((sensitivity, rate)) = report.eer_point {
+                let cell = format!("{}@eer", report.product);
+                draft.record(&cell, "measure.eer_sensitivity", sensitivity)?;
+                draft.record(&cell, "measure.eer_rate", rate)?;
+                if let Some(trust) = report.trust_detection_at_eer {
+                    draft.record(&cell, "measure.trust_detection", trust)?;
+                }
+            }
+            if let Some(point) = &report.low_fn_point {
+                let cell = format!("{}@low-fn", report.product);
+                draft.record(&cell, "measure.operating_sensitivity", point.sensitivity)?;
+                draft.record(&cell, "measure.fp_ratio", point.false_positive_ratio)?;
+                draft.record(&cell, "measure.fn_ratio", point.false_negative_ratio)?;
+                if let Some(trust) = report.trust_detection_at_low_fn {
+                    draft.record(&cell, "measure.trust_detection", trust)?;
+                }
             }
         }
-        if let Some(point) = &report.low_fn_point {
-            let cell = format!("{}@low-fn", report.product);
-            draft.record(&cell, "measure.operating_sensitivity", point.sensitivity)?;
-            draft.record(&cell, "measure.fp_ratio", point.false_positive_ratio)?;
-            draft.record(&cell, "measure.fn_ratio", point.false_negative_ratio)?;
-            if let Some(trust) = report.trust_detection_at_low_fn {
-                draft.record(&cell, "measure.trust_detection", trust)?;
-            }
-        }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+        Ok(())
+    })
 }
 
 /// Record an operator-fatigue run: one cell per operator model per swept
@@ -562,19 +558,18 @@ pub fn record_operator_fatigue(
     request: &EvaluationRequest,
     sections: &[(String, Vec<crate::operator::FatigueRow>)],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance::for_request(request));
-    let mut draft =
-        RunDraft::new("operator-fatigue", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for (operator, rows) in sections {
-        for row in rows {
-            let cell = format!("{operator}@s{:.2}", row.sensitivity);
-            draft.record(&cell, "measure.alerts", row.alerts as f64)?;
-            draft.record(&cell, "measure.triaged", row.triaged as f64)?;
-            draft.record(&cell, "measure.detection_rate", row.machine_detection)?;
-            draft.record(&cell, "measure.effective_detection", row.effective_detection)?;
+    record(spec, "operator-fatigue", Provenance::for_request(request), None, |draft| {
+        for (operator, rows) in sections {
+            for row in rows {
+                let cell = format!("{operator}@s{:.2}", row.sensitivity);
+                draft.record(&cell, "measure.alerts", row.alerts as f64)?;
+                draft.record(&cell, "measure.triaged", row.triaged as f64)?;
+                draft.record(&cell, "measure.detection_rate", row.machine_detection)?;
+                draft.record(&cell, "measure.effective_detection", row.effective_detection)?;
+            }
         }
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+        Ok(())
+    })
 }
 
 /// Content statistics for one payload load in the X2 realism experiment.
@@ -601,45 +596,33 @@ pub fn record_payload_realism(
     stats: &[PayloadStatsRow],
     rows: &[crate::experiments::RealismRow],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        // X2 generates its two loads directly (identical timing and
-        // sizes, different payload content); the session rate and span
-        // here mirror that generator setup.
-        feed: FeedProvenance::of(
-            &FeedConfig::builder()
-                .session_rate(25.0)
-                .training_span(idse_sim::SimDuration::from_secs(25))
-                .test_span(idse_sim::SimDuration::from_secs(25))
-                .seed(seed)
-                .build(),
-        ),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("payload-realism", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for stat in stats {
-        let cell = format!("payload:{}", stat.load);
-        draft.record(&cell, "measure.byte_entropy", stat.byte_entropy)?;
-        draft.record(&cell, "measure.printable_fraction", stat.printable_fraction)?;
-        draft.record(&cell, "measure.realism_score", stat.realism_score)?;
-    }
-    for row in rows {
-        let realistic = format!("{}@realistic", row.product);
-        draft.record(&realistic, "measure.alerts_per_kpkt", row.alerts_per_kpkt_realistic)?;
-        draft.record(&realistic, "measure.ops_per_pkt", row.cost_realistic)?;
-        let random = format!("{}@random", row.product);
-        draft.record(&random, "measure.alerts_per_kpkt", row.alerts_per_kpkt_random)?;
-        draft.record(&random, "measure.ops_per_pkt", row.cost_random)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+    // X2 generates its two loads directly (identical timing and sizes,
+    // different payload content); the session rate and span here mirror
+    // that generator setup.
+    let feed = FeedConfig::builder()
+        .session_rate(25.0)
+        .training_span(idse_sim::SimDuration::from_secs(25))
+        .test_span(idse_sim::SimDuration::from_secs(25))
+        .seed(seed)
+        .build();
+    let provenance = Provenance::new(seed, &feed, SensitivityPolicy::fixed(sensitivity));
+    record(spec, "payload-realism", provenance, None, |draft| {
+        for stat in stats {
+            let cell = format!("payload:{}", stat.load);
+            draft.record(&cell, "measure.byte_entropy", stat.byte_entropy)?;
+            draft.record(&cell, "measure.printable_fraction", stat.printable_fraction)?;
+            draft.record(&cell, "measure.realism_score", stat.realism_score)?;
+        }
+        for row in rows {
+            let realistic = format!("{}@realistic", row.product);
+            draft.record(&realistic, "measure.alerts_per_kpkt", row.alerts_per_kpkt_realistic)?;
+            draft.record(&realistic, "measure.ops_per_pkt", row.cost_realistic)?;
+            let random = format!("{}@random", row.product);
+            draft.record(&random, "measure.alerts_per_kpkt", row.alerts_per_kpkt_random)?;
+            draft.record(&random, "measure.ops_per_pkt", row.cost_random)?;
+        }
+        Ok(())
+    })
 }
 
 /// Record an X3 site-profile-mismatch run: per product, `@matched`
@@ -652,29 +635,19 @@ pub fn record_site_profile(
     sensitivity: f64,
     rows: &[crate::experiments::SiteProfileRow],
 ) -> Result<StoredRun, StoreError> {
-    let provenance = spec.annotate(Provenance {
-        crate_version: env!("CARGO_PKG_VERSION"),
-        seed,
-        profile: None,
-        weighting: None,
-        git_rev: None,
-        feed: FeedProvenance::of(&crate::experiments::site_profile_feed_config(seed)),
-        sensitivity_policy: SensitivityPolicy::fixed(sensitivity),
-        fault_plans: Vec::new(),
-        jobs_independence: JOBS_INDEPENDENCE,
-        timebase: TIMEBASE,
-    });
-    let mut draft =
-        RunDraft::new("site-profile", provenance.to_value()).with_stamp(spec.stamp.clone());
-    for row in rows {
-        let matched = format!("{}@matched", row.product);
-        draft.record(&matched, "measure.fp_ratio", row.fp_matched)?;
-        draft.record(&matched, "measure.detection_rate", row.detection_matched)?;
-        let mismatched = format!("{}@mismatched", row.product);
-        draft.record(&mismatched, "measure.fp_ratio", row.fp_mismatched)?;
-        draft.record(&mismatched, "measure.detection_rate", row.detection_mismatched)?;
-    }
-    RunStore::open(&spec.dir)?.commit(draft)
+    let feed = crate::experiments::site_profile_feed_config(seed);
+    let provenance = Provenance::new(seed, &feed, SensitivityPolicy::fixed(sensitivity));
+    record(spec, "site-profile", provenance, None, |draft| {
+        for row in rows {
+            let matched = format!("{}@matched", row.product);
+            draft.record(&matched, "measure.fp_ratio", row.fp_matched)?;
+            draft.record(&matched, "measure.detection_rate", row.detection_matched)?;
+            let mismatched = format!("{}@mismatched", row.product);
+            draft.record(&mismatched, "measure.fp_ratio", row.fp_mismatched)?;
+            draft.record(&mismatched, "measure.detection_rate", row.detection_mismatched)?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -1,20 +1,22 @@
 //! Constant-memory streaming evaluation: chunked feeds, flow-key shards.
 //!
-//! The classic harness materializes the whole test trace before anything
-//! runs — fine at 60 s spans, hopeless at the ROADMAP's million-flow
-//! scale. This module drives the Figure-1 pipeline directly from the
-//! `idse-traffic` [`RecordStream`]:
+//! The batch harness runs over a materialized test trace; at the
+//! ROADMAP's million-flow scale that trace does not fit. This module
+//! drives the Figure-1 pipeline directly from the `idse-traffic`
+//! [`RecordStream`]:
 //!
 //! * each shard consumes a lazily merged stream of its background chunk
 //!   sequence and its slice of the (small, materialized) campaign, in the
 //!   exact order `Trace::merge` would produce ([`ShardFeed`]);
-//! * scoring happens incrementally through a [`StreamLedger`] plus the
-//!   pipeline's own `alert_truths` / [`idse_ids::Alert::flow`] channels,
-//!   so no record index over the full trace ever exists;
-//! * one job per `(product, shard)` runs on the [`idse_exec::Executor`],
-//!   and the shard outcomes merge in deterministic shard order — the
-//!   resulting [`StreamScorecard`] is byte-identical at any
-//!   [`EvaluationRequest::jobs`] setting and any chunk size.
+//! * scoring happens incrementally through the same [`StreamLedger`] and
+//!   the same [`join_alerts`] the batch harness scores with, so the two
+//!   engines share one definition of the Figure 3 quantities and no
+//!   record index over the full trace ever exists;
+//! * one job per `(product, shard)` runs on the [`idse_exec::Executor`]
+//!   through [`run_shard_cancellable`], and the shard outcomes merge in
+//!   deterministic shard order — the resulting [`StreamScorecard`] is
+//!   byte-identical at any [`EvaluationRequest::jobs`] setting and any
+//!   chunk size.
 //!
 //! Shard count *is* part of the experiment identity (a sharded pipeline
 //! sees only its shard's cross-flow context), so it is recorded in the
@@ -23,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::confusion::{ConfusionCounts, StreamLedger};
+use crate::confusion::{join_alerts, ConfusionCounts, StreamLedger};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::harness::EvaluationRequest;
 use idse_exec::{CancelToken, Cancelled, ExperimentPlan, JobKey};
@@ -137,34 +139,11 @@ pub struct ShardOutcome {
     pub finished_at: SimTime,
 }
 
-/// Run one shard of a product's streaming evaluation.
+/// Run one shard of a product's streaming evaluation, with a cooperative
+/// cancellation point at every chunk boundary.
 ///
 /// `training` is the (short, materialized) known-benign trace every shard
 /// trains on; the test window itself is never materialized.
-pub fn run_shard(
-    product: &IdsProduct,
-    profile: &idse_traffic::SiteProfile,
-    config: &FeedConfig,
-    training: &Trace,
-    sensitivity: f64,
-    shard: u32,
-    telemetry: idse_telemetry::Telemetry,
-) -> ShardOutcome {
-    run_shard_cancellable(
-        product,
-        profile,
-        config,
-        training,
-        sensitivity,
-        shard,
-        telemetry,
-        &CancelToken::new(),
-    )
-    .expect("a fresh token never cancels")
-}
-
-/// [`run_shard`] with a cooperative cancellation point at every chunk
-/// boundary.
 ///
 /// The token is checked *between* chunks — never mid-chunk — so a
 /// cancelled shard stops at a deterministic record boundary: everything
@@ -204,18 +183,7 @@ pub fn run_shard_cancellable(
     }
     let outcome = session.finish();
 
-    let mut detected = BTreeSet::new();
-    let mut flagged = BTreeSet::new();
-    for (alert, truth) in outcome.alerts.iter().zip(outcome.alert_truths.iter()) {
-        match truth {
-            Some(g) => {
-                detected.insert(g.attack_id);
-            }
-            None => {
-                flagged.insert(alert.flow.canonical());
-            }
-        }
-    }
+    let (detected, flagged) = join_alerts(&outcome.alerts, &outcome.alert_truths);
     Ok(ShardOutcome {
         shard,
         ledger,
@@ -442,7 +410,6 @@ impl EvaluationRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::confusion::TransactionLedger;
     use idse_ids::products::ProductId;
     use idse_sim::SimDuration;
 
@@ -506,18 +473,15 @@ mod tests {
         let outcome = PipelineRunner::new(product, run_config)
             .with_training(feed.training.clone())
             .run(&feed.test);
-        let reference = TransactionLedger::of(&feed.test).score(&outcome.alerts);
+        let reference =
+            StreamLedger::of(&feed.test).score_alerts(&outcome.alerts, &outcome.alert_truths);
 
         assert_eq!(eval.scorecard.alerts, outcome.alerts.len() as u64);
         assert_eq!(eval.scorecard.offered, outcome.offered);
         assert_eq!(eval.scorecard.monitored, outcome.monitored);
         assert_eq!(eval.scorecard.finished_at_ns, outcome.finished_at.as_nanos());
         assert_eq!(eval.scorecard.transactions, reference.transactions as u64);
-        assert_eq!(eval.scorecard.actual_attacks, reference.actual_attacks as u64);
-        assert_eq!(eval.scorecard.detected_attacks, reference.detected_attacks as u64);
-        assert_eq!(eval.scorecard.false_positives, reference.false_positives as u64);
-        assert_eq!(eval.scorecard.missed_attacks, reference.missed_attacks.len() as u64);
-        assert_eq!(eval.confusion.per_class, reference.per_class);
+        assert_eq!(eval.confusion, reference);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! product at a ladder of sensitivity settings, records both ratios, and
 //! locates the crossover by linear interpolation.
 
-use crate::confusion::TransactionLedger;
+use crate::confusion::StreamLedger;
 use crate::feeds::TestFeed;
 use idse_exec::{Executor, ExperimentPlan, JobKey};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
@@ -155,7 +155,7 @@ impl ErrorCurve {
 pub(crate) fn measure_sweep_point(
     product: &IdsProduct,
     feed: &TestFeed,
-    ledger: &TransactionLedger,
+    ledger: &StreamLedger,
     sensitivity: f64,
 ) -> SweepPoint {
     let config = RunConfig {
@@ -165,7 +165,7 @@ pub(crate) fn measure_sweep_point(
     };
     let runner = PipelineRunner::new(product.clone(), config).with_training(feed.training.clone());
     let outcome = runner.run(&feed.test);
-    let counts = ledger.score(&outcome.alerts);
+    let counts = ledger.score_alerts(&outcome.alerts, &outcome.alert_truths);
     SweepPoint {
         sensitivity,
         false_positive_ratio: counts.false_positive_ratio(),
@@ -184,7 +184,7 @@ pub fn sweep(
     exec: &Executor,
 ) -> ErrorCurve {
     plan.validate();
-    let ledger = TransactionLedger::of(&feed.test);
+    let ledger = StreamLedger::of(&feed.test);
     // Sweep jobs are pure replays of the feed — they never draw from
     // ctx.seed — so the plan's master seed is immaterial.
     let mut jobs = ExperimentPlan::new(0);

@@ -29,11 +29,9 @@ pub struct TimingReport {
 /// Compute timing measurements from a run.
 pub fn timing_report(trace: &Trace, outcome: &PipelineOutcome) -> TimingReport {
     let mut timeliness = DurationSummary::new();
-    for alert in &outcome.alerts {
-        if let Some(rec) = trace.records().get(alert.trigger) {
-            if rec.truth.is_some() {
-                timeliness.record(alert.raised_at.saturating_since(rec.at));
-            }
+    for (alert, truth) in outcome.alerts.iter().zip(&outcome.alert_truths) {
+        if let (Some(_), Some(rec)) = (truth, trace.records().get(alert.trigger)) {
+            timeliness.record(alert.raised_at.saturating_since(rec.at));
         }
     }
     TimingReport {

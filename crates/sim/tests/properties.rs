@@ -1,5 +1,6 @@
 //! Property-based tests for the simulation kernel's invariants.
 
+use idse_sim::event::{CLASS_DERIVED, CLASS_INPUT};
 use idse_sim::stats::{LogHistogram, Summary};
 use idse_sim::{EventQueue, RngStream, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -33,24 +34,32 @@ proptest! {
         prop_assert!(diff <= 256, "{ns} -> {diff}");
     }
 
-    /// The event queue is a stable priority queue: pops are sorted by time
-    /// and, within a time, by insertion order.
+    /// The event queue is a stable priority queue: with external inputs
+    /// and ordinary events mixed, pops come out exactly as a stable sort
+    /// on `(at, class, seq)` orders them.
     #[test]
-    fn event_queue_is_stable_priority_queue(times in prop::collection::vec(0u64..1000, 1..200)) {
+    fn event_queue_is_stable_priority_queue(
+        events in prop::collection::vec((0u64..1000, any::<bool>()), 1..200),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
+        let mut expected: Vec<(u64, u8, u64, usize)> = Vec::with_capacity(events.len());
+        for (i, &(t, input)) in events.iter().enumerate() {
+            let at = SimTime::from_nanos(t);
+            let class = if input {
+                q.schedule_input(at, i);
+                CLASS_INPUT
+            } else {
+                q.schedule(at, i);
+                CLASS_DERIVED
+            };
+            expected.push((t, class, i as u64, i));
         }
-        let mut last: Option<(SimTime, usize)> = None;
+        expected.sort_by_key(|&(t, class, seq, _)| (t, class, seq));
+        let mut popped = Vec::with_capacity(events.len());
         while let Some(ev) = q.pop() {
-            if let Some((lt, li)) = last {
-                prop_assert!(ev.at >= lt);
-                if ev.at == lt {
-                    prop_assert!(ev.event > li, "same-time events must pop in insertion order");
-                }
-            }
-            last = Some((ev.at, ev.event));
+            popped.push((ev.at.as_nanos(), ev.class, ev.seq, ev.event));
         }
+        prop_assert_eq!(popped, expected);
     }
 
     /// Welford summary matches the naive two-pass computation.

@@ -9,6 +9,7 @@
 
 use crate::record::{parse_line, render_run, run_id, MetricRecord, RunDraft, RunHeader, RunRecord};
 use crate::StoreError;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A run as persisted: header, canonically-ordered records, and the file
@@ -79,16 +80,26 @@ impl RunStore {
     }
 
     /// Canonicalize `draft`, compute its id, and persist it. Idempotent:
-    /// if a file for the id already exists the existing run is returned
-    /// (verified) with [`StoredRun::created`] `false`.
+    /// if a file for the id already exists and verifies, the existing run
+    /// is returned with [`StoredRun::created`] `false`. A file that fails
+    /// to load (torn by a crash mid-write) is rewritten.
+    ///
+    /// The file is written to a temporary name in the same directory,
+    /// synced, then renamed into place, so a crash leaves either no run
+    /// file or a complete one.
     pub fn commit(&self, draft: RunDraft) -> Result<StoredRun, StoreError> {
         let (header, metrics) = draft.canonicalize()?;
         let path = self.dir.join(format!("{}.jsonl", header.run_id));
-        if path.exists() {
-            return self.load_file(&path);
+        if let Ok(existing) = self.load_file(&path) {
+            return Ok(existing);
         }
         let text = render_run(&header, &metrics);
-        std::fs::write(&path, text.as_bytes()).map_err(|e| io_err(&path, e))?;
+        let tmp = self.dir.join(format!(".{}.jsonl.tmp", header.run_id));
+        let mut file = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+        file.write_all(text.as_bytes())
+            .and_then(|()| file.sync_all())
+            .map_err(|e| io_err(&tmp, e))?;
+        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
         Ok(StoredRun { header, metrics, path, created: true })
     }
 
@@ -96,6 +107,14 @@ impl RunStore {
     pub fn load_file(&self, path: impl AsRef<Path>) -> Result<StoredRun, StoreError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
+        // Every committed line ends in a newline; a file that does not was
+        // cut short, even when its last line still parses.
+        if !text.is_empty() && !text.ends_with('\n') {
+            return Err(StoreError::Parse {
+                at: path.display().to_string(),
+                message: "torn final line (no trailing newline)".to_owned(),
+            });
+        }
         let mut header: Option<RunHeader> = None;
         let mut metrics = Vec::new();
         for (index, line) in text.lines().enumerate() {
@@ -279,6 +298,31 @@ mod tests {
         assert_ne!(text, doctored);
         std::fs::write(&run.path, doctored).unwrap();
         assert!(matches!(store.load_file(&run.path), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn a_torn_run_file_is_rewritten_by_the_next_commit() {
+        // A crash mid-write can leave any prefix of a run file behind.
+        // Tear a committed run at every byte offset and re-commit the same
+        // draft: the file must come back byte for byte, and the store must
+        // list again.
+        let store = RunStore::open(tmp("torn")).unwrap();
+        let run = store.commit(draft(7, 4.0)).unwrap();
+        let bytes = std::fs::read(&run.path).unwrap();
+        for cut in 0..bytes.len() {
+            std::fs::write(&run.path, &bytes[..cut]).unwrap();
+            let again =
+                store.commit(draft(7, 4.0)).unwrap_or_else(|e| panic!("cut {cut}: commit: {e}"));
+            assert!(again.created, "cut {cut}: the torn file is rewritten");
+            assert_eq!(std::fs::read(&run.path).unwrap(), bytes, "cut {cut}");
+            let listed = store.list().unwrap_or_else(|e| panic!("cut {cut}: list: {e}"));
+            assert_eq!(listed.len(), 1, "cut {cut}");
+        }
+        assert_eq!(
+            std::fs::read_dir(store.dir()).unwrap().count(),
+            1,
+            "no temporary file is left behind"
+        );
     }
 
     #[test]

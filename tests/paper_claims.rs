@@ -4,9 +4,9 @@
 
 #![allow(clippy::float_cmp, reason = "tests assert bit-exact determinism")]
 
-use idse_eval::confusion::TransactionLedger;
 use idse_eval::feeds::{FeedConfig, TestFeed};
 use idse_eval::sweep::{sweep, SweepPlan};
+use idse_eval::{join_alerts, StreamLedger};
 use idse_exec::Executor;
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::{IdsProduct, ProductId};
@@ -27,9 +27,17 @@ fn feed() -> TestFeed {
 }
 
 fn confusion_at(feed: &TestFeed, id: ProductId, s: f64) -> idse_eval::confusion::ConfusionCounts {
-    let ledger = TransactionLedger::of(&feed.test);
+    confusion_via(feed, &IdsProduct::model(id), s)
+}
+
+fn confusion_via(
+    feed: &TestFeed,
+    product: &IdsProduct,
+    s: f64,
+) -> idse_eval::confusion::ConfusionCounts {
+    let ledger = StreamLedger::of(&feed.test);
     let out = PipelineRunner::new(
-        IdsProduct::model(id),
+        product.clone(),
         RunConfig {
             sensitivity: Sensitivity::new(s),
             monitored_hosts: feed.servers.clone(),
@@ -38,7 +46,7 @@ fn confusion_at(feed: &TestFeed, id: ProductId, s: f64) -> idse_eval::confusion:
     )
     .with_training(feed.training.clone())
     .run(&feed.test);
-    ledger.score(&out.alerts)
+    ledger.score_alerts(&out.alerts, &out.alert_truths)
 }
 
 #[test]
@@ -176,25 +184,6 @@ fn hybrid_detection_unions_coverage_and_pays_in_throughput_cost() {
     assert!(hybrid.false_positives >= sig.false_positives.max(ano.false_positives));
 }
 
-fn confusion_via(
-    feed: &TestFeed,
-    product: &IdsProduct,
-    s: f64,
-) -> idse_eval::confusion::ConfusionCounts {
-    let ledger = TransactionLedger::of(&feed.test);
-    let out = PipelineRunner::new(
-        product.clone(),
-        RunConfig {
-            sensitivity: Sensitivity::new(s),
-            monitored_hosts: feed.servers.clone(),
-            ..RunConfig::default()
-        },
-    )
-    .with_training(feed.training.clone())
-    .run(&feed.test);
-    ledger.score(&out.alerts)
-}
-
 #[test]
 fn stealth_and_distributed_scans_evade_windowed_detectors() {
     // The reconnaissance detectors are windowed per-source counters, so
@@ -215,9 +204,8 @@ fn stealth_and_distributed_scans_evade_windowed_detectors() {
     // A control: the loud scan, same target class.
     let loud = PortScan::new(std::net::Ipv4Addr::new(66, 9, 9, 9), f.servers[2]);
     trace.merge(loud.generate(SimTime::from_secs(6), 3, &mut rng));
-    let ledger = TransactionLedger::of(&trace);
 
-    let detected_by = |id: ProductId| -> std::collections::HashSet<u32> {
+    let detected_by = |id: ProductId| -> std::collections::BTreeSet<u32> {
         let out = PipelineRunner::new(
             IdsProduct::model(id),
             RunConfig {
@@ -228,11 +216,7 @@ fn stealth_and_distributed_scans_evade_windowed_detectors() {
         )
         .with_training(f.training.clone())
         .run(&trace);
-        let _ = ledger.score(&out.alerts);
-        out.alerts
-            .iter()
-            .filter_map(|a| trace.records()[a.trigger].truth.map(|t| t.attack_id))
-            .collect()
+        join_alerts(&out.alerts, &out.alert_truths).0
     };
 
     // Both engine families catch the loud control scan and miss the
@@ -274,7 +258,7 @@ fn novel_exploits_separate_the_detection_mechanisms() {
         t += SD::from_millis(2);
     }
     trace.merge(attack);
-    let ledger = TransactionLedger::of(&trace);
+    let ledger = StreamLedger::of(&trace);
 
     let run = |id: ProductId| {
         let out = PipelineRunner::new(
@@ -287,7 +271,7 @@ fn novel_exploits_separate_the_detection_mechanisms() {
         )
         .with_training(f.training.clone())
         .run(&trace);
-        ledger.score(&out.alerts).detection_rate()
+        ledger.score_alerts(&out.alerts, &out.alert_truths).detection_rate()
     };
 
     assert_eq!(run(ProductId::NidSentry), 0.0, "signature DB has no rule for it");
