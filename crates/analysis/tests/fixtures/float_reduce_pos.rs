@@ -11,9 +11,9 @@ pub fn loop_accumulate(exec: &Executor, xs: &[f64]) -> f64 {
     total
 }
 
-pub fn iterator_sum(exec: &Executor, xs: &[f64]) -> Result<f64, Error> {
-    let parts = exec.try_par_map(xs, |_, x| Ok(x * 2.0))?;
-    Ok(parts.iter().sum::<f64>())
+pub fn iterator_sum(exec: &Executor, cancel: &CancelToken, xs: &[f64]) -> f64 {
+    let parts = exec.try_par_map(xs, cancel, |_, x| x * 2.0);
+    parts.into_iter().flatten().flatten().sum::<f64>()
 }
 
 pub fn fold_accumulate(exec: &Executor, xs: &[f64]) -> f64 {

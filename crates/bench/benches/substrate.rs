@@ -1,11 +1,11 @@
-//! Substrate micro-benchmarks: event queue, link model, session hashing,
+//! Substrate micro-benchmarks: event queue, session hashing,
 //! fragmentation/reassembly, wire codec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use idse_net::frag::{fragment, OverlapPolicy, Reassembler};
 use idse_net::packet::{Ipv4Header, Packet, TcpFlags, TcpHeader};
 use idse_net::{wire, FlowKey};
-use idse_sim::{EventQueue, Link, LinkConfig, RngStream, SimTime};
+use idse_sim::{EventQueue, RngStream, SimTime};
 use std::net::Ipv4Addr;
 
 fn sample_packet(payload_len: usize) -> Packet {
@@ -38,26 +38,6 @@ fn bench_event_queue(c: &mut Criterion) {
                 sum = sum.wrapping_add(ev.event);
             }
             sum
-        })
-    });
-    group.finish();
-}
-
-fn bench_link(c: &mut Criterion) {
-    let mut group = c.benchmark_group("link_model");
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("offer_10k_frames", |b| {
-        b.iter(|| {
-            let mut link = Link::new(LinkConfig::fast_ethernet());
-            let mut delivered = 0u64;
-            for i in 0..10_000u64 {
-                if let idse_sim::link::LinkVerdict::Delivered { .. } =
-                    link.offer(SimTime::from_micros(i * 5), 1500)
-                {
-                    delivered += 1;
-                }
-            }
-            delivered
         })
     });
     group.finish();
@@ -113,12 +93,5 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_link,
-    bench_session_hash,
-    bench_frag,
-    bench_wire
-);
+criterion_group!(benches, bench_event_queue, bench_session_hash, bench_frag, bench_wire);
 criterion_main!(benches);

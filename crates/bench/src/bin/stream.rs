@@ -14,6 +14,10 @@
 //! distinct flows) regardless of `--transactions`, so ten-million-record
 //! runs fit where the materialized path would need gigabytes.
 //!
+//! The flags become a `stream` job spec, turned into a request by
+//! `JobSpec::to_request` exactly as a daemon-submitted stream job is, so the
+//! two entry points share one set of defaults and one validation.
+//!
 //! The merged scorecard is byte-identical for any `--jobs N` and any
 //! `--chunk` size (pure batching); `--shards` is part of the experiment's
 //! identity and is recorded in the scorecard. The text report includes the
@@ -22,8 +26,7 @@
 
 use idse_bench::cli;
 use idse_bench::STANDARD_SEED;
-use idse_eval::{EvaluationRequest, FeedConfig, StreamEvaluation};
-use idse_ids::products::{IdsProduct, ProductId};
+use idse_eval::{JobSpec, StreamEvaluation};
 
 const USAGE: &str = "usage: stream [--transactions N] [--hosts N] [--rate R]\n\
                      \x20             [--chunk RECORDS] [--shards N] [--intensity N]\n\
@@ -32,46 +35,48 @@ const USAGE: &str = "usage: stream [--transactions N] [--hosts N] [--rate R]\n\
 
 fn main() {
     let mut args = cli::Args::parse(USAGE);
-    let transactions: u64 = args.opt_parsed("--transactions").unwrap_or(1_000_000);
+    let transactions: Option<u64> = args.opt_parsed("--transactions");
     let hosts: Option<u32> = args.opt_parsed("--hosts");
-    let rate: f64 = args.opt_parsed("--rate").unwrap_or(25_000.0);
-    let chunk: usize = args.opt_parsed("--chunk").unwrap_or(idse_traffic::DEFAULT_CHUNK_RECORDS);
-    let shards: u32 = args.opt_parsed("--shards").unwrap_or(8);
-    let intensity: u32 = args.opt_parsed("--intensity").unwrap_or(2);
+    let rate: Option<f64> = args.opt_parsed("--rate");
+    let chunk: Option<usize> = args.opt_parsed("--chunk");
+    let shards: Option<u32> = args.opt_parsed("--shards");
+    let intensity: Option<u32> = args.opt_parsed("--intensity");
     let product_name = args.opt("--product");
-    let sensitivity: f64 = args.opt_parsed("--sensitivity").unwrap_or(0.6);
+    let sensitivity: Option<f64> = args.opt_parsed("--sensitivity");
     let common = args.finish();
     let seed = common.seed_or(STANDARD_SEED);
 
-    let products: Vec<IdsProduct> = match product_name.as_deref() {
-        None => vec![IdsProduct::model(ProductId::FlowHunter)],
-        Some("all") => ProductId::ALL.iter().map(|&id| IdsProduct::model(id)).collect(),
-        Some(name) => {
-            let id = match name {
-                "nid" => ProductId::NidSentry,
-                "guard" => ProductId::GuardSecure,
-                "flow" => ProductId::FlowHunter,
-                "agent" => ProductId::AgentWatch,
-                other => {
-                    eprintln!("error: unknown product {other:?} (nid|guard|flow|agent|all)");
-                    std::process::exit(2);
-                }
-            };
-            vec![IdsProduct::model(id)]
+    let spec = JobSpec {
+        products: match product_name.as_deref() {
+            None => Some(vec!["flow".to_owned()]),
+            Some("all") => None,
+            Some(name) => Some(vec![name.to_owned()]),
+        },
+        seed: Some(seed),
+        rate,
+        intensity,
+        sensitivity,
+        transactions,
+        hosts,
+        chunk_records: chunk,
+        shards,
+        ..JobSpec::stream()
+    };
+    let (products, request) = match spec.resolve_products().and_then(|products| {
+        let request = spec.to_request()?;
+        Ok((products, request))
+    }) {
+        Ok(resolved) => resolved,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     };
-
-    let mut builder = FeedConfig::builder()
-        .session_rate(rate)
-        .transactions(transactions)
-        .campaign_intensity(intensity)
-        .seed(seed)
-        .chunk_records(chunk)
-        .shards(shards);
-    if let Some(h) = hosts {
-        builder = builder.hosts(h);
-    }
-    let request = EvaluationRequest::new().with_feed(builder.build()).with_jobs(common.jobs);
+    let request = request.with_jobs(common.jobs);
+    let transactions = spec.resolved_transactions();
+    let sensitivity = spec.resolved_sensitivity();
+    let (rate, chunk, shards) =
+        (request.feed.session_rate, request.feed.chunk_records, request.feed.shards);
 
     eprintln!(
         "streaming {transactions} transactions across {shards} shard(s), chunk {chunk}, \

@@ -48,10 +48,14 @@ fn malformed_submits_are_rejected_with_reasons() {
         r#"{"cmd":"submit","spec":{"kind":"evaluate","sweep":1}}"#,
         r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"store":{"dir":"/tmp/x"}}}"#,
         r#"{"cmd":"nonsense"}"#,
+        r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"rate":0.0}}"#,
+        r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"rate":-5.0}}"#,
+        // `1e999` parses to +inf; JSON has no literal for NaN.
+        r#"{"cmd":"submit","spec":{"kind":"evaluate","rate":1e999}}"#,
     ]
     .join("\n");
     let out = replay(&mut core, &script).expect("replay");
-    assert_eq!(out.len(), 6);
+    assert_eq!(out.len(), 9);
     for line in &out {
         assert!(!ok(line), "every malformed line is rejected: {line}");
         let msg = parsed(line);
@@ -62,6 +66,9 @@ fn malformed_submits_are_rejected_with_reasons() {
     assert!(out[1].contains("spec"), "{}", out[1]);
     assert!(out[3].contains("sweep"), "{}", out[3]);
     assert!(out[4].contains("store"), "{}", out[4]);
+    for line in &out[6..] {
+        assert!(line.contains("invalid job spec: rate"), "{line}");
+    }
     assert!(core.is_idle(), "nothing was queued");
 }
 

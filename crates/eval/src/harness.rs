@@ -251,15 +251,14 @@ impl EvaluationRequest {
                 );
             }
         }
-        let sweep_results =
-            sweep_jobs.run_cancellable(&exec, &self.telemetry, cancel, |ctx, &(_, s)| {
-                cancel.guard()?;
-                let product = products
-                    .iter()
-                    .find(|p| p.id.name() == ctx.key.subject)
-                    .expect("job subject names an input product");
-                Ok(measure_sweep_point(product, feed, &ledger, s))
-            })?;
+        let sweep_results = sweep_jobs.run(&exec, &self.telemetry, cancel, |ctx, &(_, s)| {
+            cancel.guard()?;
+            let product = products
+                .iter()
+                .find(|p| p.id.name() == ctx.key.subject)
+                .expect("job subject names an input product");
+            Ok(measure_sweep_point(product, feed, &ledger, s))
+        })?;
 
         // Reduce 2a: assemble each product's curve (results arrive keyed
         // and ordered, so this is a grouping, not a sort) and pick the
@@ -318,57 +317,52 @@ impl EvaluationRequest {
             }
         }
         cancel.guard()?;
-        let probe_results =
-            probe_jobs.run_cancellable(&exec, &self.telemetry, cancel, |ctx, job| {
-                cancel.guard()?;
-                Ok(match *job {
-                    ProbeJob::Operate { index, sensitivity } => {
-                        // The accuracy/response run at the operating point, with
-                        // automated response armed so filter effectiveness is
-                        // observable. Per-stage spans land in this job's buffer
-                        // under the product's scope.
-                        let run_config = RunConfig {
-                            sensitivity: Sensitivity::new(sensitivity),
-                            monitored_hosts: feed.servers.clone(),
-                            auto_response: true,
-                            telemetry: ctx.telemetry.clone(),
-                            ..RunConfig::default()
-                        };
-                        let outcome = PipelineRunner::new(products[index].clone(), run_config)
-                            .with_training(feed.training.clone())
-                            .run(&feed.test);
-                        ctx.telemetry.span(
-                            0,
-                            outcome.finished_at.as_nanos(),
-                            "phase.operating_run",
-                        );
-                        ProbeOutput::Operate(Box::new(outcome))
-                    }
-                    ProbeJob::Throughput { index } => ProbeOutput::Throughput(throughput_search(
-                        &products[index],
-                        feed,
-                        self.max_throughput_factor,
-                    )),
-                    ProbeJob::Survive { index, sensitivity } => {
-                        // The operating-point run again, this time with the fault
-                        // plan injected. Survivability falls out of comparing it
-                        // to the fault-free twin in the reduce.
-                        let run_config = RunConfig {
-                            sensitivity: Sensitivity::new(sensitivity),
-                            monitored_hosts: feed.servers.clone(),
-                            auto_response: true,
-                            telemetry: ctx.telemetry.clone(),
-                            faults: self.fault_plan.clone(),
-                            ..RunConfig::default()
-                        };
-                        let outcome = PipelineRunner::new(products[index].clone(), run_config)
-                            .with_training(feed.training.clone())
-                            .run(&feed.test);
-                        ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.survive_run");
-                        ProbeOutput::Survive(Box::new(outcome))
-                    }
-                })
-            })?;
+        let probe_results = probe_jobs.run(&exec, &self.telemetry, cancel, |ctx, job| {
+            cancel.guard()?;
+            Ok(match *job {
+                ProbeJob::Operate { index, sensitivity } => {
+                    // The accuracy/response run at the operating point, with
+                    // automated response armed so filter effectiveness is
+                    // observable. Per-stage spans land in this job's buffer
+                    // under the product's scope.
+                    let run_config = RunConfig {
+                        sensitivity: Sensitivity::new(sensitivity),
+                        monitored_hosts: feed.servers.clone(),
+                        auto_response: true,
+                        telemetry: ctx.telemetry.clone(),
+                        ..RunConfig::default()
+                    };
+                    let outcome = PipelineRunner::new(products[index].clone(), run_config)
+                        .with_training(feed.training.clone())
+                        .run(&feed.test);
+                    ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.operating_run");
+                    ProbeOutput::Operate(Box::new(outcome))
+                }
+                ProbeJob::Throughput { index } => ProbeOutput::Throughput(throughput_search(
+                    &products[index],
+                    feed,
+                    self.max_throughput_factor,
+                )),
+                ProbeJob::Survive { index, sensitivity } => {
+                    // The operating-point run again, this time with the fault
+                    // plan injected. Survivability falls out of comparing it
+                    // to the fault-free twin in the reduce.
+                    let run_config = RunConfig {
+                        sensitivity: Sensitivity::new(sensitivity),
+                        monitored_hosts: feed.servers.clone(),
+                        auto_response: true,
+                        telemetry: ctx.telemetry.clone(),
+                        faults: self.fault_plan.clone(),
+                        ..RunConfig::default()
+                    };
+                    let outcome = PipelineRunner::new(products[index].clone(), run_config)
+                        .with_training(feed.training.clone())
+                        .run(&feed.test);
+                    ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.survive_run");
+                    ProbeOutput::Survive(Box::new(outcome))
+                }
+            })
+        })?;
         let mut probes: BTreeMap<JobKey, ProbeOutput> =
             probe_results.into_iter().map(|r| (r.key, r.output)).collect();
 

@@ -102,8 +102,8 @@ pub struct JobSpec {
     pub products: Option<Vec<String>>,
     /// Master feed seed; defaults to [`STANDARD_SEED`].
     pub seed: Option<u64>,
-    /// Session arrival rate (sessions/s). Defaults: 25 for `evaluate`,
-    /// 25 000 for `stream`.
+    /// Session arrival rate (sessions/s), finite and above 0. Defaults: 25
+    /// for `evaluate`, 25 000 for `stream`.
     pub rate: Option<f64>,
     /// Sensitivity sweep steps (`evaluate` only, default 7, min 2).
     pub sweep: Option<usize>,
@@ -154,6 +154,11 @@ impl JobSpec {
     /// The resolved streaming sensitivity.
     pub fn resolved_sensitivity(&self) -> f64 {
         self.sensitivity.unwrap_or(0.6)
+    }
+
+    /// The resolved stream length in transactions.
+    pub fn resolved_transactions(&self) -> u64 {
+        self.transactions.unwrap_or(1_000_000)
     }
 
     /// The site profile and the environment needs it is scored against —
@@ -227,6 +232,17 @@ impl JobSpec {
         let weights = self.weights()?;
         self.resolve_products()?;
         let seed = self.resolved_seed();
+        let rate = self.rate.unwrap_or(match kind {
+            JobKind::Evaluate => 25.0,
+            JobKind::Stream => 25_000.0,
+        });
+        // A zero rate stretches the feed to n / 1e-9 seconds of empty
+        // slices, which no cancel checkpoint ever interrupts.
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(SpecError::new(format!(
+                "rate must be a finite number of sessions/s above 0, got {rate}"
+            )));
+        }
         let request = match kind {
             JobKind::Evaluate => {
                 let sweep = self.sweep.unwrap_or(7);
@@ -236,7 +252,7 @@ impl JobSpec {
                 let request = EvaluationRequest::new()
                     .with_feed(
                         FeedConfig::builder()
-                            .session_rate(self.rate.unwrap_or(25.0))
+                            .session_rate(rate)
                             .training_span(SimDuration::from_secs(20))
                             .test_span(SimDuration::from_secs(45))
                             .campaign_intensity(self.intensity.unwrap_or(2))
@@ -271,8 +287,8 @@ impl JobSpec {
                     ));
                 }
                 let mut builder = FeedConfig::builder()
-                    .session_rate(self.rate.unwrap_or(25_000.0))
-                    .transactions(self.transactions.unwrap_or(1_000_000))
+                    .session_rate(rate)
+                    .transactions(self.resolved_transactions())
                     .campaign_intensity(self.intensity.unwrap_or(2))
                     .seed(seed)
                     .chunk_records(
@@ -354,6 +370,14 @@ mod tests {
             ..JobSpec::default()
         };
         assert!(stream_store.to_request().expect_err("rejected").to_string().contains("store"));
+
+        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            for kind in [JobSpec::evaluate(), JobSpec::stream()] {
+                let bad_rate = JobSpec { rate: Some(rate), ..kind };
+                let err = bad_rate.to_request().expect_err("rejected").to_string();
+                assert!(err.contains("rate"), "{rate}: {err}");
+            }
+        }
 
         let bad_product = JobSpec { products: Some(vec!["nope".to_owned()]), ..JobSpec::default() };
         assert!(bad_product

@@ -319,19 +319,18 @@ impl EvaluationRequest {
                 );
             }
         }
-        let results =
-            plan.run_cancellable(&exec, &self.telemetry, cancel, |ctx, &(index, shard)| {
-                run_shard_cancellable(
-                    &products[index],
-                    &profile,
-                    &self.feed,
-                    &training,
-                    sensitivity,
-                    shard,
-                    ctx.telemetry.clone(),
-                    cancel,
-                )
-            })?;
+        let results = plan.run(&exec, &self.telemetry, cancel, |ctx, &(index, shard)| {
+            run_shard_cancellable(
+                &products[index],
+                &profile,
+                &self.feed,
+                &training,
+                sensitivity,
+                shard,
+                ctx.telemetry.clone(),
+                cancel,
+            )
+        })?;
         let mut outcomes: BTreeMap<JobKey, ShardOutcome> =
             results.into_iter().map(|r| (r.key, r.output)).collect();
 

@@ -8,7 +8,7 @@
 
 use crate::confusion::StreamLedger;
 use crate::feeds::TestFeed;
-use idse_exec::{Executor, ExperimentPlan, JobKey};
+use idse_exec::{CancelToken, Executor, ExperimentPlan, JobKey};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
@@ -192,9 +192,10 @@ pub fn sweep(
         jobs.push(JobKey::new(product.id.name(), "sweep", k as u32), plan.sensitivity_at(k));
     }
     let points = jobs
-        .run(exec, &idse_telemetry::Telemetry::disabled(), |_, &s| {
-            measure_sweep_point(product, feed, &ledger, s)
+        .run(exec, &idse_telemetry::Telemetry::disabled(), &CancelToken::new(), |_, &s| {
+            Ok(measure_sweep_point(product, feed, &ledger, s))
         })
+        .expect("a sweep nobody can cancel completes")
         .into_iter()
         .map(|r| r.output)
         .collect();

@@ -15,11 +15,16 @@
 //! * each job gets its own derived RNG seed (a pure function of the plan's
 //!   master seed and the job's key via [`idse_sim::derive_seed`]) and its
 //!   own buffered telemetry recorder ([`idse_telemetry::JobRecorder`]);
-//! * results and telemetry buffers are merged in **canonical job-key
-//!   order** by [`reduce_in_order`], never in completion order.
+//! * results go back into their submission slots and telemetry buffers
+//!   are replayed in **canonical job-key order**, never in completion
+//!   order ([`reduce_in_order`] is the same step for callers that hold
+//!   `(index, output)` pairs).
 //!
-//! The serial path (`jobs = 1`, or one-element inputs) runs inline on the
-//! calling thread with no pool at all, and produces the same bytes.
+//! There is one worker pool, [`Executor::try_par_map`] (panic-containing
+//! and cancellable; [`Executor::par_map`] is its plain form), and one plan
+//! runner on top of it, [`ExperimentPlan::run`]. The serial path
+//! (`jobs = 1`, or one-element inputs) runs inline on the calling thread
+//! with no pool at all, and produces the same bytes.
 //!
 //! ```
 //! use idse_exec::Executor;
@@ -123,99 +128,45 @@ impl Executor {
     /// byte-identical for any worker count.
     ///
     /// `f` receives `(index, &item)` and must be a pure function of them
-    /// (plus captured shared state it only reads). Workers claim the next
-    /// unclaimed index from a shared queue, so a slow job never stalls the
-    /// rest of the batch; completion order is then erased by sorting the
-    /// `(index, output)` pairs back into index order.
+    /// (plus captured shared state it only reads). This is
+    /// [`Executor::try_par_map`] with a token nobody cancels; a job panic
+    /// is re-raised here.
     pub fn par_map<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
     where
         T: Sync,
         O: Send,
         F: Fn(usize, &T) -> O + Sync,
     {
-        self.try_par_map(items, f)
+        self.try_par_map(items, &CancelToken::new(), f)
             .into_iter()
-            .map(|r| r.expect("par_map job panicked; use try_par_map to contain job panics"))
+            .map(|slot| {
+                slot.expect("an uncancelled batch claims every job")
+                    .expect("par_map job panicked; use try_par_map to contain job panics")
+            })
             .collect()
     }
 
-    /// Panic-containing variant of [`Executor::par_map`]: each job runs
-    /// under `catch_unwind`, and a panicking job yields
-    /// `Err(`[`JobPanic`]`)` in its submission slot instead of poisoning
-    /// the pool.
+    /// The worker pool. Workers claim the next unclaimed index from a
+    /// shared queue, so a slow job never stalls the rest of the batch;
+    /// completion order is then erased by putting each output back in its
+    /// submission slot.
     ///
-    /// The result vector is always `items.len()` long and in submission
-    /// order; one poisoned job of a batch leaves every other slot's bytes
-    /// identical to a run without it, at any worker count.
-    pub fn try_par_map<T, O, F>(&self, items: &[T], f: F) -> Vec<Result<O, JobPanic>>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(usize, &T) -> O + Sync,
-    {
-        // Contain the panic at the job boundary: the worker loop (and the
-        // serial path) below never unwinds through `run`, so the scope
-        // join stays infallible and the claim queue keeps draining.
-        let run = |i: usize, item: &T| -> Result<O, JobPanic> {
-            catch_unwind(AssertUnwindSafe(|| f(i, item)))
-                .map_err(|payload| JobPanic { index: i, message: panic_message(payload) })
-        };
-
-        let n = items.len();
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, item)| run(i, item)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
-        )]
-        let per_worker: Vec<Vec<(usize, Result<O, JobPanic>)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut completed = Vec::new();
-                            loop {
-                                // Steal the next unclaimed job from the shared
-                                // queue; Relaxed suffices — the only contended
-                                // state is the claim counter itself, and job
-                                // results flow back through the join.
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                completed.push((i, run(i, &items[i])));
-                            }
-                            completed
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("executor worker does not panic"))
-                    .collect()
-            })
-            .expect("executor scope does not panic");
-
-        reduce_in_order(per_worker.into_iter().flatten().collect(), n)
-    }
-
-    /// Cancellable variant of [`Executor::try_par_map`]: workers stop
-    /// *claiming* new jobs once `cancel` observes cancellation, and every
-    /// never-claimed slot comes back as `None`.
+    /// Each job runs under `catch_unwind`: a panicking job yields
+    /// `Some(Err(`[`JobPanic`]`))` in its slot instead of poisoning the
+    /// pool, and every other slot's bytes stay identical to a run without
+    /// it, at any worker count.
     ///
-    /// Jobs that were already claimed run to completion — cancellation is
-    /// cooperative, so `f` itself should poll the token at its safe points
-    /// (the streaming path checks at chunk boundaries) and encode an early
-    /// stop in its output type. Which slots are `None` is deterministic on
-    /// the serial path (a prefix of completed jobs, then `None`s); under a
-    /// pool it depends on which claims raced the flag, which is why every
+    /// Workers stop *claiming* once `cancel` observes cancellation, and
+    /// every never-claimed slot comes back as `None`. Jobs that were
+    /// already claimed run to completion — cancellation is cooperative, so
+    /// `f` itself should poll the token at its safe points (the streaming
+    /// path checks at chunk boundaries) and encode an early stop in its
+    /// output type. Which slots are `None` is deterministic on the serial
+    /// path (a prefix of completed jobs, then `None`s); under a pool it
+    /// depends on which claims raced the flag, which is why every
     /// deterministic cancellation test pins `--jobs 1` or uses a
     /// checkpoint fuse the jobs burn themselves.
-    pub fn try_par_map_with_cancel<T, O, F>(
+    pub fn try_par_map<T, O, F>(
         &self,
         items: &[T],
         cancel: &CancelToken,
@@ -226,6 +177,9 @@ impl Executor {
         O: Send,
         F: Fn(usize, &T) -> O + Sync,
     {
+        // Contain the panic at the job boundary: the worker loop (and the
+        // serial path) below never unwinds through `run`, so the scope
+        // join stays infallible and the claim queue keeps draining.
         let run = |i: usize, item: &T| -> Result<O, JobPanic> {
             catch_unwind(AssertUnwindSafe(|| f(i, item)))
                 .map_err(|payload| JobPanic { index: i, message: panic_message(payload) })
@@ -252,10 +206,11 @@ impl Executor {
                     .map(|_| {
                         scope.spawn(|_| {
                             let mut completed = Vec::new();
-                            loop {
-                                if cancel.is_cancelled() {
-                                    break;
-                                }
+                            // Steal the next unclaimed job from the shared
+                            // queue; Relaxed suffices — the only contended
+                            // state is the claim counter itself, and job
+                            // results flow back through the join.
+                            while !cancel.is_cancelled() {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 if i >= n {
                                     break;
@@ -408,12 +363,13 @@ mod tests {
             (0..x).map(|k| (k as f64).sqrt()).sum::<f64>()
         };
 
-        let serial = Executor::serial().try_par_map(&items, f);
-        let parallel = Executor::new(8).try_par_map(&items, f);
+        let serial = Executor::serial().try_par_map(&items, &CancelToken::new(), f);
+        let parallel = Executor::new(8).try_par_map(&items, &CancelToken::new(), f);
         assert_eq!(serial, parallel, "worker count changed a faulted batch");
 
         assert_eq!(serial.len(), 16);
         for (i, slot) in serial.iter().enumerate() {
+            let slot = slot.as_ref().expect("an uncancelled batch runs every job");
             if i == 7 {
                 let err = slot.as_ref().expect_err("job 7 must be the poisoned one");
                 assert_eq!(err.index, 7);
@@ -430,9 +386,9 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         let f = |i: usize, &x: &u64| i as u64 + x * x;
         let tried: Vec<u64> = Executor::new(4)
-            .try_par_map(&items, f)
+            .try_par_map(&items, &CancelToken::new(), f)
             .into_iter()
-            .map(|r| r.expect("healthy batch"))
+            .map(|slot| slot.expect("no slot skipped").expect("healthy batch"))
             .collect();
         assert_eq!(tried, Executor::new(4).par_map(&items, f));
     }
@@ -458,8 +414,7 @@ mod tests {
         let items: Vec<u64> = (0..32).collect();
         let f = |i: usize, &x: &u64| i as u64 + x;
         for workers in [1, 4] {
-            let slots =
-                Executor::new(workers).try_par_map_with_cancel(&items, &CancelToken::new(), f);
+            let slots = Executor::new(workers).try_par_map(&items, &CancelToken::new(), f);
             let outputs: Vec<u64> = slots
                 .into_iter()
                 .map(|s| s.expect("no slot skipped").expect("no job panicked"))
@@ -474,7 +429,7 @@ mod tests {
         // claimed. Serial path, so the split point is exact.
         let token = CancelToken::after_checkpoints(3);
         let items: Vec<u64> = (0..8).collect();
-        let slots = Executor::serial().try_par_map_with_cancel(&items, &token, |_, &x| {
+        let slots = Executor::serial().try_par_map(&items, &token, |_, &x| {
             token.checkpoint();
             x * 10
         });
@@ -488,8 +443,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for workers in [1, 4] {
-            let slots =
-                Executor::new(workers).try_par_map_with_cancel(&[1u32, 2, 3], &token, |_, &x| x);
+            let slots = Executor::new(workers).try_par_map(&[1u32, 2, 3], &token, |_, &x| x);
             assert!(slots.iter().all(Option::is_none), "{workers} workers ran a cancelled batch");
         }
     }
@@ -498,7 +452,7 @@ mod tests {
     fn parallel_cancellation_keeps_completed_slots_intact() {
         let token = CancelToken::after_checkpoints(5);
         let items: Vec<u64> = (0..64).collect();
-        let slots = Executor::new(4).try_par_map_with_cancel(&items, &token, |i, &x| {
+        let slots = Executor::new(4).try_par_map(&items, &token, |i, &x| {
             token.checkpoint();
             assert_eq!(i as u64, x);
             x + 100
@@ -521,7 +475,7 @@ mod tests {
         let pool = SlotPool::new(4);
         let token = CancelToken::after_checkpoints(2);
         let items: Vec<u64> = (0..4).collect();
-        let slots = Executor::serial().try_par_map_with_cancel(&items, &token, |i, &x| {
+        let slots = Executor::serial().try_par_map(&items, &token, |i, &x| {
             let _slot = pool.try_acquire().expect("admission bounded by the pool");
             token.checkpoint();
             assert!(i != 1, "poisoned input");
@@ -535,11 +489,10 @@ mod tests {
         assert_eq!(pool.in_use(), 0, "every claimed slot was released");
 
         // Follow-up plan in the same process: full capacity is available.
-        let followup =
-            Executor::serial().try_par_map_with_cancel(&items, &CancelToken::new(), |_, &x| {
-                let _slot = pool.try_acquire().expect("freed capacity is claimable");
-                x * 2
-            });
+        let followup = Executor::serial().try_par_map(&items, &CancelToken::new(), |_, &x| {
+            let _slot = pool.try_acquire().expect("freed capacity is claimable");
+            x * 2
+        });
         let outputs: Vec<u64> =
             followup.into_iter().map(|s| s.expect("ran").expect("clean")).collect();
         assert_eq!(outputs, vec![0, 2, 4, 6]);

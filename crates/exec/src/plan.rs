@@ -6,16 +6,18 @@
 //! on an [`Executor`](crate::Executor) with a per-job RNG seed and a
 //! per-job telemetry buffer; the *deterministic reduce* hands results (and
 //! replays telemetry) back in canonical key order, so downstream
-//! aggregation never observes scheduling.
+//! aggregation never observes scheduling. [`ExperimentPlan::run`] is the
+//! one runner, cancellable or not: a caller with nothing to cancel passes
+//! a fresh [`CancelToken`].
 
 use idse_sim::derive_seed;
 use idse_telemetry::{JobRecorder, Telemetry};
 
-use crate::Executor;
+use crate::{CancelToken, Cancelled, Executor};
 
-/// Default per-job telemetry buffer capacity (events). Generous: a fully
+/// Per-job telemetry buffer capacity (events). Generous: a fully
 /// instrumented operating-point pipeline run stays well under this.
-pub const DEFAULT_JOB_TELEMETRY_CAPACITY: usize = 1 << 20;
+pub const JOB_TELEMETRY_CAPACITY: usize = 1 << 20;
 
 /// Ordered identity of one job.
 ///
@@ -91,24 +93,13 @@ pub struct JobResult<O> {
 #[derive(Debug, Clone)]
 pub struct ExperimentPlan<T> {
     master_seed: u64,
-    job_telemetry_capacity: usize,
     jobs: Vec<Job<T>>,
 }
 
 impl<T> ExperimentPlan<T> {
     /// An empty plan deriving job seeds from `master_seed`.
     pub fn new(master_seed: u64) -> Self {
-        ExperimentPlan {
-            master_seed,
-            job_telemetry_capacity: DEFAULT_JOB_TELEMETRY_CAPACITY,
-            jobs: Vec::new(),
-        }
-    }
-
-    /// Override the per-job telemetry buffer capacity.
-    pub fn with_job_telemetry_capacity(mut self, capacity: usize) -> Self {
-        self.job_telemetry_capacity = capacity;
-        self
+        ExperimentPlan { master_seed, jobs: Vec::new() }
     }
 
     /// Add a job inheriting the parent telemetry scope.
@@ -144,72 +135,35 @@ impl<T> ExperimentPlan<T> {
     /// output is therefore byte-identical for any worker count, including
     /// the inline serial path.
     ///
-    /// Panics (via `assert!`) if two jobs share a key — duplicate
-    /// identities would make the canonical order, and the derived seeds,
-    /// ambiguous.
-    pub fn run<O, F>(&self, exec: &Executor, parent: &Telemetry, f: F) -> Vec<JobResult<O>>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(&JobCtx<'_>, &T) -> O + Sync,
-    {
-        let ordered = self.ordered_jobs();
-
-        let completed = exec.par_map(&ordered, |index, job| {
-            let scope = job.scope.unwrap_or_else(|| parent.scope());
-            let recorder = JobRecorder::fork(parent, scope, self.job_telemetry_capacity);
-            let ctx = JobCtx {
-                key: &job.key,
-                index,
-                seed: derive_seed(self.master_seed, &job.key.label()),
-                telemetry: recorder.handle(),
-            };
-            (f(&ctx, &job.input), recorder)
-        });
-
-        // Deterministic reduce: par_map already restored canonical order,
-        // so replaying each job's buffer in sequence yields one stream
-        // that no scheduling decision can perturb.
-        completed
-            .into_iter()
-            .zip(ordered)
-            .map(|((output, recorder), job)| {
-                recorder.merge_into(parent);
-                JobResult { key: job.key.clone(), output }
-            })
-            .collect()
-    }
-
-    /// Cancellable variant of [`ExperimentPlan::run`].
-    ///
     /// Jobs return `Result<O, Cancelled>` and should poll `cancel` at
     /// their safe points (the streaming path checks at chunk boundaries);
     /// once the token trips, unstarted jobs are never claimed. Telemetry
     /// from every job that *did* run — including the one that observed the
     /// cancellation mid-flight — is still merged into `parent` in
     /// canonical key order, so a cancelled run flushes a deterministic
-    /// partial event stream rather than dropping it.
+    /// partial event stream rather than dropping it. Returns
+    /// `Err(Cancelled)` if any job was skipped or stopped early.
     ///
-    /// Returns `Err(Cancelled)` if any job was skipped or stopped early;
-    /// `Ok` results are exactly [`ExperimentPlan::run`]'s, in canonical
-    /// key order. A panicking job propagates its panic, as with `run`.
-    pub fn run_cancellable<O, F>(
+    /// A panicking job propagates its panic. Panics (via `assert!`) if two
+    /// jobs share a key — duplicate identities would make the canonical
+    /// order, and the derived seeds, ambiguous.
+    pub fn run<O, F>(
         &self,
         exec: &Executor,
         parent: &Telemetry,
-        cancel: &crate::CancelToken,
+        cancel: &CancelToken,
         f: F,
-    ) -> Result<Vec<JobResult<O>>, crate::Cancelled>
+    ) -> Result<Vec<JobResult<O>>, Cancelled>
     where
         T: Sync,
         O: Send,
-        F: Fn(&JobCtx<'_>, &T) -> Result<O, crate::Cancelled> + Sync,
+        F: Fn(&JobCtx<'_>, &T) -> Result<O, Cancelled> + Sync,
     {
         let ordered = self.ordered_jobs();
 
-        let completed = exec.try_par_map_with_cancel(&ordered, cancel, |index, job| {
+        let completed = exec.try_par_map(&ordered, cancel, |index, job| {
             let scope = job.scope.unwrap_or_else(|| parent.scope());
-            let recorder = JobRecorder::fork(parent, scope, self.job_telemetry_capacity);
+            let recorder = JobRecorder::fork(parent, scope, JOB_TELEMETRY_CAPACITY);
             let ctx = JobCtx {
                 key: &job.key,
                 index,
@@ -238,13 +192,13 @@ impl<T> ExperimentPlan<T> {
                     recorder.merge_into(parent);
                     match output {
                         Ok(output) => results.push(JobResult { key: job.key.clone(), output }),
-                        Err(crate::Cancelled) => stopped = true,
+                        Err(Cancelled) => stopped = true,
                     }
                 }
             }
         }
         if stopped || cancel.is_cancelled() {
-            return Err(crate::Cancelled);
+            return Err(Cancelled);
         }
         Ok(results)
     }
@@ -289,8 +243,11 @@ mod tests {
     #[test]
     fn results_come_back_in_key_order_regardless_of_insertion() {
         let plan = plan_of(&[("b", "sweep", 1), ("a", "sweep", 0), ("a", "operate", 0)]);
-        let results =
-            plan.run(&Executor::new(4), &Telemetry::disabled(), |ctx, &input| (ctx.index, input));
+        let results = plan
+            .run(&Executor::new(4), &Telemetry::disabled(), &CancelToken::new(), |ctx, &input| {
+                Ok((ctx.index, input))
+            })
+            .expect("uncancelled plan completes");
         let keys: Vec<String> = results.iter().map(|r| r.key.to_string()).collect();
         assert_eq!(keys, vec!["a/operate/0", "a/sweep/0", "b/sweep/1"]);
         // Outputs travel with their keys, not with insertion order.
@@ -302,10 +259,16 @@ mod tests {
     fn job_seeds_are_scheduling_independent() {
         let plan = plan_of(&[("p", "sweep", 0), ("p", "sweep", 1), ("q", "sweep", 0)]);
         let seeds = |workers| {
-            plan.run(&Executor::new(workers), &Telemetry::disabled(), |ctx, _| ctx.seed)
-                .into_iter()
-                .map(|r| r.output)
-                .collect::<Vec<u64>>()
+            plan.run(
+                &Executor::new(workers),
+                &Telemetry::disabled(),
+                &CancelToken::new(),
+                |ctx, _| Ok(ctx.seed),
+            )
+            .expect("uncancelled plan completes")
+            .into_iter()
+            .map(|r| r.output)
+            .collect::<Vec<u64>>()
         };
         let serial = seeds(1);
         assert_eq!(serial, seeds(8));
@@ -324,9 +287,11 @@ mod tests {
                     plan.push_scoped(JobKey::new(subject, "stage", point), "s", point);
                 }
             }
-            plan.run(&Executor::new(workers), &parent, |ctx, &point| {
+            plan.run(&Executor::new(workers), &parent, &CancelToken::new(), |ctx, &point| {
                 ctx.telemetry.counter(u64::from(point), "job.point", u64::from(point) + 1);
-            });
+                Ok(())
+            })
+            .expect("uncancelled plan completes");
             sink.events().iter().map(|e| e.to_jsonl()).collect::<Vec<_>>()
         };
         let serial = stream(1);
@@ -339,25 +304,29 @@ mod tests {
     #[should_panic(expected = "duplicate job key")]
     fn duplicate_keys_are_rejected() {
         let plan = plan_of(&[("a", "sweep", 0), ("a", "sweep", 0)]);
-        plan.run(&Executor::serial(), &Telemetry::disabled(), |_, _| ());
+        let _ =
+            plan.run(&Executor::serial(), &Telemetry::disabled(), &CancelToken::new(), |_, _| {
+                Ok(())
+            });
     }
 
     #[test]
     fn run_cancellable_matches_run_when_never_cancelled() {
         let plan = plan_of(&[("b", "sweep", 1), ("a", "sweep", 0), ("a", "operate", 0)]);
-        let baseline =
-            plan.run(&Executor::serial(), &Telemetry::disabled(), |ctx, &input| (ctx.seed, input));
+        let run = |workers| {
+            plan.run(
+                &Executor::new(workers),
+                &Telemetry::disabled(),
+                &CancelToken::new(),
+                |ctx, &input| Ok((ctx.seed, input)),
+            )
+            .expect("uncancelled plan completes")
+        };
+        let baseline = run(1);
+        let base: Vec<_> = baseline.iter().map(|r| (&r.key, r.output)).collect();
         for workers in [1, 4] {
-            let cancellable = plan
-                .run_cancellable(
-                    &Executor::new(workers),
-                    &Telemetry::disabled(),
-                    &crate::CancelToken::new(),
-                    |ctx, &input| Ok((ctx.seed, input)),
-                )
-                .expect("uncancelled plan completes");
-            let pairs: Vec<_> = cancellable.iter().map(|r| (&r.key, r.output)).collect();
-            let base: Vec<_> = baseline.iter().map(|r| (&r.key, r.output)).collect();
+            let results = run(workers);
+            let pairs: Vec<_> = results.iter().map(|r| (&r.key, r.output)).collect();
             assert_eq!(pairs, base, "{workers} workers changed the bytes");
         }
     }
@@ -372,8 +341,8 @@ mod tests {
         }
         // The fuse trips inside job 2: jobs 0 and 1 complete, job 2 stops
         // after recording its first event, jobs 3 and 4 never run.
-        let token = crate::CancelToken::after_checkpoints(3);
-        let outcome = plan.run_cancellable(&Executor::serial(), &parent, &token, |ctx, &point| {
+        let token = CancelToken::after_checkpoints(3);
+        let outcome = plan.run(&Executor::serial(), &parent, &token, |ctx, &point| {
             ctx.telemetry.counter(u64::from(point), "job.start", u64::from(point));
             token.guard()?;
             ctx.telemetry.counter(u64::from(point), "job.end", u64::from(point));
@@ -395,6 +364,9 @@ mod tests {
         // Distinct keys, identical "subject/stage/point" label — the
         // derived seeds would silently coincide.
         let plan = plan_of(&[("a/b", "c", 0), ("a", "b/c", 0)]);
-        plan.run(&Executor::serial(), &Telemetry::disabled(), |_, _| ());
+        let _ =
+            plan.run(&Executor::serial(), &Telemetry::disabled(), &CancelToken::new(), |_, _| {
+                Ok(())
+            });
     }
 }

@@ -10,12 +10,15 @@
 //! * a nanosecond-resolution virtual clock ([`SimTime`], [`SimDuration`]),
 //! * a stable-ordered event queue ([`EventQueue`]) and run loop
 //!   ([`Simulation`]),
-//! * link models with finite bandwidth, propagation delay and bounded queues
-//!   ([`link::Link`]),
 //! * a host CPU resource model with utilization accounting
 //!   ([`host::HostCpu`]),
 //! * reproducible, independently-seeded random streams ([`rng::RngStream`]),
 //! * online statistics ([`stats`]).
+//!
+//! The kernel holds no network model of its own. The Figure-1 components
+//! (load balancer, sensors, analyzer, monitor) and their finite backlogs are
+//! `ServiceStation`s in `idse_ids::components`, wired into the stage chain
+//! by `idse_ids::pipeline` on top of this event queue.
 //!
 //! Determinism is load-bearing: the paper's methodology demands *scientific
 //! repeatability* ("Using a standard as the basis for comparison gives us
@@ -30,15 +33,12 @@
 
 pub mod event;
 pub mod host;
-pub mod link;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, Scheduled};
 pub use host::{AuditLevel, HostCpu};
-pub use link::{Link, LinkConfig};
 pub use rng::{derive_seed, RngStream};
 pub use time::{SimDuration, SimTime};
 

@@ -2,12 +2,12 @@
 //!
 //! Every performance metric in the paper's Table 3 is a summary statistic of
 //! a stream of observations (latencies, report delays, rates, utilizations).
-//! These accumulators are single-pass, O(1)-memory (except the histogram and
-//! quantile reservoir) and numerically stable (Welford's method).
+//! These accumulators are single-pass, O(1)-memory and numerically stable
+//! (Welford's method).
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Welford mean/variance accumulator with min/max tracking.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -129,125 +129,6 @@ impl DurationSummary {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. CPU
-/// utilization or queue depth over virtual time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_change: SimTime,
-    current: f64,
-    weighted_sum: f64,
-    start: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `start` with initial value `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        Self { last_change: start, current: value, weighted_sum: 0.0, start, peak: value }
-    }
-
-    /// Record that the signal changed to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_change, "time-weighted updates must be monotonic");
-        let dt = now.saturating_since(self.last_change).as_secs_f64();
-        self.weighted_sum += self.current * dt;
-        self.last_change = now;
-        self.current = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Peak value observed.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let settled =
-            self.weighted_sum + self.current * now.saturating_since(self.last_change).as_secs_f64();
-        let span = now.saturating_since(self.start).as_secs_f64();
-        if span <= 0.0 {
-            self.current
-        } else {
-            settled / span
-        }
-    }
-}
-
-/// Fixed-bucket histogram with logarithmic bucket edges, for latency
-/// distributions spanning several orders of magnitude.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LogHistogram {
-    /// Lower edge of the first bucket.
-    lo: f64,
-    /// Multiplicative bucket width.
-    ratio: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl LogHistogram {
-    /// Buckets cover `[lo, lo * ratio^n)` with `n` buckets. Panics unless
-    /// `lo > 0`, `ratio > 1` and `n > 0`.
-    pub fn new(lo: f64, ratio: f64, n: usize) -> Self {
-        assert!(lo > 0.0 && ratio > 1.0 && n > 0, "invalid histogram shape");
-        Self { lo, ratio, buckets: vec![0; n], underflow: 0, overflow: 0 }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        // NaN and below-range both land in the underflow bucket.
-        if x.partial_cmp(&self.lo).is_none_or(|o| o == std::cmp::Ordering::Less) {
-            self.underflow += 1;
-            return;
-        }
-        let idx = (x / self.lo).ln() / self.ratio.ln();
-        let idx = idx as usize; // floor for x >= lo
-        if idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) using bucket upper edges;
-    /// `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.lo * self.ratio.powi(i as i32 + 1));
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
-    /// Per-bucket `(lower_edge, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets.iter().enumerate().map(move |(i, &c)| (self.lo * self.ratio.powi(i as i32), c))
-    }
-}
-
 /// A monotone counter bundle used by pipeline stages: offered, processed,
 /// dropped.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -342,41 +223,6 @@ mod tests {
         a.merge(&Summary::new());
         assert_eq!(a.count(), before.count());
         assert_eq!(a.mean(), before.mean());
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut u = TimeWeighted::new(SimTime::ZERO, 0.0);
-        u.set(SimTime::from_secs(10), 1.0); // 0.0 for 10s
-        u.set(SimTime::from_secs(20), 0.5); // 1.0 for 10s
-                                            // then 0.5 for 10s
-        let mean = u.mean(SimTime::from_secs(30));
-        assert!((mean - 0.5).abs() < 1e-12, "mean was {mean}");
-        assert_eq!(u.peak(), 1.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = LogHistogram::new(1e-6, 2.0, 30);
-        for i in 1..=1000 {
-            h.record(i as f64 * 1e-5);
-        }
-        assert_eq!(h.count(), 1000);
-        let p50 = h.quantile(0.5).unwrap();
-        // True median is 5e-3; bucket edges quantize upward.
-        assert!((5e-3..=2e-2).contains(&p50), "p50 {p50}");
-        let p100 = h.quantile(1.0).unwrap();
-        assert!(p100 >= 1e-2);
-    }
-
-    #[test]
-    fn histogram_under_overflow() {
-        let mut h = LogHistogram::new(1.0, 10.0, 2); // [1,10), [10,100)
-        h.record(0.5);
-        h.record(5.0);
-        h.record(5000.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.quantile(0.0).unwrap(), 1.0);
     }
 
     #[test]

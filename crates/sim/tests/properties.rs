@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel's invariants.
 
 use idse_sim::event::{CLASS_DERIVED, CLASS_INPUT};
-use idse_sim::stats::{LogHistogram, Summary};
+use idse_sim::stats::Summary;
 use idse_sim::{EventQueue, RngStream, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -90,19 +90,6 @@ proptest! {
         a.merge(&b);
         prop_assert_eq!(a.count(), whole.count());
         prop_assert!((a.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-    }
-
-    /// Histogram quantiles are monotone in q.
-    #[test]
-    fn histogram_quantiles_monotone(xs in prop::collection::vec(1e-6f64..1e3, 1..200)) {
-        let mut h = LogHistogram::new(1e-6, 2.0, 40);
-        xs.iter().for_each(|&x| h.record(x));
-        let mut prev = 0.0;
-        for k in 0..=10 {
-            let q = h.quantile(k as f64 / 10.0).unwrap();
-            prop_assert!(q >= prev, "quantiles must be monotone");
-            prev = q;
-        }
     }
 
     /// Derived RNG streams are reproducible and label-sensitive.

@@ -30,8 +30,10 @@
 //! * [`NoopSink`] — discards everything (useful to measure the cost of
 //!   the enabled path itself);
 //! * [`MemorySink`] — bounded ring buffer, readable back for
-//!   aggregation via [`summary::summarize`];
-//! * [`JsonlSink`] — streams one JSON object per line to a writer.
+//!   aggregation via [`summary::summarize`] (`evaluate --telemetry-out`
+//!   writes its JSONL from this sink's snapshot);
+//! * [`ChannelSink`] — bounded, drainable conveyor for live consumers (the
+//!   daemon's `watch` feed).
 //!
 //! ```
 //! use idse_telemetry::{MemorySink, Telemetry};
@@ -47,7 +49,6 @@
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 use std::fmt;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 /// Simulation-clock nanoseconds (`idse_sim::SimTime::as_nanos`).
@@ -125,19 +126,16 @@ fn fmt_value(v: f64) -> String {
 pub trait Sink: Send {
     fn record(&mut self, event: &Event);
 
-    /// Flush any buffered output (no-op for in-memory sinks).
-    fn flush(&mut self) {}
-
     /// A copy of the retained events, oldest first, when the sink keeps
-    /// any (streaming sinks return `None`). Lets a run fold its own
-    /// telemetry into a persisted summary without holding a second
-    /// reference to the concrete sink.
+    /// any (conveyors such as [`ChannelSink`] return `None`). Lets a run
+    /// fold its own telemetry into a persisted summary without holding a
+    /// second reference to the concrete sink.
     fn snapshot(&self) -> Option<Vec<Event>> {
         None
     }
 
     /// How many events this sink has evicted or discarded (`0` for
-    /// unbounded or streaming sinks).
+    /// sinks that never evict).
     fn dropped_count(&self) -> u64 {
         0
     }
@@ -291,74 +289,6 @@ impl Sink for ChannelSink {
     }
 }
 
-/// Streams each event as one JSON line to any writer.
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    pub fn new(out: W) -> Self {
-        JsonlSink { out }
-    }
-}
-
-impl JsonlSink<std::io::BufWriter<std::fs::File>> {
-    /// Create (truncating) a JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(JsonlSink::new(std::io::BufWriter::new(std::fs::File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> Sink for JsonlSink<W> {
-    fn record(&mut self, event: &Event) {
-        // Telemetry must never abort a run; I/O errors degrade to
-        // silently dropped lines.
-        let _ = writeln!(self.out, "{}", event.to_jsonl());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// A sink that duplicates every event into two sinks (e.g. JSONL file
-/// plus in-memory buffer for the end-of-run summary).
-pub struct TeeSink<A: Sink, B: Sink> {
-    a: A,
-    b: B,
-}
-
-impl<A: Sink, B: Sink> TeeSink<A, B> {
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: Sink, B: Sink> Sink for TeeSink<A, B> {
-    fn record(&mut self, event: &Event) {
-        self.a.record(event);
-        self.b.record(event);
-    }
-
-    fn flush(&mut self) {
-        self.a.flush();
-        self.b.flush();
-    }
-
-    fn snapshot(&self) -> Option<Vec<Event>> {
-        self.a.snapshot().or_else(|| self.b.snapshot())
-    }
-
-    fn dropped_count(&self) -> u64 {
-        // Both sides saw the same stream; report the retaining side.
-        match (self.a.snapshot().is_some(), self.b.snapshot().is_some()) {
-            (true, _) => self.a.dropped_count(),
-            (false, true) => self.b.dropped_count(),
-            (false, false) => self.a.dropped_count().max(self.b.dropped_count()),
-        }
-    }
-}
-
 /// Shared recording handle. Clone freely; all clones feed one sink.
 ///
 /// The default handle is disabled: every record call reduces to one
@@ -472,13 +402,6 @@ impl Telemetry {
         self.record(Event { at, name, scope: self.scope, kind: EventKind::Gauge, value });
     }
 
-    /// Flush the underlying sink (e.g. the JSONL writer).
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.lock().expect("telemetry sink lock").flush();
-        }
-    }
-
     /// A copy of the events the sink retains ([`Sink::snapshot`]):
     /// `None` when disabled or when the sink streams without retaining.
     pub fn snapshot_events(&self) -> Option<Vec<Event>> {
@@ -571,7 +494,6 @@ mod tests {
         tel.span(0, 5, "z");
         // Nothing to observe — the point is simply that none of the
         // calls panic or allocate a sink.
-        tel.flush();
     }
 
     #[test]
@@ -645,32 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let shared = SharedBuf::default();
-        let tel = Telemetry::new(JsonlSink::new(shared.clone()));
-        tel.counter(10, "c", 3);
-        tel.gauge(20, "g", 0.5);
-        tel.flush();
-        let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""kind":"counter""#));
-        assert!(lines[1].contains(r#""value":0.5"#));
-    }
-
-    #[test]
     fn job_recorder_buffers_and_merges_in_order() {
         let sink = MemorySink::new(64);
         let parent = Telemetry::new(sink.clone());
@@ -731,11 +627,6 @@ mod tests {
         assert_eq!(tel.dropped_events(), 1);
         assert!(Telemetry::disabled().snapshot_events().is_none());
         assert_eq!(Telemetry::disabled().dropped_events(), 0);
-        // A tee over memory + jsonl still exposes the retained side.
-        let mem = MemorySink::new(8);
-        let tee = Telemetry::new(TeeSink::new(mem.clone(), NoopSink));
-        tee.gauge(1, "g", 2.0);
-        assert_eq!(tee.snapshot_events().expect("tee retains via memory side").len(), 1);
     }
 
     #[test]
@@ -768,15 +659,5 @@ mod tests {
         let survivors = chan.drain();
         assert_eq!(survivors.len(), 2);
         assert_eq!(survivors[0].at, 3, "oldest undelivered events are the ones dropped");
-    }
-
-    #[test]
-    fn tee_sink_duplicates() {
-        let a = MemorySink::new(8);
-        let b = MemorySink::new(8);
-        let tel = Telemetry::new(TeeSink::new(a.clone(), b.clone()));
-        tel.counter(1, "x", 1);
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

@@ -63,9 +63,9 @@ pub struct TelemetrySummary {
     pub window_ns: u64,
     /// Events the ring buffer evicted before this summary was taken —
     /// nonzero means the statistics below describe a truncated window
-    /// and should be read with suspicion. Populated by
-    /// [`summarize_sink`]; plain [`summarize`] cannot see the sink and
-    /// leaves it 0.
+    /// and should be read with suspicion. [`summarize`] cannot see the
+    /// sink and leaves it 0; the caller sets it from the sink's eviction
+    /// count.
     pub dropped_events: u64,
     pub spans: Vec<SpanStats>,
     pub counters: Vec<CounterStats>,
@@ -265,20 +265,6 @@ pub fn summarize(events: &[Event]) -> TelemetrySummary {
     }
 }
 
-/// Summarize a [`MemorySink`]'s current contents, including its eviction
-/// count as [`TelemetrySummary::dropped_events`].
-///
-/// Prefer this over `summarize(&sink.events())` when the sink is at hand:
-/// a summary that silently described a truncated event window used to be
-/// indistinguishable from a complete one.
-///
-/// [`MemorySink`]: crate::MemorySink
-pub fn summarize_sink(sink: &crate::MemorySink) -> TelemetrySummary {
-    let mut summary = summarize(&sink.events());
-    summary.dropped_events = sink.dropped();
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,14 +339,16 @@ mod tests {
         for i in 0..10 {
             tel.counter(i, "pipeline.alert", 1);
         }
-        let s = summarize_sink(&sink);
+        let mut s = summarize(&sink.events());
+        s.dropped_events = sink.dropped();
         assert_eq!(s.dropped_events, 6);
         assert!(s.render_text().contains("dropped_events"));
 
         // A sink that never overflowed reports 0 and stays silent.
         let quiet = MemorySink::new(64);
         Telemetry::new(quiet.clone()).counter(1, "pipeline.alert", 1);
-        let q = summarize_sink(&quiet);
+        let mut q = summarize(&quiet.events());
+        q.dropped_events = quiet.dropped();
         assert_eq!(q.dropped_events, 0);
         assert!(!q.render_text().contains("dropped_events"));
     }
