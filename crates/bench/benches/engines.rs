@@ -12,7 +12,7 @@ use idse_ids::engine::anomaly::{AnomalyConfig, AnomalyEngine};
 use idse_ids::engine::signature::{standard_rule_db, SignatureConfig, SignatureEngine};
 use idse_ids::engine::{DetectionEngine, Sensitivity};
 use idse_sim::{RngStream, SimDuration};
-use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
+use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 
 fn payload_corpus(n: usize, len: usize) -> Vec<Vec<u8>> {
     let mut rng = RngStream::derive(1, "bench-payloads");
@@ -62,13 +62,14 @@ fn bench_multipattern(c: &mut Criterion) {
 }
 
 fn bench_engines(c: &mut Criterion) {
-    let trace = BackgroundGenerator::new(GeneratorConfig::new(
+    let trace = RecordStream::new(StreamConfig::new(GeneratorConfig::new(
         SiteProfile::ecommerce_web(),
-        ArrivalProcess::Poisson { rate: 40.0 },
+        40.0,
         SimDuration::from_secs(10),
         7,
-    ))
-    .generate();
+    )))
+    .expect("rate in range")
+    .collect_trace();
 
     let mut group = c.benchmark_group("engine_inspect");
     group.throughput(Throughput::Elements(trace.len() as u64));
@@ -111,13 +112,14 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 fn bench_training(c: &mut Criterion) {
-    let trace = BackgroundGenerator::new(GeneratorConfig::new(
+    let trace = RecordStream::new(StreamConfig::new(GeneratorConfig::new(
         SiteProfile::realtime_cluster(),
-        ArrivalProcess::Poisson { rate: 40.0 },
+        40.0,
         SimDuration::from_secs(10),
         9,
-    ))
-    .generate();
+    )))
+    .expect("rate in range")
+    .collect_trace();
     let mut group = c.benchmark_group("anomaly_training");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.bench_function("train", |b| {

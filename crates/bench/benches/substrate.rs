@@ -1,10 +1,10 @@
 //! Substrate micro-benchmarks: event queue, session hashing,
-//! fragmentation/reassembly, wire codec.
+//! fragmentation/reassembly.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use idse_net::frag::{fragment, OverlapPolicy, Reassembler};
 use idse_net::packet::{Ipv4Header, Packet, TcpFlags, TcpHeader};
-use idse_net::{wire, FlowKey};
+use idse_net::FlowKey;
 use idse_sim::{EventQueue, RngStream, SimTime};
 use std::net::Ipv4Addr;
 
@@ -83,15 +83,5 @@ fn bench_frag(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wire(c: &mut Criterion) {
-    let packet = sample_packet(512);
-    let bytes = wire::encode(&packet);
-    let mut group = c.benchmark_group("wire_codec");
-    group.throughput(Throughput::Bytes(bytes.len() as u64));
-    group.bench_function("encode", |b| b.iter(|| wire::encode(&packet).len()));
-    group.bench_function("decode", |b| b.iter(|| wire::decode(&bytes).expect("valid")));
-    group.finish();
-}
-
-criterion_group!(benches, bench_event_queue, bench_session_hash, bench_frag, bench_wire);
+criterion_group!(benches, bench_event_queue, bench_session_hash, bench_frag);
 criterion_main!(benches);

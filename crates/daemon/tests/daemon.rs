@@ -52,10 +52,12 @@ fn malformed_submits_are_rejected_with_reasons() {
         r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"rate":-5.0}}"#,
         // `1e999` parses to +inf; JSON has no literal for NaN.
         r#"{"cmd":"submit","spec":{"kind":"evaluate","rate":1e999}}"#,
+        // Finite, but far above the stream's session-rate bound.
+        r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"rate":1e308}}"#,
     ]
     .join("\n");
     let out = replay(&mut core, &script).expect("replay");
-    assert_eq!(out.len(), 9);
+    assert_eq!(out.len(), 10);
     for line in &out {
         assert!(!ok(line), "every malformed line is rejected: {line}");
         let msg = parsed(line);

@@ -12,8 +12,7 @@ use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
 use idse_net::trace::AttackClass;
 use idse_sim::{SimDuration, SimTime};
-use idse_traffic::generator::PayloadMode;
-use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
+use idse_traffic::{GeneratorConfig, PayloadMode, RecordStream, SiteProfile, StreamConfig};
 use serde::Serialize;
 
 /// X2 — payload realism. "A simple flooding of the network … with
@@ -46,14 +45,10 @@ pub fn payload_realism_experiment(
     let span = SimDuration::from_secs(25);
     let rate = 25.0;
     let mk = |mode: PayloadMode, seed_off: u64| {
-        let mut cfg = GeneratorConfig::new(
-            SiteProfile::ecommerce_web(),
-            ArrivalProcess::Poisson { rate },
-            span,
-            seed ^ seed_off,
-        );
+        let mut cfg =
+            GeneratorConfig::new(SiteProfile::ecommerce_web(), rate, span, seed ^ seed_off);
         cfg.payload_mode = mode;
-        BackgroundGenerator::new(cfg).generate()
+        RecordStream::new(StreamConfig::new(cfg)).expect("rate in range").collect_trace()
     };
     let training = mk(PayloadMode::Realistic, 0x7261);
     let realistic = mk(PayloadMode::Realistic, 0);

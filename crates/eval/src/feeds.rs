@@ -17,7 +17,7 @@ use idse_attacks::{Campaign, CampaignConfig};
 use idse_net::trace::Trace;
 use idse_sim::SimDuration;
 use idse_traffic::{
-    ArrivalProcess, GeneratorConfig, RecordStream, SiteProfile, StreamConfig, DEFAULT_CHUNK_RECORDS,
+    GeneratorConfig, RecordStream, SiteProfile, StreamConfig, DEFAULT_CHUNK_RECORDS,
 };
 use std::net::Ipv4Addr;
 
@@ -177,10 +177,10 @@ impl TestFeed {
     /// proves chunking never changes them).
     pub fn build(profile: SiteProfile, config: &FeedConfig) -> Self {
         let training = RecordStream::new(Self::training_stream(&profile, config))
-            .expect("poisson arrivals always stream")
+            .expect("feed session rate within MAX_SESSION_RATE")
             .collect_trace();
         let background = RecordStream::new(Self::background_stream(&profile, config))
-            .expect("poisson arrivals always stream")
+            .expect("feed session rate within MAX_SESSION_RATE")
             .collect_trace();
         let mut test = background.clone();
         test.merge(Self::campaign_trace(&profile, config));
@@ -193,7 +193,7 @@ impl TestFeed {
     pub fn training_stream(profile: &SiteProfile, config: &FeedConfig) -> StreamConfig {
         StreamConfig::new(GeneratorConfig::new(
             profile.clone(),
-            ArrivalProcess::Poisson { rate: config.session_rate },
+            config.session_rate,
             config.training_span,
             config.seed ^ 0x7261_696e, // "rain" — training stream
         ))
@@ -205,7 +205,7 @@ impl TestFeed {
     pub fn background_stream(profile: &SiteProfile, config: &FeedConfig) -> StreamConfig {
         StreamConfig::new(GeneratorConfig::new(
             profile.clone(),
-            ArrivalProcess::Poisson { rate: config.session_rate },
+            config.session_rate,
             config.test_span,
             config.seed ^ 0x7465_7374, // "test" — test background stream
         ))

@@ -237,10 +237,12 @@ impl JobSpec {
             JobKind::Stream => 25_000.0,
         });
         // A zero rate stretches the feed to n / 1e-9 seconds of empty
-        // slices, which no cancel checkpoint ever interrupts.
-        if !(rate.is_finite() && rate > 0.0) {
+        // slices, which no cancel checkpoint ever interrupts; the stream
+        // refuses a rate above its bound.
+        if !(rate > 0.0 && rate <= idse_traffic::MAX_SESSION_RATE) {
             return Err(SpecError::new(format!(
-                "rate must be a finite number of sessions/s above 0, got {rate}"
+                "rate must be a number of sessions/s above 0 and at most {}, got {rate:?}",
+                idse_traffic::MAX_SESSION_RATE
             )));
         }
         let request = match kind {
@@ -371,7 +373,7 @@ mod tests {
         };
         assert!(stream_store.to_request().expect_err("rejected").to_string().contains("store"));
 
-        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY, 1e308] {
             for kind in [JobSpec::evaluate(), JobSpec::stream()] {
                 let bad_rate = JobSpec { rate: Some(rate), ..kind };
                 let err = bad_rate.to_request().expect_err("rejected").to_string();

@@ -56,7 +56,7 @@ impl ShardFeed {
     pub fn new(profile: &idse_traffic::SiteProfile, config: &FeedConfig, shard: u32) -> Self {
         let stream_cfg =
             TestFeed::background_stream(profile, config).with_shard(shard, config.shards);
-        let bg = RecordStream::new(stream_cfg).expect("poisson arrivals always stream");
+        let bg = RecordStream::new(stream_cfg).expect("feed session rate within MAX_SESSION_RATE");
         let campaign: VecDeque<TraceRecord> = TestFeed::campaign_trace(profile, config)
             .records()
             .iter()
@@ -306,7 +306,7 @@ impl EvaluationRequest {
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
         let training = RecordStream::new(TestFeed::training_stream(&profile, &self.feed))
-            .expect("poisson arrivals always stream")
+            .expect("feed session rate within MAX_SESSION_RATE")
             .collect_trace();
 
         let mut plan: ExperimentPlan<(usize, u32)> = ExperimentPlan::new(self.feed.seed);

@@ -430,16 +430,17 @@ mod tests {
     use super::*;
     use idse_net::packet::{Ipv4Header, TcpFlags, TcpHeader, UdpHeader};
     use idse_sim::SimDuration;
-    use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
+    use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 
     fn trained_engine(sensitivity: f64) -> AnomalyEngine {
         let cfg = GeneratorConfig::new(
             SiteProfile::realtime_cluster(),
-            ArrivalProcess::Poisson { rate: 30.0 },
+            30.0,
             SimDuration::from_secs(20),
             1234,
         );
-        let benign = BackgroundGenerator::new(cfg).generate();
+        let benign =
+            RecordStream::new(StreamConfig::new(cfg)).expect("rate in range").collect_trace();
         let mut e = AnomalyEngine::new(AnomalyConfig::default());
         e.train(&benign);
         e.set_sensitivity(Sensitivity::new(sensitivity));
@@ -596,11 +597,12 @@ mod tests {
         let mut e = trained_engine(0.5);
         let cfg = GeneratorConfig::new(
             SiteProfile::realtime_cluster(),
-            ArrivalProcess::Poisson { rate: 30.0 },
+            30.0,
             SimDuration::from_secs(10),
             999, // different seed than training
         );
-        let test = BackgroundGenerator::new(cfg).generate();
+        let test =
+            RecordStream::new(StreamConfig::new(cfg)).expect("rate in range").collect_trace();
         let mut alerts = 0;
         for rec in test.records() {
             alerts += e.inspect(rec.at, &rec.packet).len();

@@ -1108,16 +1108,17 @@ mod tests {
     use crate::products::ProductId;
     use idse_attacks::{Campaign, CampaignConfig, Scenario};
     use idse_sim::SimDuration;
-    use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
+    use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 
     fn benign(seed: u64, secs: u64, rate: f64) -> Trace {
-        BackgroundGenerator::new(GeneratorConfig::new(
+        RecordStream::new(StreamConfig::new(GeneratorConfig::new(
             SiteProfile::ecommerce_web(),
-            ArrivalProcess::Poisson { rate },
+            rate,
             SimDuration::from_secs(secs),
             seed,
-        ))
-        .generate()
+        )))
+        .expect("rate in range")
+        .collect_trace()
     }
 
     fn mixed(seed: u64, secs: u64) -> Trace {
@@ -1285,20 +1286,22 @@ mod tests {
         // trust domain become invisible — both effects measurable.
         let product = IdsProduct::model(ProductId::FlowHunter);
         let cluster_profile = idse_traffic::SiteProfile::realtime_cluster();
-        let training = BackgroundGenerator::new(GeneratorConfig::new(
+        let training = RecordStream::new(StreamConfig::new(GeneratorConfig::new(
             cluster_profile.clone(),
-            ArrivalProcess::Poisson { rate: 20.0 },
+            20.0,
             SimDuration::from_secs(10),
             61,
-        ))
-        .generate();
-        let mut test = BackgroundGenerator::new(GeneratorConfig::new(
+        )))
+        .expect("rate in range")
+        .collect_trace();
+        let mut test = RecordStream::new(StreamConfig::new(GeneratorConfig::new(
             cluster_profile.clone(),
-            ArrivalProcess::Poisson { rate: 20.0 },
+            20.0,
             SimDuration::from_secs(15),
             62,
-        ))
-        .generate();
+        )))
+        .expect("rate in range")
+        .collect_trace();
         // An intra-domain trust exploit.
         let te = idse_attacks::trust::TrustExploit::new(
             cluster_profile.clients.host(3),

@@ -1,43 +1,14 @@
-//! Addressing: MAC addresses and CIDR subnets.
+//! Addressing: CIDR subnets.
 //!
-//! IPv4 addresses use [`std::net::Ipv4Addr`]. This module adds the pieces
-//! the testbed needs on top: link-layer addresses for the Ethernet framing
-//! model and CIDR blocks for topology construction and the *Data Pool
-//! Selectability* metric (filtering the analyzed data pool "by protocol,
-//! source and dest addresses, etc.").
+//! IPv4 addresses use [`std::net::Ipv4Addr`]. This module adds what the
+//! testbed needs on top: CIDR blocks for topology construction and the
+//! *Data Pool Selectability* metric (filtering the analyzed data pool "by
+//! protocol, source and dest addresses, etc.").
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
-
-/// A 48-bit IEEE 802 MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct MacAddr(pub [u8; 6]);
-
-impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// A deterministic locally-administered MAC for simulated host `n`.
-    pub fn for_host(n: u32) -> Self {
-        let b = n.to_be_bytes();
-        // 0x02 = locally administered, unicast.
-        MacAddr([0x02, 0x1d, b[0], b[1], b[2], b[3]])
-    }
-
-    /// Whether this is the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-}
-
-impl fmt::Display for MacAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.0;
-        write!(f, "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}", b[0], b[1], b[2], b[3], b[4], b[5])
-    }
-}
 
 /// A CIDR block, e.g. `10.1.0.0/16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -139,13 +110,6 @@ impl fmt::Display for Cidr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mac_formatting_and_derivation() {
-        assert_eq!(MacAddr([0, 1, 2, 0xab, 0xcd, 0xef]).to_string(), "00:01:02:ab:cd:ef");
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert_ne!(MacAddr::for_host(1), MacAddr::for_host(2));
-    }
 
     #[test]
     fn cidr_parse_and_contains() {

@@ -7,7 +7,6 @@
 //! exercise payload-inspecting IDSes). This crate provides:
 //!
 //! * a layered packet model — IPv4 plus TCP/UDP/ICMP ([`packet`]),
-//! * wire encoding/decoding with real Internet checksums ([`wire`]),
 //! * five-tuple flows with canonical orientation ([`flow`]),
 //! * a TCP session synthesizer and tracking state machine ([`tcp`]),
 //! * IP fragmentation and policy-parameterized reassembly ([`frag`]),
@@ -24,9 +23,8 @@ pub mod frag;
 pub mod packet;
 pub mod tcp;
 pub mod trace;
-pub mod wire;
 
-pub use addr::{Cidr, MacAddr};
+pub use addr::Cidr;
 pub use flow::FlowKey;
 pub use packet::{IcmpHeader, Ipv4Header, Packet, TcpFlags, TcpHeader, Transport, UdpHeader};
 pub use trace::{GroundTruth, Trace, TraceRecord};

@@ -32,16 +32,6 @@ impl IpProtocol {
             IpProtocol::Udp => 17,
         }
     }
-
-    /// From an IANA protocol number.
-    pub fn from_number(n: u8) -> Option<Self> {
-        match n {
-            1 => Some(IpProtocol::Icmp),
-            6 => Some(IpProtocol::Tcp),
-            17 => Some(IpProtocol::Udp),
-            _ => None,
-        }
-    }
 }
 
 /// IPv4 header fields the testbed models.
@@ -119,28 +109,6 @@ impl TcpFlags {
     /// PSH+ACK (data segment).
     pub const PSH_ACK: TcpFlags =
         TcpFlags { syn: false, ack: true, fin: false, rst: false, psh: true, urg: false };
-
-    /// Pack into the low 6 bits of a byte (URG..FIN order per RFC 793).
-    pub fn to_bits(self) -> u8 {
-        (self.urg as u8) << 5
-            | (self.ack as u8) << 4
-            | (self.psh as u8) << 3
-            | (self.rst as u8) << 2
-            | (self.syn as u8) << 1
-            | self.fin as u8
-    }
-
-    /// Unpack from the low 6 bits of a byte.
-    pub fn from_bits(b: u8) -> Self {
-        Self {
-            urg: b & 0b100000 != 0,
-            ack: b & 0b010000 != 0,
-            psh: b & 0b001000 != 0,
-            rst: b & 0b000100 != 0,
-            syn: b & 0b000010 != 0,
-            fin: b & 0b000001 != 0,
-        }
-    }
 }
 
 impl fmt::Display for TcpFlags {
@@ -202,30 +170,6 @@ pub enum IcmpKind {
     EchoRequest,
     /// Echo reply (type 0).
     EchoReply,
-    /// Destination unreachable (type 3), with code.
-    Unreachable(u8),
-    /// Time exceeded (type 11).
-    TimeExceeded,
-}
-
-impl IcmpKind {
-    /// ICMP type number.
-    pub fn type_number(self) -> u8 {
-        match self {
-            IcmpKind::EchoReply => 0,
-            IcmpKind::Unreachable(_) => 3,
-            IcmpKind::EchoRequest => 8,
-            IcmpKind::TimeExceeded => 11,
-        }
-    }
-
-    /// ICMP code number.
-    pub fn code_number(self) -> u8 {
-        match self {
-            IcmpKind::Unreachable(c) => c,
-            _ => 0,
-        }
-    }
 }
 
 /// ICMP header fields.
@@ -381,14 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn flag_bits_round_trip() {
-        for bits in 0..64u8 {
-            assert_eq!(TcpFlags::from_bits(bits).to_bits(), bits);
-        }
-        assert_eq!(TcpFlags::SYN_ACK.to_bits(), 0b010010);
-    }
-
-    #[test]
     fn flag_display() {
         assert_eq!(TcpFlags::SYN_ACK.to_string(), "SYN+ACK");
         assert_eq!(TcpFlags::default().to_string(), "(none)");
@@ -416,9 +352,9 @@ mod tests {
 
     #[test]
     fn protocol_numbers() {
+        assert_eq!(IpProtocol::Icmp.number(), 1);
         assert_eq!(IpProtocol::Tcp.number(), 6);
-        assert_eq!(IpProtocol::from_number(17), Some(IpProtocol::Udp));
-        assert_eq!(IpProtocol::from_number(99), None);
+        assert_eq!(IpProtocol::Udp.number(), 17);
     }
 
     #[test]
@@ -438,12 +374,5 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: Packet = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
-    }
-
-    #[test]
-    fn icmp_numbers() {
-        assert_eq!(IcmpKind::EchoRequest.type_number(), 8);
-        assert_eq!(IcmpKind::Unreachable(3).code_number(), 3);
-        assert_eq!(IcmpKind::TimeExceeded.type_number(), 11);
     }
 }

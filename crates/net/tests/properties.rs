@@ -1,9 +1,9 @@
-//! Property-based tests for the packet substrate: codec round trips,
-//! checksum integrity, fragmentation, and flow canonicalization.
+//! Property-based tests for the packet substrate: fragmentation and flow
+//! canonicalization.
 
 use idse_net::frag::{fragment, OverlapPolicy, Reassembler};
-use idse_net::packet::{IcmpHeader, IcmpKind, Ipv4Header, Packet, TcpFlags, TcpHeader, UdpHeader};
-use idse_net::{wire, FlowKey};
+use idse_net::packet::{Ipv4Header, Packet, TcpFlags, TcpHeader};
+use idse_net::FlowKey;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -30,7 +30,14 @@ fn arb_tcp_packet() -> impl Strategy<Value = Packet> {
                     dst_port: dp,
                     seq,
                     ack,
-                    flags: TcpFlags::from_bits(flags),
+                    flags: TcpFlags {
+                        fin: flags & 0b000001 != 0,
+                        syn: flags & 0b000010 != 0,
+                        rst: flags & 0b000100 != 0,
+                        psh: flags & 0b001000 != 0,
+                        ack: flags & 0b010000 != 0,
+                        urg: flags & 0b100000 != 0,
+                    },
                     window: 4096,
                 },
                 payload,
@@ -38,59 +45,7 @@ fn arb_tcp_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
-fn arb_packet() -> impl Strategy<Value = Packet> {
-    prop_oneof![
-        arb_tcp_packet(),
-        (
-            arb_addr(),
-            arb_addr(),
-            any::<u16>(),
-            any::<u16>(),
-            prop::collection::vec(any::<u8>(), 0..600)
-        )
-            .prop_map(|(src, dst, sp, dp, payload)| Packet::udp(
-                Ipv4Header::simple(src, dst),
-                UdpHeader { src_port: sp, dst_port: dp },
-                payload
-            )),
-        (
-            arb_addr(),
-            arb_addr(),
-            any::<u16>(),
-            any::<u16>(),
-            prop::collection::vec(any::<u8>(), 0..600)
-        )
-            .prop_map(|(src, dst, ident, seq, payload)| Packet::icmp(
-                Ipv4Header::simple(src, dst),
-                IcmpHeader { kind: IcmpKind::EchoRequest, ident, seq },
-                payload
-            )),
-    ]
-}
-
 proptest! {
-    /// Wire codec: encode → decode is the identity.
-    #[test]
-    fn wire_round_trip(p in arb_packet()) {
-        let bytes = wire::encode(&p);
-        prop_assert_eq!(bytes.len(), p.ip_len());
-        let back = wire::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(back, p);
-    }
-
-    /// Any single-byte corruption is caught by a checksum or the length
-    /// field (or changes the decoded packet — never silently identical).
-    #[test]
-    fn wire_detects_single_byte_corruption(p in arb_tcp_packet(), idx in any::<prop::sample::Index>(), flip in 1u8..=255) {
-        let mut bytes = wire::encode(&p);
-        let i = idx.index(bytes.len());
-        bytes[i] ^= flip;
-        match wire::decode(&bytes) {
-            Err(_) => {} // rejected: checksum/length/version caught it
-            Ok(back) => prop_assert_ne!(back, p, "corruption must not decode to the original"),
-        }
-    }
-
     /// Fragmentation reassembles to the original payload for any size.
     #[test]
     fn fragment_reassemble_round_trip(
@@ -148,24 +103,5 @@ proptest! {
         prop_assert_eq!(k.session_hash(), k.reversed().session_hash());
         prop_assert_eq!(k.canonical().canonical(), k.canonical());
         prop_assert_eq!(k.reversed().reversed(), k);
-    }
-
-    /// TCP flag bits round trip for all 6-bit values.
-    #[test]
-    fn tcp_flags_round_trip(bits in 0u8..64) {
-        prop_assert_eq!(TcpFlags::from_bits(bits).to_bits(), bits);
-    }
-
-    /// Internet checksum: data with its checksum folded in sums to zero.
-    #[test]
-    fn checksum_self_verifies(data in prop::collection::vec(any::<u8>(), 2..256)) {
-        let csum = wire::internet_checksum(&data, 0);
-        let mut with = data.clone();
-        with.extend_from_slice(&csum.to_be_bytes());
-        // Only even-length bodies keep 16-bit word alignment with the
-        // appended checksum.
-        if data.len() % 2 == 0 {
-            prop_assert_eq!(wire::internet_checksum(&with, 0), 0);
-        }
     }
 }

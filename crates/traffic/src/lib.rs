@@ -15,14 +15,11 @@
 //! * application-layer payload synthesis with protocol-plausible content
 //!   ([`payload`]) plus a deliberately unrealistic random-bytes mode for the
 //!   flooding-vs-realism experiment,
-//! * arrival processes — Poisson, constant-rate, bursty ON/OFF
-//!   ([`arrival`]),
 //! * site profiles capturing the e-commerce vs. real-time-cluster contrast
 //!   ([`profiles`]),
-//! * a session-level background generator that emits labeled-benign traces
-//!   ([`generator`]),
-//! * a pull-based, constant-memory streaming variant of the generator with
-//!   flow-key sharding for multi-worker runs ([`stream`]),
+//! * the one background generator: Poisson session arrivals streamed as
+//!   labeled-benign record chunks in constant memory, with flow-key
+//!   sharding for multi-worker runs ([`stream`]),
 //! * content-realism measures used to verify the generators do what the
 //!   methodology demands ([`realism`]).
 
@@ -30,14 +27,13 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
-pub mod arrival;
-pub mod generator;
 pub mod payload;
 pub mod profiles;
 pub mod realism;
 pub mod stream;
 
-pub use arrival::ArrivalProcess;
-pub use generator::{BackgroundGenerator, GeneratorConfig};
 pub use profiles::{AppProtocol, SiteProfile};
-pub use stream::{flow_shard, RecordStream, StreamConfig, StreamError, DEFAULT_CHUNK_RECORDS};
+pub use stream::{
+    flow_shard, GeneratorConfig, PayloadMode, RecordStream, StreamConfig, StreamError,
+    DEFAULT_CHUNK_RECORDS, MAX_SESSION_RATE,
+};

@@ -1,13 +1,18 @@
-//! Pull-based, constant-memory background-traffic streaming.
+//! The background-traffic generator: site profile → labeled-benign
+//! records, pulled lazily in chunks.
 //!
-//! [`BackgroundGenerator`](crate::generator::BackgroundGenerator)
-//! materializes its whole trace before anyone can look at the first packet,
-//! which caps experiments at container RSS. A [`RecordStream`] produces the
-//! same *kind* of traffic — session-oriented, content-realistic, labeled
-//! benign — as a lazy iterator of record chunks whose memory footprint is
-//! O(sessions in flight), independent of the total run length. That is the
-//! prerequisite for the ROADMAP's million-flow runs: the Figure-1 pipeline
-//! can consume chunks as they are produced and never hold the full trace.
+//! Sessions (not packets) are the unit of generation, because the paper's
+//! methodology is explicit that IDS load tests need connection-oriented,
+//! content-realistic traffic. Sessions arrive as a Poisson process at the
+//! configured rate; each spawns one application session — a full TCP
+//! handshake/data/teardown, a UDP query/response pair, a telemetry burst —
+//! whose packets are spread over the following milliseconds.
+//!
+//! A [`RecordStream`] yields those records as a lazy iterator of chunks
+//! whose memory footprint is O(sessions in flight), independent of the
+//! total run length, so the Figure-1 pipeline can consume chunks as they
+//! are produced and never hold the full trace. Consumers that want a whole
+//! trace call [`RecordStream::collect_trace`].
 //!
 //! # Determinism contract
 //!
@@ -34,10 +39,8 @@
 //! unsharded stream, and both directions of a flow always land in the same
 //! shard.
 
-use crate::arrival::ArrivalProcess;
-use crate::generator::{GeneratorConfig, PayloadMode};
 use crate::payload;
-use crate::profiles::AppProtocol;
+use crate::profiles::{AppProtocol, SiteProfile};
 use idse_net::packet::{IcmpHeader, IcmpKind, Ipv4Header, Packet, UdpHeader};
 use idse_net::tcp::{synthesize_session, Exchange, SessionSpec};
 use idse_net::trace::{Trace, TraceRecord};
@@ -54,10 +57,55 @@ const SLICE_NANOS: u64 = 1_000_000_000;
 /// Default records per yielded chunk.
 pub const DEFAULT_CHUNK_RECORDS: usize = 8192;
 
+/// The largest session rate a stream accepts, in sessions per second.
+///
+/// Each 1-second slice draws all of its arrival instants up front, so the
+/// rate bounds one slice's memory (8 bytes per arrival, 8 MB here) and the
+/// Poisson sampler's work. Far beyond it the sampler's chunked
+/// `remaining -= step` no longer changes `remaining` and never returns.
+/// The bound is 40 times the `stream` CLI's default of 25,000 sessions/s.
+pub const MAX_SESSION_RATE: f64 = 1_000_000.0;
+
+/// Mean gap between a request packet and its response. Part of the
+/// stream's byte-level definition, like [`SLICE_NANOS`].
+const MEAN_TURNAROUND: SimDuration = SimDuration::from_millis(1);
+
+/// How session payloads are filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadMode {
+    /// Protocol-plausible content (the methodology's requirement).
+    Realistic,
+    /// Same sessions and sizes, but uniform random bytes — the paper's
+    /// "meaningless data" flood, kept as an experimental control.
+    RandomBytes,
+}
+
+/// What background traffic to generate.
+#[derive(Debug, Clone)]
+pub struct GeneratorConfig {
+    /// The site whose traffic is being modeled.
+    pub profile: SiteProfile,
+    /// Mean Poisson session arrivals per second, from 0 to [`MAX_SESSION_RATE`].
+    pub session_rate: f64,
+    /// Trace length.
+    pub span: SimDuration,
+    /// Master seed (all randomness derives from it).
+    pub seed: u64,
+    /// Payload realism mode.
+    pub payload_mode: PayloadMode,
+}
+
+impl GeneratorConfig {
+    /// A config with realistic payloads.
+    pub fn new(profile: SiteProfile, session_rate: f64, span: SimDuration, seed: u64) -> Self {
+        Self { profile, session_rate, span, seed, payload_mode: PayloadMode::Realistic }
+    }
+}
+
 /// Streaming configuration: the generator parameters plus the stream knobs.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// What traffic to generate (profile, arrival process, span, seed,
+    /// What traffic to generate (profile, session rate, span, seed,
     /// payload mode).
     pub generator: GeneratorConfig,
     /// Records per yielded chunk (consumer batching only — never affects
@@ -90,19 +138,21 @@ impl StreamConfig {
 }
 
 /// Why a [`RecordStream`] could not be constructed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
-    /// The arrival process carries state across time slices (ON/OFF), so
-    /// its slices cannot be generated independently.
-    UnsupportedArrivals,
+    /// The session rate is not finite, is below 0, or is above
+    /// [`MAX_SESSION_RATE`].
+    RateOutOfRange(f64),
 }
 
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamError::UnsupportedArrivals => {
-                write!(f, "streaming supports Poisson and Constant arrivals only")
-            }
+            StreamError::RateOutOfRange(rate) => write!(
+                f,
+                "session rate must be a finite number in 0..={MAX_SESSION_RATE} sessions/s, \
+                 got {rate:?}"
+            ),
         }
     }
 }
@@ -189,12 +239,12 @@ impl std::fmt::Debug for InFlight {
 }
 
 impl RecordStream {
-    /// Build the stream for `config`. Fails for arrival processes whose
-    /// slices cannot be generated independently (ON/OFF).
+    /// Build the stream for `config`. Fails for a session rate outside
+    /// `0..=MAX_SESSION_RATE`.
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
-        match config.generator.arrivals {
-            ArrivalProcess::Poisson { .. } | ArrivalProcess::Constant { .. } => {}
-            ArrivalProcess::OnOff { .. } => return Err(StreamError::UnsupportedArrivals),
+        let rate = config.generator.session_rate;
+        if !(0.0..=MAX_SESSION_RATE).contains(&rate) {
+            return Err(StreamError::RateOutOfRange(rate));
         }
         let span = config.generator.span.as_nanos();
         let n_slices = span.div_ceil(SLICE_NANOS);
@@ -244,10 +294,9 @@ impl RecordStream {
 
     /// The straightforward O(total-records) implementation of the same byte
     /// sequence: admit every session up front in generation order, then
-    /// stable-sort all packets by time — exactly what the materializing
-    /// generator does. This is the oracle the streaming merge is proven
-    /// against (see the crate's property tests); experiments should iterate
-    /// or [`Self::collect_trace`] instead.
+    /// stable-sort all packets by time. This is the oracle the streaming
+    /// merge is proven against (see the crate's property tests);
+    /// experiments should iterate or [`Self::collect_trace`] instead.
     pub fn materialize(config: &StreamConfig) -> Result<Trace, StreamError> {
         let mut stream = RecordStream::new(config.clone())?;
         loop {
@@ -282,41 +331,17 @@ impl RecordStream {
         let span = self.config.generator.span.as_nanos();
         let slice_end = ((i + 1) * SLICE_NANOS).min(span);
         let width_secs = (slice_end - slice_start) as f64 / 1e9;
-        match self.config.generator.arrivals {
-            ArrivalProcess::Poisson { rate } => {
-                if rate > 0.0 && width_secs > 0.0 {
-                    let k = poisson(&mut self.slice_rng, rate * width_secs);
-                    self.arrivals.reserve(k as usize);
-                    for _ in 0..k {
-                        let offset = (self.slice_rng.unit() * width_secs * 1e9) as u64;
-                        self.arrivals
-                            .push(SimTime::from_nanos(slice_start + offset.min(SLICE_NANOS - 1)));
-                    }
-                    // Stable by draw order: equal instants keep their draw
-                    // sequence, which is what the session child labels key on.
-                    self.arrivals.sort();
-                }
+        let rate = self.config.generator.session_rate;
+        if rate > 0.0 && width_secs > 0.0 {
+            let k = poisson(&mut self.slice_rng, rate * width_secs);
+            self.arrivals.reserve(k as usize);
+            for _ in 0..k {
+                let offset = (self.slice_rng.unit() * width_secs * 1e9) as u64;
+                self.arrivals.push(SimTime::from_nanos(slice_start + offset.min(SLICE_NANOS - 1)));
             }
-            ArrivalProcess::Constant { rate } => {
-                if rate > 0.0 {
-                    // The k-th arrival (k >= 1) lands at k * gap.
-                    let gap = 1e9 / rate;
-                    let mut k = (slice_start as f64 / gap) as u64;
-                    loop {
-                        k += 1;
-                        let t = (k as f64 * gap) as u64;
-                        if t < slice_start {
-                            continue;
-                        }
-                        if t >= slice_end {
-                            break;
-                        }
-                        self.arrivals.push(SimTime::from_nanos(t));
-                    }
-                }
-            }
-            // Rejected in `new`.
-            ArrivalProcess::OnOff { .. } => {}
+            // Stable by draw order: equal instants keep their draw
+            // sequence, which is what the session child labels key on.
+            self.arrivals.sort();
         }
     }
 
@@ -338,8 +363,7 @@ impl RecordStream {
             profile.servers.host(n)
         };
         // In the intra-cluster case client and server blocks coincide;
-        // avoid degenerate self-talk (same rule as the materializing
-        // generator).
+        // avoid degenerate self-talk.
         if server == client {
             server = profile.servers.host(u32::from(server).wrapping_add(1) & 0xff | 1);
         }
@@ -459,7 +483,7 @@ fn synthesize(
 ) -> Vec<(SimTime, Packet)> {
     let mut gap_rng = srng.child("gaps");
     let mut noise_rng = srng.child("noise");
-    let base = cfg.mean_turnaround.as_secs_f64() * 0.5; // fixed half-mean floor
+    let base = MEAN_TURNAROUND.as_secs_f64() * 0.5; // fixed half-mean floor
     let mut next_gap = move || SimDuration::from_secs_f64(base + gap_rng.exponential(1.0 / base));
     let randomize = |bytes: Vec<u8>, noise: &mut RngStream| match cfg.payload_mode {
         PayloadMode::Realistic => bytes,
@@ -557,8 +581,8 @@ fn synthesize(
     out
 }
 
-/// TCP application exchanges for `proto` (mirrors the materializing
-/// generator's content model, drawn from the session's isolated stream).
+/// TCP application exchanges for `proto`, drawn from the session's
+/// isolated stream.
 fn tcp_exchanges(
     cfg: &GeneratorConfig,
     proto: AppProtocol,
@@ -623,15 +647,22 @@ fn tcp_exchanges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiles::SiteProfile;
 
     fn config(seed: u64, secs: u64, rate: f64) -> StreamConfig {
         StreamConfig::new(GeneratorConfig::new(
             SiteProfile::realtime_cluster(),
-            ArrivalProcess::Poisson { rate },
+            rate,
             SimDuration::from_secs(secs),
             seed,
         ))
+    }
+
+    fn small_config(profile: SiteProfile, seed: u64) -> GeneratorConfig {
+        GeneratorConfig::new(profile, 20.0, SimDuration::from_secs(5), seed)
+    }
+
+    fn trace_of(generator: GeneratorConfig) -> Trace {
+        RecordStream::new(StreamConfig::new(generator)).unwrap().collect_trace()
     }
 
     fn assert_traces_equal(a: &Trace, b: &Trace) {
@@ -697,28 +728,44 @@ mod tests {
     }
 
     #[test]
-    fn constant_arrivals_stream_exactly() {
-        let cfg = StreamConfig::new(GeneratorConfig::new(
-            SiteProfile::office_lan(),
-            ArrivalProcess::Constant { rate: 10.0 },
-            SimDuration::from_secs(4),
-            5,
-        ));
-        let t = RecordStream::new(cfg).unwrap().collect_trace();
-        assert!(!t.is_empty());
-        let times: Vec<_> = t.records().iter().map(|r| r.at).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    fn rates_outside_the_supported_range_are_rejected() {
+        for rate in [-1.0, f64::NAN, f64::INFINITY, MAX_SESSION_RATE * 2.0, 1e308] {
+            let err = RecordStream::new(config(5, 4, rate)).err();
+            assert!(matches!(err, Some(StreamError::RateOutOfRange(_))), "{rate}: {err:?}");
+        }
+        let idle = RecordStream::new(config(5, 4, 0.0)).unwrap().collect_trace();
+        assert!(idle.is_empty());
+        assert!(RecordStream::new(config(5, 0, MAX_SESSION_RATE)).is_ok());
     }
 
     #[test]
-    fn onoff_arrivals_are_rejected() {
-        let cfg = StreamConfig::new(GeneratorConfig::new(
-            SiteProfile::office_lan(),
-            ArrivalProcess::OnOff { on_rate: 50.0, mean_on: 1.0, mean_off: 2.0 },
-            SimDuration::from_secs(4),
-            5,
-        ));
-        assert_eq!(RecordStream::new(cfg).err(), Some(StreamError::UnsupportedArrivals));
+    fn poisson_rate_is_honoured() {
+        let mut stream = RecordStream::new(config(11, 50, 100.0)).unwrap();
+        let mut sessions = stream.arrivals.len();
+        for i in 1..stream.n_slices {
+            stream.load_slice(i);
+            sessions += stream.arrivals.len();
+        }
+        let rate = sessions as f64 / 50.0;
+        assert!((rate - 100.0).abs() < 5.0, "rate {rate}");
+    }
+
+    #[test]
+    fn arrivals_sorted_and_within_window() {
+        // A span that ends mid-slice: the last slice must stop at the span.
+        let mut cfg = config(8, 0, 50.0);
+        cfg.generator.span = SimDuration::from_millis(5_500);
+        let mut stream = RecordStream::new(cfg).unwrap();
+        assert_eq!(stream.n_slices, 6);
+        for i in 0..stream.n_slices {
+            stream.load_slice(i);
+            let start = SimTime::from_nanos(i * SLICE_NANOS);
+            let end = SimTime::from_nanos(((i + 1) * SLICE_NANOS).min(5_500_000_000));
+            let arr = &stream.arrivals;
+            assert!(!arr.is_empty());
+            assert!(arr.windows(2).all(|w| w[0] <= w[1]));
+            assert!(arr.iter().all(|&t| t >= start && t < end), "slice {i}");
+        }
     }
 
     #[test]
@@ -757,5 +804,74 @@ mod tests {
             max_in_flight < 200,
             "in-flight sessions {max_in_flight} should be far below total {total}"
         );
+    }
+
+    #[test]
+    fn generates_nonempty_sorted_benign_trace() {
+        let t = trace_of(small_config(SiteProfile::ecommerce_web(), 1));
+        assert!(t.len() > 100, "got {} packets", t.len());
+        assert_eq!(t.attack_packets(), 0);
+        let times: Vec<_> = t.records().iter().map(|r| r.at).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let a = trace_of(small_config(SiteProfile::office_lan(), 7));
+        let b = trace_of(small_config(SiteProfile::office_lan(), 8));
+        assert_ne!(a.len(), b.len());
+    }
+
+    #[test]
+    fn cluster_profile_is_udp_heavy() {
+        let t = trace_of(small_config(SiteProfile::realtime_cluster(), 3));
+        let udp = t
+            .records()
+            .iter()
+            .filter(|r| matches!(r.packet.transport, idse_net::Transport::Udp(_)))
+            .count();
+        assert!(
+            udp as f64 / t.len() as f64 > 0.4,
+            "cluster traffic should be UDP-heavy: {udp}/{}",
+            t.len()
+        );
+    }
+
+    #[test]
+    fn web_profile_is_tcp_heavy() {
+        let t = trace_of(small_config(SiteProfile::ecommerce_web(), 3));
+        let tcp = t
+            .records()
+            .iter()
+            .filter(|r| matches!(r.packet.transport, idse_net::Transport::Tcp(_)))
+            .count();
+        assert!(tcp as f64 / t.len() as f64 > 0.8);
+    }
+
+    #[test]
+    fn random_mode_changes_content_not_timing() {
+        let mut cfg = small_config(SiteProfile::ecommerce_web(), 5);
+        let real = trace_of(cfg.clone());
+        cfg.payload_mode = PayloadMode::RandomBytes;
+        let rand = trace_of(cfg);
+        assert_eq!(real.len(), rand.len());
+        // Timing identical; content differs on payload-bearing packets.
+        let mut differing = 0;
+        for (a, b) in real.records().iter().zip(rand.records().iter()) {
+            assert_eq!(a.at, b.at);
+            assert_eq!(a.packet.payload.len(), b.packet.payload.len());
+            if !a.packet.payload.is_empty() && a.packet.payload != b.packet.payload {
+                differing += 1;
+            }
+        }
+        assert!(differing > 0);
+    }
+
+    #[test]
+    fn no_self_talk_sessions() {
+        let t = trace_of(small_config(SiteProfile::realtime_cluster(), 11));
+        for r in t.records() {
+            assert_ne!(r.packet.ip.src, r.packet.ip.dst, "self-addressed packet generated");
+        }
     }
 }

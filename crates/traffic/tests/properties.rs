@@ -1,14 +1,16 @@
-//! Property-based tests for the traffic generators: determinism, content
+//! Property-based tests for the traffic generator: determinism, content
 //! realism, and structural invariants over arbitrary seeds and rates.
 
 use idse_net::trace::Trace;
 use idse_sim::{RngStream, SimDuration, SimTime};
-use idse_traffic::generator::PayloadMode;
 use idse_traffic::{
-    flow_shard, ArrivalProcess, BackgroundGenerator, GeneratorConfig, RecordStream, SiteProfile,
-    StreamConfig,
+    flow_shard, GeneratorConfig, PayloadMode, RecordStream, SiteProfile, StreamConfig,
 };
 use proptest::prelude::*;
+
+fn trace_of(generator: GeneratorConfig) -> Trace {
+    RecordStream::new(StreamConfig::new(generator)).expect("rate in range").collect_trace()
+}
 
 fn profiles() -> impl Strategy<Value = SiteProfile> {
     prop_oneof![
@@ -24,14 +26,9 @@ proptest! {
     /// The generator is a pure function of (profile, rate, span, seed).
     #[test]
     fn generation_is_deterministic(profile in profiles(), seed in any::<u64>(), rate in 5.0f64..40.0) {
-        let cfg = GeneratorConfig::new(
-            profile,
-            ArrivalProcess::Poisson { rate },
-            SimDuration::from_secs(5),
-            seed,
-        );
-        let a = BackgroundGenerator::new(cfg.clone()).generate();
-        let b = BackgroundGenerator::new(cfg).generate();
+        let cfg = GeneratorConfig::new(profile, rate, SimDuration::from_secs(5), seed);
+        let a = trace_of(cfg.clone());
+        let b = trace_of(cfg);
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.records().iter().zip(b.records().iter()) {
             prop_assert_eq!(x.at, y.at);
@@ -43,13 +40,7 @@ proptest! {
     /// self-addressed, for any seed.
     #[test]
     fn background_invariants(profile in profiles(), seed in any::<u64>()) {
-        let cfg = GeneratorConfig::new(
-            profile,
-            ArrivalProcess::Poisson { rate: 20.0 },
-            SimDuration::from_secs(5),
-            seed,
-        );
-        let t = BackgroundGenerator::new(cfg).generate();
+        let t = trace_of(GeneratorConfig::new(profile, 20.0, SimDuration::from_secs(5), seed));
         prop_assert_eq!(t.attack_packets(), 0);
         let mut last = SimTime::ZERO;
         for r in t.records() {
@@ -62,15 +53,11 @@ proptest! {
     /// Random-byte mode preserves timing and sizes exactly.
     #[test]
     fn payload_mode_preserves_shape(seed in any::<u64>()) {
-        let mut cfg = GeneratorConfig::new(
-            SiteProfile::ecommerce_web(),
-            ArrivalProcess::Poisson { rate: 15.0 },
-            SimDuration::from_secs(4),
-            seed,
-        );
-        let real = BackgroundGenerator::new(cfg.clone()).generate();
+        let mut cfg =
+            GeneratorConfig::new(SiteProfile::ecommerce_web(), 15.0, SimDuration::from_secs(4), seed);
+        let real = trace_of(cfg.clone());
         cfg.payload_mode = PayloadMode::RandomBytes;
-        let rand = BackgroundGenerator::new(cfg).generate();
+        let rand = trace_of(cfg);
         prop_assert_eq!(real.len(), rand.len());
         for (a, b) in real.records().iter().zip(rand.records().iter()) {
             prop_assert_eq!(a.at, b.at);
@@ -79,35 +66,13 @@ proptest! {
         }
     }
 
-    /// Arrival processes stay inside their window and are sorted, for all
-    /// three models.
-    #[test]
-    fn arrival_windows(seed in any::<u64>(), start_s in 0u64..100, span_s in 1u64..20) {
-        let start = SimTime::from_secs(start_s);
-        let span = SimDuration::from_secs(span_s);
-        for process in [
-            ArrivalProcess::Poisson { rate: 30.0 },
-            ArrivalProcess::Constant { rate: 30.0 },
-            ArrivalProcess::OnOff { on_rate: 90.0, mean_on: 1.0, mean_off: 2.0 },
-        ] {
-            let mut rng = RngStream::derive(seed, "win");
-            let arr = process.arrivals(start, span, &mut rng);
-            prop_assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-            prop_assert!(arr.iter().all(|&t| t >= start && t < start + span));
-        }
-    }
-
     /// `collect()`-ing the stream equals the materialized oracle byte for
     /// byte, at every chunk size — the tentpole determinism contract: the
     /// chunk size is pure batching and never changes the bytes produced.
     #[test]
     fn stream_collect_matches_materialized(profile in profiles(), seed in any::<u64>(), rate in 5.0f64..30.0) {
-        let cfg = StreamConfig::new(GeneratorConfig::new(
-            profile,
-            ArrivalProcess::Poisson { rate },
-            SimDuration::from_secs(4),
-            seed,
-        ));
+        let cfg =
+            StreamConfig::new(GeneratorConfig::new(profile, rate, SimDuration::from_secs(4), seed));
         let oracle = RecordStream::materialize(&cfg).unwrap();
         for chunk in [1usize, 64, 4096] {
             let streamed = RecordStream::new(cfg.clone().with_chunk_records(chunk))
@@ -128,7 +93,7 @@ proptest! {
     fn stream_shards_partition(seed in any::<u64>(), shards in 2u32..6) {
         let cfg = StreamConfig::new(GeneratorConfig::new(
             SiteProfile::realtime_cluster(),
-            ArrivalProcess::Poisson { rate: 20.0 },
+            20.0,
             SimDuration::from_secs(4),
             seed,
         ));

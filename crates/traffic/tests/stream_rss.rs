@@ -24,20 +24,20 @@ fn peak_rss_bytes() -> u64 {
 #[test]
 fn million_record_stream_stays_in_bounded_rss() {
     use idse_sim::SimDuration;
-    use idse_traffic::{ArrivalProcess, GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
+    use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 
     // ~620 sessions/s x 200 s x ~8 packets/session ≈ 1M records. A
     // materialized trace of that size costs several hundred MB; the stream
     // must hold only in-flight sessions plus one chunk.
     let cfg = StreamConfig::new(GeneratorConfig::new(
         SiteProfile::realtime_cluster_scaled(1024),
-        ArrivalProcess::Poisson { rate: 620.0 },
+        620.0,
         SimDuration::from_secs(200),
         0xbeef,
     ));
     let mut total: u64 = 0;
     let mut checksum: u64 = 0;
-    for chunk in RecordStream::new(cfg).expect("poisson streams") {
+    for chunk in RecordStream::new(cfg).expect("rate in range") {
         total += chunk.len() as u64;
         // Touch every record so the work cannot be optimized away.
         for r in &chunk {

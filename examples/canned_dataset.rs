@@ -13,18 +13,19 @@ use idse_ids::products::{IdsProduct, ProductId};
 use idse_ids::Sensitivity;
 use idse_net::trace::Trace;
 use idse_sim::SimDuration;
-use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
+use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 
 fn main() {
     // 1. Compose the canned dataset: benign background + labeled campaign.
     let profile = SiteProfile::office_lan();
-    let mut trace = BackgroundGenerator::new(GeneratorConfig::new(
+    let mut trace = RecordStream::new(StreamConfig::new(GeneratorConfig::new(
         profile.clone(),
-        ArrivalProcess::OnOff { on_rate: 60.0, mean_on: 2.0, mean_off: 3.0 },
+        24.0,
         SimDuration::from_secs(20),
         0xca55e77e,
-    ))
-    .generate();
+    )))
+    .expect("rate in range")
+    .collect_trace();
     let ccfg = CampaignConfig::new(SimDuration::from_secs(20), 0xa77ac);
     trace.merge(Campaign::standard_mix(&profile, &ccfg).generate(&ccfg));
 

@@ -17,7 +17,7 @@ use idse_ids::Sensitivity;
 use idse_net::trace::Trace;
 use idse_sim::{SimDuration, SimTime};
 use idse_telemetry::{MemorySink, Telemetry};
-use idse_traffic::{ArrivalProcess, BackgroundGenerator, GeneratorConfig, SiteProfile};
+use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 use proptest::prelude::*;
 
 /// A plan that exercises every fault family at once.
@@ -107,13 +107,14 @@ fn faulted_scorecard_and_telemetry_are_byte_identical_at_any_width() {
 }
 
 fn benign(seed: u64, secs: u64, rate: f64) -> Trace {
-    BackgroundGenerator::new(GeneratorConfig::new(
+    RecordStream::new(StreamConfig::new(GeneratorConfig::new(
         SiteProfile::ecommerce_web(),
-        ArrivalProcess::Poisson { rate },
+        rate,
         SimDuration::from_secs(secs),
         seed,
-    ))
-    .generate()
+    )))
+    .expect("rate in range")
+    .collect_trace()
 }
 
 fn mixed(seed: u64, secs: u64) -> Trace {
