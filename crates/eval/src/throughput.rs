@@ -10,6 +10,7 @@
 use crate::feeds::TestFeed;
 use idse_ids::pipeline::{PipelineOutcome, PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
+use idse_traffic::DEFAULT_CHUNK_RECORDS;
 use serde::Serialize;
 
 /// Result of the two searches for one product.
@@ -44,54 +45,102 @@ pub fn peak_simultaneous_streams(trace: &idse_net::trace::Trace) -> usize {
     peak
 }
 
-fn run_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> PipelineOutcome {
-    // Load tests replay the realistic *background* (content matters to
-    // per-packet cost); attack accuracy is measured elsewhere. The scaled
-    // trace is tiled to at least one second of sustained load so stage
-    // buffers cannot hide the offered rate as a transient.
-    let scaled = feed.background.time_scaled(factor);
-    let span = scaled.span().as_secs_f64();
-    let copies = if span > 0.0 { (1.0 / span).ceil().max(1.0) as u32 } else { 1 };
-    let test = scaled.repeated(copies);
+/// A probe counts as lossless when at most this fraction of offered
+/// packets goes unmonitored (the paper's "sustained average of zero lost
+/// packets" over a finite replay).
+const LOSSLESS: f64 = 0.001;
+
+/// One probe of the search at time compression `factor`.
+///
+/// Load tests replay the realistic *background* (content matters to
+/// per-packet cost); attack accuracy is measured elsewhere. The scaled
+/// trace is tiled to at least one second of sustained load so stage
+/// buffers cannot hide the offered rate as a transient. The load is fed to
+/// a [`PipelineSession`](idse_ids::pipeline::PipelineSession) in
+/// [`DEFAULT_CHUNK_RECORDS`] chunks, which is byte-identical to one
+/// monolithic run. After each chunk, `stop` sees the session's
+/// evicted-unmonitored count and the number of records in the load; the
+/// probe returns `None` as soon as `stop` says so.
+fn probe(
+    product: &IdsProduct,
+    feed: &TestFeed,
+    factor: f64,
+    mut stop: impl FnMut(u64, usize) -> bool,
+) -> Option<PipelineOutcome> {
+    let load = {
+        let scaled = feed.background.time_scaled(factor);
+        let span = scaled.span().as_secs_f64();
+        let copies = if span > 0.0 { (1.0 / span).ceil().max(1.0) as u32 } else { 1 };
+        scaled.repeated(copies)
+    };
     let config = RunConfig { monitored_hosts: feed.servers.clone(), ..RunConfig::default() };
-    PipelineRunner::new(product.clone(), config).with_training(feed.training.clone()).run(&test)
+    // The evicted-unmonitored count bounds `missed` from below only while
+    // nothing is blocked or excluded from the data pool.
+    debug_assert!(!config.auto_response && config.data_pool.is_permissive());
+    let runner = PipelineRunner::new(product.clone(), config).with_training(feed.training.clone());
+    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; probes report only order-free counts: a lossless verdict, failures and the loss ratio")
+    let mut session = runner.session();
+    for chunk in load.records().chunks(DEFAULT_CHUNK_RECORDS) {
+        session.push_chunk(chunk.iter().cloned());
+        if stop(session.evicted_unmonitored(), load.len()) {
+            return None;
+        }
+    }
+    Some(session.finish())
+}
+
+/// Whether `evicted_unmonitored` records out of a load of `records` prove
+/// the probe lossy. Sound because the count never exceeds the finished
+/// run's `missed`, `offered` never exceeds `records`, and f64 division
+/// is monotone.
+fn provably_lossy(evicted_unmonitored: u64, records: usize) -> bool {
+    evicted_unmonitored as f64 / records as f64 > LOSSLESS
+}
+
+/// A probe run to the end.
+fn run_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> PipelineOutcome {
+    probe(product, feed, factor, |_, _| false).expect("a probe that never stops finishes")
+}
+
+/// Whether the probe at `factor` is lossless, stopped at the first chunk
+/// boundary where it is provably not.
+fn lossless_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> bool {
+    probe(product, feed, factor, provably_lossy).is_some_and(|out| out.loss_ratio() <= LOSSLESS)
 }
 
 /// Binary-search the zero-loss maximum and escalate to the lethal dose.
 ///
 /// `max_factor` bounds the search (time compression beyond which we call
-/// the product graceful). Tolerance: a run counts as lossless when less
-/// than 0.1% of packets go unmonitored (the paper's "sustained average of
-/// zero lost packets" over a finite replay).
+/// the product graceful). Doubling and bisection probes only decide
+/// losslessness, so they stop early once provably lossy; lethal-dose
+/// probes run to the end because their failures and loss are reported.
 pub fn throughput_search(
     product: &IdsProduct,
     feed: &TestFeed,
     max_factor: f64,
 ) -> ThroughputReport {
     let base_pps = feed.background.mean_pps();
-    const LOSSLESS: f64 = 0.001;
 
     // Establish an upper bracket for zero-loss by doubling.
     let mut lo = 1.0;
     let mut hi = 1.0;
-    let mut hi_outcome = run_at(product, feed, hi);
-    while hi_outcome.loss_ratio() <= LOSSLESS && hi < max_factor {
+    let mut hi_lossless = lossless_at(product, feed, hi);
+    while hi_lossless && hi < max_factor {
         lo = hi;
         hi = (hi * 2.0).min(max_factor);
-        hi_outcome = run_at(product, feed, hi);
+        hi_lossless = lossless_at(product, feed, hi);
         if hi >= max_factor {
             break;
         }
     }
 
-    let zero_loss_factor = if hi_outcome.loss_ratio() <= LOSSLESS {
+    let zero_loss_factor = if hi_lossless {
         hi // lossless all the way to the ceiling
     } else {
         // Bisect [lo, hi].
         for _ in 0..12 {
             let mid = 0.5 * (lo + hi);
-            let out = run_at(product, feed, mid);
-            if out.loss_ratio() <= LOSSLESS {
+            if lossless_at(product, feed, mid) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -175,6 +224,49 @@ mod tests {
                 r.zero_loss_pps
             );
         }
+    }
+
+    #[test]
+    fn early_exit_agrees_with_full_runs() {
+        let feed = tiny_feed();
+        let (mut stopped, mut finished) = (0, 0);
+        for id in ProductId::ALL {
+            let product = IdsProduct::model(id);
+            for factor in [1.0, 256.0, 512.0, 1024.0] {
+                let mut counts = Vec::new();
+                let stopping = probe(&product, &feed, factor, |n, records| {
+                    counts.push(n);
+                    provably_lossy(n, records)
+                });
+                let verdict = stopping.as_ref().is_some_and(|out| out.loss_ratio() <= LOSSLESS);
+                // A probe that ran to the end is the full run; one that
+                // stopped is rerun in full, recording every chunk boundary.
+                let full = match stopping {
+                    Some(out) => {
+                        finished += 1;
+                        out
+                    }
+                    None => {
+                        stopped += 1;
+                        counts.clear();
+                        probe(&product, &feed, factor, |n, _| {
+                            counts.push(n);
+                            false
+                        })
+                        .expect("a probe that never stops finishes")
+                    }
+                };
+                assert_eq!(verdict, full.loss_ratio() <= LOSSLESS, "{id:?} at {factor}");
+                assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{id:?} at {factor}: {counts:?}");
+                assert!(
+                    counts.iter().all(|&n| n <= full.missed),
+                    "{id:?} at {factor}: {counts:?} exceeds missed {}",
+                    full.missed
+                );
+            }
+        }
+        // The grid must exercise both outcomes.
+        assert!(stopped > 0 && finished > 0, "stopped {stopped}, finished {finished}");
     }
 
     #[test]

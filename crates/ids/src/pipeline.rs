@@ -34,7 +34,7 @@ use idse_net::FlowKey;
 use idse_sim::stats::{DurationSummary, StageCounters};
 use idse_sim::{AuditLevel, EventQueue, HostCpu, SimDuration, SimTime, Simulation, World};
 use idse_telemetry::Telemetry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 /// Sim-time a rerouting stage pays per retry hop while hunting a live
@@ -212,6 +212,7 @@ impl PipelineSession {
         let mut records = records.into_iter().peekable();
         let Some(first) = records.peek() else { return };
         self.sim.run_before(&mut self.world, first.at);
+        self.world.window.slots.reserve(records.size_hint().0);
         for rec in records {
             let idx = self.next_index;
             self.next_index += 1;
@@ -224,6 +225,14 @@ impl PipelineSession {
     /// Records fed so far.
     pub fn fed(&self) -> u64 {
         u64::from(self.next_index)
+    }
+
+    /// In-scope records already evicted from the window without ever
+    /// being inspected. The count only grows, and no later event can
+    /// inspect those records, so while nothing is blocked or excluded from
+    /// the data pool it is a lower bound on the finished run's `missed`.
+    pub fn evicted_unmonitored(&self) -> u64 {
+        self.world.window.evicted_unmonitored
     }
 
     /// Drain every remaining event and produce the outcome.
@@ -263,46 +272,87 @@ struct WindowEntry {
 /// per scheduled follow-up event or replay-buffer hold, and is dropped as
 /// soon as nothing references it — the constant-memory substitute for
 /// borrowing the whole trace.
+///
+/// Indices are admitted in order, so the window is a ring offset from the
+/// oldest live index: an evicted record leaves `None` in its slot, and the
+/// front pops while it reads `None`. The ring's memory therefore grows with
+/// the distance between the oldest live index and the newest one, not
+/// with the live count: one long-held record (say, a replay-buffer slot
+/// across an outage) keeps every later slot allocated until it is freed.
 #[derive(Default)]
 struct RecordWindow {
-    entries: BTreeMap<u32, WindowEntry>,
+    /// Slot `i` holds record `base + i`, or `None` once it is evicted.
+    slots: VecDeque<Option<WindowEntry>>,
+    base: u32,
+    live: usize,
     peak: usize,
+    /// In-scope records evicted without ever being marked monitored.
+    evicted_unmonitored: u64,
 }
 
 impl RecordWindow {
     fn insert(&mut self, idx: u32, record: TraceRecord, in_scope: bool) {
-        let prev =
-            self.entries.insert(idx, WindowEntry { record, in_scope, monitored: false, refs: 1 });
-        debug_assert!(prev.is_none(), "record index {idx} admitted twice");
-        self.peak = self.peak.max(self.entries.len());
+        debug_assert_eq!(
+            idx as usize,
+            self.base as usize + self.slots.len(),
+            "record index {idx} admitted out of order"
+        );
+        self.slots.push_back(Some(WindowEntry { record, in_scope, monitored: false, refs: 1 }));
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+    }
+
+    fn slot(&mut self, idx: u32) -> &mut Option<WindowEntry> {
+        let offset = idx.checked_sub(self.base).expect("record still referenced");
+        self.slots.get_mut(offset as usize).expect("record still referenced")
+    }
+
+    fn entry(&self, idx: u32) -> &WindowEntry {
+        idx.checked_sub(self.base)
+            .and_then(|offset| self.slots.get(offset as usize))
+            .and_then(Option::as_ref)
+            .expect("record still referenced")
+    }
+
+    fn entry_mut(&mut self, idx: u32) -> &mut WindowEntry {
+        self.slot(idx).as_mut().expect("record still referenced")
     }
 
     fn record(&self, idx: u32) -> &TraceRecord {
-        &self.entries.get(&idx).expect("record still referenced").record
+        &self.entry(idx).record
     }
 
     fn in_scope(&self, idx: u32) -> bool {
-        self.entries.get(&idx).expect("record still referenced").in_scope
+        self.entry(idx).in_scope
     }
 
     /// Mark inspected; returns true on the first marking of an in-scope
     /// record (the `monitored` counter's increment condition).
     fn mark_monitored(&mut self, idx: u32) -> bool {
-        let e = self.entries.get_mut(&idx).expect("record still referenced");
+        let e = self.entry_mut(idx);
         let first = !e.monitored && e.in_scope;
         e.monitored = true;
         first
     }
 
     fn retain(&mut self, idx: u32) {
-        self.entries.get_mut(&idx).expect("record still referenced").refs += 1;
+        self.entry_mut(idx).refs += 1;
     }
 
     fn release(&mut self, idx: u32) {
-        let e = self.entries.get_mut(&idx).expect("record still referenced");
+        let slot = self.slot(idx);
+        let e = slot.as_mut().expect("record still referenced");
         e.refs -= 1;
-        if e.refs == 0 {
-            self.entries.remove(&idx);
+        if e.refs > 0 {
+            return;
+        }
+        let lost = e.in_scope && !e.monitored;
+        *slot = None;
+        self.evicted_unmonitored += u64::from(lost);
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
         }
     }
 }
@@ -325,7 +375,6 @@ struct DeploymentWorld {
     monitor: Monitor,
     console: ManagementConsole,
     auto_response: bool,
-    sensitivity: Sensitivity,
     data_pool: crate::datapool::DataPoolFilter,
     /// Whether any network-side engine exists. Host-agent-only products
     /// monitor only traffic touching their hosts; everything else is out
@@ -447,7 +496,6 @@ impl DeploymentWorld {
             monitor,
             console,
             auto_response: config.auto_response,
-            sensitivity: config.sensitivity,
             data_pool: config.data_pool.clone(),
             has_network_engines,
             monitored_set,
@@ -1092,7 +1140,6 @@ impl DeploymentWorld {
 
             Ev::AnalyzerDone { rec, observed, det } => {
                 self.present_alert(now, rec, observed, det, queue);
-                let _ = self.sensitivity;
             }
 
             Ev::Replay => {
@@ -1374,6 +1421,90 @@ mod tests {
             .run(&benign(2, 10, 20.0));
         let s = summarize(&lb_sink.events());
         assert!(s.span("stage.load_balance").is_some(), "LB stage missing");
+    }
+
+    mod window {
+        use super::*;
+        use idse_net::packet::{Ipv4Header, Packet, UdpHeader};
+        use proptest::prelude::*;
+
+        /// The oracle: every live record in an ordered map, nothing else.
+        #[derive(Default)]
+        struct Model {
+            live: BTreeMap<u32, (bool, bool, u32)>, // (in_scope, monitored, refs)
+            next: u32,
+            peak: usize,
+            evicted_unmonitored: u64,
+        }
+
+        fn record(idx: u32) -> TraceRecord {
+            let ip = Ipv4Header::simple(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+            let udp = UdpHeader { src_port: 1, dst_port: 53 };
+            TraceRecord {
+                at: SimTime::from_nanos(u64::from(idx)),
+                packet: Packet::udp(ip, udp, Vec::new()),
+                truth: None,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random admit/retain/mark/release sequences: the window agrees
+            /// with the ordered-map model on every lookup, the peak live
+            /// count and the evicted-unmonitored count.
+            #[test]
+            fn window_matches_ordered_map_model(
+                ops in prop::collection::vec(
+                    (0u8..5, any::<bool>(), any::<prop::sample::Index>()),
+                    0..400,
+                ),
+            ) {
+                let mut window = RecordWindow::default();
+                let mut model = Model::default();
+                for (op, in_scope, pick) in ops {
+                    let live: Vec<u32> = model.live.keys().copied().collect();
+                    let target = (!live.is_empty()).then(|| live[pick.index(live.len())]);
+                    match (op, target) {
+                        (0, _) | (_, None) => {
+                            window.insert(model.next, record(model.next), in_scope);
+                            model.live.insert(model.next, (in_scope, false, 1));
+                            model.next += 1;
+                            model.peak = model.peak.max(model.live.len());
+                        }
+                        (1, Some(idx)) => {
+                            window.retain(idx);
+                            model.live.get_mut(&idx).expect("live").2 += 1;
+                        }
+                        (2, Some(idx)) => {
+                            let e = model.live.get_mut(&idx).expect("live");
+                            let first = e.0 && !e.1;
+                            e.1 = true;
+                            prop_assert_eq!(window.mark_monitored(idx), first);
+                        }
+                        (_, Some(idx)) => {
+                            window.release(idx);
+                            let e = model.live.get_mut(&idx).expect("live");
+                            e.2 -= 1;
+                            if e.2 == 0 {
+                                if e.0 && !e.1 {
+                                    model.evicted_unmonitored += 1;
+                                }
+                                model.live.remove(&idx);
+                            }
+                        }
+                    }
+                    for (&idx, &(in_scope, _, _)) in &model.live {
+                        prop_assert_eq!(window.record(idx).at, SimTime::from_nanos(u64::from(idx)));
+                        prop_assert_eq!(window.in_scope(idx), in_scope);
+                    }
+                    prop_assert_eq!(window.live, model.live.len());
+                    prop_assert!(window.slots.front().is_none_or(Option::is_some));
+                    prop_assert_eq!(window.peak, model.peak);
+                    prop_assert_eq!(window.evicted_unmonitored, model.evicted_unmonitored);
+                }
+            }
+        }
     }
 
     mod faults {
