@@ -18,9 +18,8 @@
 //! [`rules`] (`sink-side-effect`, `materialized-feed-in-experiment`),
 //! allow-directive validation, and extraction of a lightweight semantic
 //! model (see [`model`]): `fn`/`impl`/`mod` definitions, `use` imports,
-//! call-site tokens, and taint seeds. Files are independent, so this phase
-//! fans out through [`idse_exec::Executor::par_map`] and merges in
-//! submission order.
+//! call-site tokens, and taint seeds. It is a plain loop over the files in
+//! canonical order.
 //!
 //! **Phase 2** assembles the per-file models into a workspace call graph
 //! and propagates taint labels (see [`taint`]) backwards from every hazard
@@ -64,10 +63,10 @@
 //!
 //! ## Determinism of the lint itself
 //!
-//! The lint practices what it enforces: the workspace walk is sorted, all
-//! aggregation uses ordered containers, the parallel scan merges in
-//! canonical order, and `--jobs N` output is byte-identical to serial for
-//! text, JSON, and SARIF alike.
+//! The lint practices what it enforces: the workspace walk is sorted, the
+//! three phases run serially in that order, all aggregation uses ordered
+//! containers, and the report is sorted before it is rendered. The text
+//! listing and the `--json` report are a pure function of the tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,11 +74,9 @@
 pub mod dataflow;
 pub mod model;
 pub mod rules;
-pub mod sarif;
 pub mod source;
 pub mod taint;
 
-use idse_exec::Executor;
 use rules::{FileKind, LineCtx, RuleId, Severity, TaintLabel};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -163,92 +160,10 @@ impl Report {
         self.suppressed.extend(other.suppressed);
         self.files_scanned += other.files_scanned;
     }
-
-    /// Per-crate, per-rule counts: the suppression-debt ledger.
-    pub fn stats(&self) -> Stats {
-        let mut per_crate: BTreeMap<String, BTreeMap<String, RuleCounts>> = BTreeMap::new();
-        fn slot<'m>(
-            per_crate: &'m mut BTreeMap<String, BTreeMap<String, RuleCounts>>,
-            crate_name: &str,
-            rule: &str,
-        ) -> &'m mut RuleCounts {
-            per_crate
-                .entry(crate_name.to_string())
-                .or_default()
-                .entry(rule.to_string())
-                .or_default()
-        }
-        for f in &self.findings {
-            let c = slot(&mut per_crate, &f.crate_name, &f.rule);
-            match f.severity() {
-                Severity::Error => c.errors += 1,
-                Severity::Warn => c.warnings += 1,
-            }
-        }
-        for s in &self.suppressed {
-            slot(&mut per_crate, &s.finding.crate_name, &s.finding.rule).suppressed += 1;
-        }
-        let mut totals = RuleCounts::default();
-        for counts in per_crate.values().flat_map(|m| m.values()) {
-            totals.errors += counts.errors;
-            totals.warnings += counts.warnings;
-            totals.suppressed += counts.suppressed;
-        }
-        Stats { files_scanned: self.files_scanned, per_crate, totals }
-    }
-}
-
-/// Error/warning/suppression counts for one (crate, rule) cell.
-#[derive(Debug, Default, Clone, Copy, Serialize)]
-pub struct RuleCounts {
-    /// Active error findings.
-    pub errors: usize,
-    /// Active warning findings.
-    pub warnings: usize,
-    /// Findings suppressed by allow directives (the debt to track).
-    pub suppressed: usize,
-}
-
-/// The `--stats` / baseline payload: per-crate rule-hit counts.
-#[derive(Debug, Serialize)]
-pub struct Stats {
-    /// Number of files scanned.
-    pub files_scanned: usize,
-    /// crate → rule → counts, both levels sorted.
-    pub per_crate: BTreeMap<String, BTreeMap<String, RuleCounts>>,
-    /// Workspace-wide totals.
-    pub totals: RuleCounts,
-}
-
-impl Stats {
-    /// Render the fixed-width table `--stats` prints.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<16} {:<32} {:>6} {:>6} {:>10}",
-            "crate", "rule", "err", "warn", "suppressed"
-        );
-        for (crate_name, rules) in &self.per_crate {
-            for (rule, c) in rules {
-                let _ = writeln!(
-                    out,
-                    "{:<16} {:<32} {:>6} {:>6} {:>10}",
-                    crate_name, rule, c.errors, c.warnings, c.suppressed
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "{:<16} {:<32} {:>6} {:>6} {:>10}",
-            "TOTAL", "", self.totals.errors, self.totals.warnings, self.totals.suppressed
-        );
-        out
-    }
 }
 
 /// Render the human findings listing plus the one-line summary, exactly as
-/// the `lint` binary prints it (and as CI diffs across `--jobs` values).
+/// the `lint` binary prints it.
 pub fn render_text(report: &Report) -> String {
     let mut out = String::new();
     for f in &report.findings {
@@ -315,7 +230,7 @@ struct FilePass {
 }
 
 /// Phase 1 for one file: line rules, directive validation, model
-/// extraction. Pure function of the input — safe to fan out.
+/// extraction. A pure function of the input.
 fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
     let lines = source::mask(&input.text);
     let test_flags = source::test_regions(&lines);
@@ -427,15 +342,14 @@ fn seed_kill(passes: &[FilePass], label: TaintLabel, s: &model::SeedInfo) -> Opt
         .then_some(SeedKill::ByDirectAllow)
 }
 
-/// Analyze a workspace: phase 1 per file in parallel, then the call
-/// graph, taint, and dataflow phases over the merged models.
-pub fn analyze(ws: &Workspace, exec: &Executor) -> Report {
-    // Phase 1: per-file, embarrassingly parallel, merged in submission
-    // order by par_map — the scan is byte-identical at any worker count.
-    let mut passes: Vec<FilePass> = exec.par_map(&ws.files, analyze_file);
+/// Analyze a workspace: phase 1 per file, then the call graph, taint, and
+/// dataflow phases over the collected models.
+pub fn analyze(ws: &Workspace) -> Report {
+    // Phase 1: per file, in canonical file order.
+    let mut passes: Vec<FilePass> =
+        ws.files.iter().enumerate().map(|(i, f)| analyze_file(i, f)).collect();
 
-    // Phase 2: whole-workspace call graph and taint propagation (serial —
-    // the graph is one shared structure and the pass is cheap).
+    // Phase 2: whole-workspace call graph and taint propagation.
     let metas: Vec<model::FileMeta> = ws
         .files
         .iter()
@@ -554,8 +468,8 @@ pub fn analyze(ws: &Workspace, exec: &Executor) -> Report {
     }
 
     // Phase 3: value dataflow over the same models — seed lineage,
-    // reduction order, store-record purity. Serial and deterministic; an
-    // allow at the finding line or at the chain's origin suppresses.
+    // reduction order, store-record purity. An allow at the finding line
+    // or at the chain's origin suppresses.
     let dataflow_hits = {
         let views: Vec<dataflow::FileView<'_>> = metas
             .iter()
@@ -634,7 +548,7 @@ pub fn analyze(ws: &Workspace, exec: &Executor) -> Report {
     }
 
     // Merge in canonical file order, then sort: the final report is a
-    // pure function of the workspace, independent of scheduling.
+    // pure function of the workspace.
     let mut report = Report::default();
     for pass in passes {
         report.absorb(pass.report);
@@ -669,7 +583,7 @@ pub fn analyze_source(file: &str, crate_name: &str, kind: FileKind, text: &str) 
         }],
         deps: BTreeMap::new(),
     };
-    analyze(&ws, &Executor::serial())
+    analyze(&ws)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -830,15 +744,9 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     Ok(ws)
 }
 
-/// Run the full pass over a workspace rooted at `root`, serially.
+/// Run the full pass over a workspace rooted at `root`.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
-    run_workspace_with(root, &Executor::serial())
-}
-
-/// Run the full pass over a workspace rooted at `root` on the given
-/// executor. Byte-identical to [`run_workspace`] at any worker count.
-pub fn run_workspace_with(root: &Path, exec: &Executor) -> std::io::Result<Report> {
-    Ok(analyze(&load_workspace(root)?, exec))
+    Ok(analyze(&load_workspace(root)?))
 }
 
 #[cfg(test)]
@@ -896,26 +804,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_counts_by_crate_and_rule() {
-        let mut r = analyze_source("a.rs", "idse-telemetry", FileKind::Library, SINK_LINE);
-        r.absorb(analyze_source(
-            "b.rs",
-            "idse-bench",
-            FileKind::Bin,
-            "let feed = request.build_feed();\n",
-        ));
-        let stats = r.stats();
-        assert_eq!((stats.totals.errors, stats.totals.warnings), (1, 1));
-        assert_eq!(stats.per_crate["idse-telemetry"]["sink-side-effect"].errors, 1);
-        assert_eq!(stats.per_crate["idse-bench"]["materialized-feed-in-experiment"].warnings, 1);
-    }
-
-    #[test]
     fn json_report_is_deterministic() {
         let run = || {
             let src = format!("{SINK_LINE}\nfn f(q: &mut EventQueue) {{}}\n");
             let r = analyze_source("a.rs", "idse-telemetry", FileKind::Library, &src);
-            serde_json::to_string(&r.stats()).expect("stats serialize")
+            serde_json::to_string(&r).expect("report serializes")
         };
         assert_eq!(run(), run());
     }
@@ -945,7 +838,7 @@ mod tests {
             ],
             deps: BTreeMap::new(),
         };
-        let r = analyze(&ws, &Executor::serial());
+        let r = analyze(&ws);
         let trans: Vec<_> =
             r.findings.iter().filter(|f| f.rule == "transitive-wall-clock-in-sim").collect();
         assert_eq!(trans.len(), r.findings.len(), "{:?}", r.findings);
@@ -985,7 +878,7 @@ mod tests {
             deps: BTreeMap::new(),
         };
         // No unused-allow finding either: the shield counts as used.
-        let r = analyze(&ws, &Executor::serial());
+        let r = analyze(&ws);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
         assert!(r.suppressed[0].finding.message.contains("shields 1 in-scope function"));
@@ -1013,14 +906,14 @@ mod tests {
             ],
             deps: BTreeMap::new(),
         };
-        let bare = analyze(&ws(""), &Executor::serial());
+        let bare = analyze(&ws(""));
         assert_eq!(bare.findings.len(), 1, "{:?}", bare.findings);
         assert_eq!(bare.findings[0].rule, "transitive-panic-in-library");
         let expected = r#"    #[expect(clippy::panic, reason = "re-raise")]"#;
-        let shielded = analyze(&ws(expected), &Executor::serial());
+        let shielded = analyze(&ws(expected));
         assert!(shielded.findings.is_empty(), "{:?}", shielded.findings);
         // An expect naming an unrelated lint shields nothing.
-        let other = analyze(&ws("    #[expect(clippy::float_cmp)]"), &Executor::serial());
+        let other = analyze(&ws("    #[expect(clippy::float_cmp)]"));
         assert_eq!(other.findings.len(), 1, "{:?}", other.findings);
     }
 }

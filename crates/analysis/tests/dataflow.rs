@@ -1,12 +1,9 @@
 //! End-to-end tests for phase 3, the value-dataflow rules: one positive
 //! and one negative fixture per rule, witness chains, tier policy,
-//! allow + shield composition, SARIF coverage, and byte identity across
-//! worker counts.
+//! and allow + shield composition.
 
-use idse_exec::Executor;
 use idse_lint::rules::FileKind;
-use idse_lint::{analyze_source, render_text, Report, Workspace};
-use proptest::prelude::*;
+use idse_lint::{analyze_source, Report};
 use std::path::Path;
 
 #[expect(
@@ -229,64 +226,4 @@ fn impure_store_record_catches_wall_clock_values_in_any_tier() {
     let r = analyze_source("x.rs", "idse-bench", FileKind::Library, src);
     assert_eq!(rules_of(&r), vec!["impure-store-record"], "{:?}", rules_of(&r));
     assert!(r.findings[0].chain[1].starts_with("wall-clock value `when`"));
-}
-
-// --- SARIF carries the new rules ---
-
-#[test]
-fn sarif_lists_the_dataflow_rules_and_their_findings() {
-    let r = lint_fixture("seed_collision_pos.rs", "idse-sim", FileKind::Library);
-    let sarif = idse_lint::sarif::to_sarif(&r);
-    for rule in [
-        "literal-seed",
-        "seed-label-reuse",
-        "seed-label-collision",
-        "unordered-float-reduce",
-        "impure-store-record",
-    ] {
-        assert!(sarif.contains(&format!("\"{rule}\"")), "rules table misses {rule}");
-    }
-    assert!(sarif.contains("derive_seed"), "finding message survives into SARIF");
-}
-
-// --- determinism across worker counts, fixtures in one workspace ---
-
-fn dataflow_fixture_workspace() -> Workspace {
-    let base = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let mut ws = Workspace::default();
-    for (name, crate_name) in [
-        ("seed_literal_pos.rs", "idse-sim"),
-        ("seed_reuse_pos.rs", "idse-sim"),
-        ("seed_collision_pos.rs", "idse-sim"),
-        ("float_reduce_pos.rs", "idse-eval"),
-        ("store_record_pos.rs", "idse-store"),
-    ] {
-        ws.files.push(idse_lint::FileInput {
-            path: name.to_string(),
-            crate_name: crate_name.to_string(),
-            kind: FileKind::Library,
-            text: std::fs::read_to_string(base.join(name)).expect("fixture reads"),
-        });
-    }
-    ws
-}
-
-proptest! {
-    /// Dataflow findings are a pure function of the workspace: any worker
-    /// count emits the same bytes as serial for every output format.
-    #[test]
-    fn dataflow_findings_are_stable_across_worker_counts(jobs in 1usize..=16) {
-        let ws = dataflow_fixture_workspace();
-        let serial = idse_lint::analyze(&ws, &Executor::serial());
-        let parallel = idse_lint::analyze(&ws, &Executor::new(jobs));
-        prop_assert_eq!(render_text(&serial), render_text(&parallel));
-        prop_assert_eq!(
-            serde_json::to_string_pretty(&serial).expect("serializes"),
-            serde_json::to_string_pretty(&parallel).expect("serializes")
-        );
-        prop_assert_eq!(
-            idse_lint::sarif::to_sarif(&serial),
-            idse_lint::sarif::to_sarif(&parallel)
-        );
-    }
 }

@@ -117,7 +117,7 @@ fn fixture_reports_are_deterministic() {
         ] {
             all.absorb(lint_fixture(name, crate_name, FileKind::Library));
         }
-        serde_json::to_string(&all.stats()).expect("stats serialize")
+        serde_json::to_string(&all).expect("report serializes")
     };
     assert_eq!(run(), run());
 }

@@ -2,14 +2,10 @@
 //! is a miniature on-disk workspace (crates with manifests), loaded through
 //! the production [`idse_lint::load_workspace`] so `use` resolution, crate
 //! naming, and the dependency-direction filter are all exercised exactly as
-//! in a real run. Alongside the corpus: the `--jobs` byte-identity
-//! guarantee, checked on the fixtures, on this repository's own workspace,
-//! and property-tested across worker counts.
+//! in a real run.
 
-use idse_exec::Executor;
 use idse_lint::rules::FileKind;
-use idse_lint::{analyze, load_workspace, render_text, Report};
-use proptest::prelude::*;
+use idse_lint::{analyze, load_workspace, Report};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(case: &str) -> PathBuf {
@@ -23,7 +19,7 @@ fn fixture_root(case: &str) -> PathBuf {
 fn lint_case(case: &str) -> Report {
     let ws = load_workspace(&fixture_root(case))
         .unwrap_or_else(|e| panic!("fixture workspace {case} must load: {e}"));
-    analyze(&ws, &Executor::serial())
+    analyze(&ws)
 }
 
 fn rules_of(report: &Report) -> Vec<&str> {
@@ -83,7 +79,7 @@ fn allow_at_the_source_shields_the_report_crate() {
     let ws = load_workspace(&root).expect("fixture workspace loads");
     // No findings at all: in particular no unused-allow, so the shield
     // counts as used.
-    let r = analyze(&ws, &Executor::serial());
+    let r = analyze(&ws);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
     let s = &r.suppressed[0];
@@ -110,62 +106,6 @@ fn taint_flows_through_trait_method_calls() {
     let f = &r.findings[0];
     assert_eq!(f.file, "crates/sim/src/lib.rs");
     assert!(f.chain.iter().any(|s| s.contains("SysClock::tick_wallclock")), "{:?}", f.chain);
-}
-
-/// All three output formats for a workspace under a given executor.
-fn outputs(root: &Path, exec: &Executor) -> (String, String, String) {
-    let ws = load_workspace(root).expect("workspace loads");
-    let report = analyze(&ws, exec);
-    let text = render_text(&report);
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let sarif = idse_lint::sarif::to_sarif(&report);
-    (text, json, sarif)
-}
-
-#[test]
-fn parallel_scan_is_byte_identical_on_fixtures() {
-    for case in [
-        "direct",
-        "two_hop",
-        "cross_crate",
-        "cross_crate_neg",
-        "allow_at_source",
-        "cycle",
-        "trait_method",
-    ] {
-        let root = fixture_root(case);
-        let serial = outputs(&root, &Executor::serial());
-        for jobs in [1, 4, 0] {
-            assert_eq!(serial, outputs(&root, &Executor::new(jobs)), "case {case}, jobs {jobs}");
-        }
-    }
-}
-
-#[test]
-fn parallel_scan_is_byte_identical_on_the_live_workspace() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root exists")
-        .to_path_buf();
-    let serial = outputs(&root, &Executor::serial());
-    for jobs in [1, 4, 0] {
-        let parallel = outputs(&root, &Executor::new(jobs));
-        assert_eq!(serial.0, parallel.0, "text differs at jobs {jobs}");
-        assert_eq!(serial.1, parallel.1, "json differs at jobs {jobs}");
-        assert_eq!(serial.2, parallel.2, "sarif differs at jobs {jobs}");
-    }
-}
-
-proptest! {
-    /// Any worker count produces the same bytes as serial, for every
-    /// output format.
-    #[test]
-    fn any_worker_count_matches_serial(jobs in 1usize..=16) {
-        let root = fixture_root("cross_crate");
-        let serial = outputs(&root, &Executor::serial());
-        prop_assert_eq!(serial, outputs(&root, &Executor::new(jobs)));
-    }
 }
 
 #[test]

@@ -73,11 +73,6 @@ pub fn standard_evaluation_with(
     (feed, request, evals)
 }
 
-/// [`standard_evaluation_with`] at the canonical seed, serial.
-pub fn standard_evaluation() -> (TestFeed, EvaluationRequest, Vec<ProductEvaluation>) {
-    standard_evaluation_with(STANDARD_SEED, 1)
-}
-
 /// Render a compact fixed-width table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -54,10 +54,15 @@ fn malformed_submits_are_rejected_with_reasons() {
         r#"{"cmd":"submit","spec":{"kind":"evaluate","rate":1e999}}"#,
         // Finite, but far above the stream's session-rate bound.
         r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"rate":1e308}}"#,
+        // Sizes that would exhaust memory or plan billions of jobs.
+        r#"{"cmd":"submit","spec":{"kind":"stream","chunk_records":1099511627776}}"#,
+        r#"{"cmd":"submit","spec":{"kind":"stream","shards":4294967295}}"#,
+        r#"{"cmd":"submit","spec":{"kind":"evaluate","sweep":1099511627776}}"#,
+        r#"{"cmd":"submit","spec":{"kind":"evaluate","intensity":4294967295}}"#,
     ]
     .join("\n");
     let out = replay(&mut core, &script).expect("replay");
-    assert_eq!(out.len(), 10);
+    assert_eq!(out.len(), 14);
     for line in &out {
         assert!(!ok(line), "every malformed line is rejected: {line}");
         let msg = parsed(line);
@@ -68,8 +73,11 @@ fn malformed_submits_are_rejected_with_reasons() {
     assert!(out[1].contains("spec"), "{}", out[1]);
     assert!(out[3].contains("sweep"), "{}", out[3]);
     assert!(out[4].contains("store"), "{}", out[4]);
-    for line in &out[6..] {
+    for line in &out[6..10] {
         assert!(line.contains("invalid job spec: rate"), "{line}");
+    }
+    for (line, field) in out[10..].iter().zip(["chunk_records", "shards", "sweep", "intensity"]) {
+        assert!(line.contains(&format!("invalid job spec: {field}")), "{line}");
     }
     assert!(core.is_idle(), "nothing was queued");
 }

@@ -31,6 +31,37 @@ use serde::{Deserialize, Serialize};
 /// with no explicit seed).
 pub const STANDARD_SEED: u64 = 0x2002_0415;
 
+/// The most sensitivity settings a sweep may sample.
+///
+/// Each step is one job per product that replays the whole test trace, so
+/// the plan and the run time grow linearly with it. 101 steps already
+/// sample every 0.01 of the `[0, 1]` sensitivity range.
+pub const MAX_SWEEP_STEPS: usize = 101;
+
+/// The largest stream chunk, in records.
+///
+/// Each `(product, shard)` job allocates its chunk buffer up front, at 72
+/// bytes a record: 72 MiB at this bound. Chunking is pure batching, so no
+/// chunk size can change a scorecard. The bound is 128 times
+/// [`idse_traffic::DEFAULT_CHUNK_RECORDS`].
+pub const MAX_CHUNK_RECORDS: usize = 1 << 20;
+
+/// The most flow-key shards a stream job may split into.
+///
+/// The plan holds one job per `(product, shard)`, and each job builds and
+/// trains its own deployment on the whole training trace, so training work
+/// grows linearly with the shard count. The bound is 8 times the `stream`
+/// CLI's default of 8.
+pub const MAX_SHARDS: u32 = 64;
+
+/// The highest attack-campaign intensity.
+///
+/// Each step adds one instance of every attack family, about 4,400
+/// records, and every shard job materializes the whole campaign, streaming
+/// runs included. At this bound a campaign is about 285,000 records. The
+/// bound is 32 times the default of 2.
+pub const MAX_CAMPAIGN_INTENSITY: u32 = 64;
+
 /// A spec failed validation (unknown profile, malformed knob, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
@@ -105,9 +136,11 @@ pub struct JobSpec {
     /// Session arrival rate (sessions/s), finite and above 0. Defaults: 25
     /// for `evaluate`, 25 000 for `stream`.
     pub rate: Option<f64>,
-    /// Sensitivity sweep steps (`evaluate` only, default 7, min 2).
+    /// Sensitivity sweep steps (`evaluate` only, default 7, min 2, max
+    /// [`MAX_SWEEP_STEPS`]).
     pub sweep: Option<usize>,
-    /// Attack-campaign intensity (default 2).
+    /// Attack-campaign intensity (default 2, max
+    /// [`MAX_CAMPAIGN_INTENSITY`]).
     pub intensity: Option<u32>,
     /// Fixed sensitivity for the streaming path (default 0.6).
     pub sensitivity: Option<f64>,
@@ -116,9 +149,9 @@ pub struct JobSpec {
     /// Host-population override (`stream` only).
     pub hosts: Option<u32>,
     /// Stream chunk size in records (default
-    /// [`idse_traffic::DEFAULT_CHUNK_RECORDS`]).
+    /// [`idse_traffic::DEFAULT_CHUNK_RECORDS`], max [`MAX_CHUNK_RECORDS`]).
     pub chunk_records: Option<usize>,
-    /// Flow-key shard count (`stream` only, default 8).
+    /// Flow-key shard count (`stream` only, default 8, max [`MAX_SHARDS`]).
     pub shards: Option<u32>,
     /// Fault plan for the survivability probe.
     pub fault_plan: Option<FaultPlan>,
@@ -245,6 +278,10 @@ impl JobSpec {
                 idse_traffic::MAX_SESSION_RATE
             )));
         }
+        at_most("sweep", self.sweep, MAX_SWEEP_STEPS)?;
+        at_most("chunk_records", self.chunk_records, MAX_CHUNK_RECORDS)?;
+        at_most("shards", self.shards, MAX_SHARDS)?;
+        at_most("intensity", self.intensity, MAX_CAMPAIGN_INTENSITY)?;
         let request = match kind {
             JobKind::Evaluate => {
                 let sweep = self.sweep.unwrap_or(7);
@@ -307,6 +344,20 @@ impl JobSpec {
             Some(plan) => request.with_fault_plan(plan.clone()),
             None => request,
         })
+    }
+}
+
+/// Refuse a size-like knob above its bound, naming the field.
+fn at_most<T: PartialOrd + std::fmt::Display>(
+    field: &str,
+    value: Option<T>,
+    max: T,
+) -> Result<(), SpecError> {
+    match value {
+        Some(v) if v > max => {
+            Err(SpecError::new(format!("{field} must be at most {max}, got {v}")))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -381,12 +432,43 @@ mod tests {
             }
         }
 
+        // Hostile sizes are refused by name before anything is allocated
+        // or planned.
+        let oversized = [
+            ("sweep", JobSpec { sweep: Some(1 << 40), ..JobSpec::evaluate() }),
+            ("intensity", JobSpec { intensity: Some(u32::MAX), ..JobSpec::evaluate() }),
+            ("intensity", JobSpec { intensity: Some(u32::MAX), ..JobSpec::stream() }),
+            ("chunk_records", JobSpec { chunk_records: Some(1 << 40), ..JobSpec::stream() }),
+            ("shards", JobSpec { shards: Some(u32::MAX), ..JobSpec::stream() }),
+        ];
+        for (field, spec) in oversized {
+            let err = spec.to_request().expect_err("rejected").to_string();
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
+
         let bad_product = JobSpec { products: Some(vec!["nope".to_owned()]), ..JobSpec::default() };
         assert!(bad_product
             .resolve_products()
             .expect_err("rejected")
             .to_string()
             .contains("product"));
+    }
+
+    #[test]
+    fn size_bounds_are_inclusive() {
+        let at = |spec: JobSpec| spec.to_request().map(|_| ());
+        let eval = JobSpec::evaluate();
+        let stream = JobSpec::stream();
+        assert!(at(JobSpec { sweep: Some(MAX_SWEEP_STEPS), ..eval.clone() }).is_ok());
+        assert!(at(JobSpec { sweep: Some(MAX_SWEEP_STEPS + 1), ..eval.clone() }).is_err());
+        let intensity = MAX_CAMPAIGN_INTENSITY;
+        assert!(at(JobSpec { intensity: Some(intensity), ..eval.clone() }).is_ok());
+        assert!(at(JobSpec { intensity: Some(intensity + 1), ..eval }).is_err());
+        let chunk = MAX_CHUNK_RECORDS;
+        assert!(at(JobSpec { chunk_records: Some(chunk), ..stream.clone() }).is_ok());
+        assert!(at(JobSpec { chunk_records: Some(chunk + 1), ..stream.clone() }).is_err());
+        assert!(at(JobSpec { shards: Some(MAX_SHARDS), ..stream.clone() }).is_ok());
+        assert!(at(JobSpec { shards: Some(MAX_SHARDS + 1), ..stream }).is_err());
     }
 
     #[test]

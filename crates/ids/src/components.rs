@@ -270,11 +270,6 @@ impl LoadBalancer {
             }
         }
     }
-
-    /// Number of downstream sensors.
-    pub fn sensor_count(&self) -> usize {
-        self.sensors
-    }
 }
 
 /// The monitoring subprocess: the operator-facing alert sink.

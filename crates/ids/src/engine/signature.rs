@@ -215,11 +215,6 @@ impl SignatureEngine {
         Self::new(standard_rule_db(), config)
     }
 
-    /// Number of rules loaded.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     fn run_preprocessors(&mut self, now: SimTime, packet: &Packet, out: &mut Vec<Detection>) {
         let src = packet.ip.src;
         if packet.is_syn() {

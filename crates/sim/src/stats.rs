@@ -123,10 +123,6 @@ impl DurationSummary {
     pub fn min(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.0.min().unwrap_or(0.0))
     }
-    /// Underlying scalar summary (seconds).
-    pub fn as_summary(&self) -> &Summary {
-        &self.0
-    }
 }
 
 /// A monotone counter bundle used by pipeline stages: offered, processed,

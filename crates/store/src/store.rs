@@ -28,11 +28,6 @@ pub struct StoredRun {
 }
 
 impl StoredRun {
-    /// The records for one product, in metric order.
-    pub fn product_records(&self, product: &str) -> Vec<&MetricRecord> {
-        self.metrics.iter().filter(|m| m.product == product).collect()
-    }
-
     /// Find one record by (product, metric).
     pub fn get(&self, product: &str, metric: &str) -> Option<&MetricRecord> {
         self.metrics.iter().find(|m| m.product == product && m.metric == metric)
