@@ -94,8 +94,7 @@ impl Campaign {
                 + SimDuration::from_secs_f64(timing_rng.unit() * usable.as_secs_f64());
             let mut scenario_rng =
                 RngStream::derive(config.seed, &format!("campaign/scenario-{attack_id}"));
-            let t = scenario.generate(start, attack_id, &mut scenario_rng);
-            trace.merge(t);
+            trace.append(scenario.generate(start, attack_id, &mut scenario_rng));
         }
         trace.finish();
         trace
@@ -199,6 +198,46 @@ mod tests {
             assert_eq!(a.at, b.at);
             assert_eq!(a.packet, b.packet);
             assert_eq!(a.truth, b.truth);
+        }
+    }
+
+    /// The pre-append generator: merge (and so re-sort) after every
+    /// scenario.
+    fn generate_merging_each_scenario(c: &Campaign, config: &CampaignConfig) -> Trace {
+        let mut timing_rng = RngStream::derive(config.seed, "campaign/timing");
+        let mut trace = Trace::new();
+        let usable = config.span.mul_f64(0.9);
+        for (i, scenario) in c.scenarios.iter().enumerate() {
+            let attack_id = i as u32 + 1;
+            let start = SimTime::ZERO
+                + SimDuration::from_secs_f64(timing_rng.unit() * usable.as_secs_f64());
+            let mut scenario_rng =
+                RngStream::derive(config.seed, &format!("campaign/scenario-{attack_id}"));
+            trace.merge(scenario.generate(start, attack_id, &mut scenario_rng));
+        }
+        trace.finish();
+        trace
+    }
+
+    #[test]
+    fn one_sort_matches_merging_each_scenario() {
+        let profile = SiteProfile::realtime_cluster();
+        for intensity in [1, 16, 64] {
+            for seed in [7, 42, 0x6174_6b73] {
+                let config = CampaignConfig {
+                    intensity,
+                    ..CampaignConfig::new(SimDuration::from_secs(60), seed)
+                };
+                let c = Campaign::standard_mix(&profile, &config);
+                let got = c.generate(&config);
+                let want = generate_merging_each_scenario(&c, &config);
+                assert_eq!(got.len(), want.len(), "intensity {intensity}, seed {seed}");
+                for (a, b) in got.records().iter().zip(want.records()) {
+                    assert_eq!(a.at, b.at, "intensity {intensity}, seed {seed}");
+                    assert_eq!(a.packet, b.packet, "intensity {intensity}, seed {seed}");
+                    assert_eq!(a.truth, b.truth, "intensity {intensity}, seed {seed}");
+                }
+            }
         }
     }
 

@@ -33,7 +33,7 @@ fn bench_pipeline(c: &mut Criterion) {
                         ..RunConfig::default()
                     },
                 )
-                .with_training(feed.training.clone());
+                .with_training(&feed.training);
                 runner.run(&feed.test).alerts.len()
             })
         });

@@ -22,7 +22,7 @@ fn run_once(feed: &TestFeed, telemetry: Telemetry) -> usize {
             ..RunConfig::default()
         },
     )
-    .with_training(feed.training.clone());
+    .with_training(&feed.training);
     runner.run(&feed.test).alerts.len()
 }
 

@@ -85,7 +85,7 @@ fn main() {
                 ..RunConfig::default()
             },
         )
-        .with_training(feed.training.clone())
+        .with_training(&feed.training)
         .run(&feed.test);
         let c = ledger.score_alerts(&out.alerts, &out.alert_truths);
         let tp = throughput_search(&product, &feed, request.max_throughput_factor);

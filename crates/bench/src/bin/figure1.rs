@@ -34,7 +34,7 @@ fn main() {
             ..RunConfig::default()
         };
         PipelineRunner::new(product.clone(), run_config)
-            .with_training(feed.training.clone())
+            .with_training(&feed.training)
             .run(&feed.test)
     });
     for (product, walk) in products.iter().zip(&walks) {

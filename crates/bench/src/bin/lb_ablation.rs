@@ -37,9 +37,8 @@ fn main() {
             monitored_hosts: feed.servers.clone(),
             ..RunConfig::default()
         };
-        let out = PipelineRunner::new(product.clone(), run_config.clone())
-            .with_training(feed.training.clone())
-            .run(&hot);
+        let runner = PipelineRunner::new(product, run_config).with_training(&feed.training);
+        let out = runner.run(&hot);
         let counts = hot_ledger.score_alerts(&out.alerts, &out.alert_truths);
 
         let loads: Vec<u64> = out.sensor_counters.iter().map(|c| c.processed).collect();
@@ -48,9 +47,7 @@ fn main() {
         let imbalance = if min > 0.0 { max / min } else { f64::INFINITY };
 
         // Detection at normal load for the same strategy.
-        let out_normal = PipelineRunner::new(product, run_config)
-            .with_training(feed.training.clone())
-            .run(&feed.test);
+        let out_normal = runner.run(&feed.test);
         let normal_counts = ledger.score_alerts(&out_normal.alerts, &out_normal.alert_truths);
 
         vec![

@@ -23,6 +23,7 @@
 //! reason. Runs in CI after clippy; exits 1 when any error-severity
 //! finding is active and 2 on a usage or I/O error.
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -68,14 +69,30 @@ fn workspace_root() -> PathBuf {
     }
 }
 
+/// Write `text` to stdout and return `verdict`. A reader that closes the
+/// pipe early (`lint --json - | head`) ends the output quietly; any other
+/// write error is an I/O error.
+fn emit(text: &str, verdict: ExitCode) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => verdict,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => verdict,
+        Err(e) => {
+            eprintln!("lint: failed to write stdout: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
 
     if args.list_rules {
-        for rule in idse_lint::rules::RuleId::ALL {
-            println!("{:<40} {}", rule.name(), rule.description());
-        }
-        return ExitCode::SUCCESS;
+        let listing: String = idse_lint::rules::RuleId::ALL
+            .into_iter()
+            .map(|rule| format!("{:<40} {}\n", rule.name(), rule.description()))
+            .collect();
+        return emit(&listing, ExitCode::SUCCESS);
     }
 
     let report = match idse_lint::run_workspace(&args.root) {
@@ -86,21 +103,18 @@ fn main() -> ExitCode {
         }
     };
 
+    let mut text = String::new();
     if let Some(path) = &args.json {
         let payload = serde_json::to_string_pretty(&report).expect("report serializes");
         if path == Path::new("-") {
-            println!("{payload}");
+            text.push_str(&payload);
+            text.push('\n');
         } else if let Err(e) = std::fs::write(path, payload) {
             eprintln!("lint: failed to write json {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
+    text.push_str(&idse_lint::render_text(&report));
 
-    print!("{}", idse_lint::render_text(&report));
-
-    if report.has_errors() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    emit(&text, if report.has_errors() { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }

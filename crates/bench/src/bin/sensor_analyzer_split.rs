@@ -49,8 +49,7 @@ fn main() {
             monitored_hosts: feed.servers.clone(),
             ..RunConfig::default()
         };
-        let out =
-            PipelineRunner::new(product, run_config).with_training(feed.training.clone()).run(&hot);
+        let out = PipelineRunner::new(product, run_config).with_training(&feed.training).run(&hot);
         let timing = timing_report(&hot, &out);
         vec![
             (*label).to_owned(),

@@ -55,13 +55,12 @@ pub fn payload_realism_experiment(
     let random = mk(PayloadMode::RandomBytes, 0);
 
     exec.par_map(products, |_, p| {
-        let run = |trace: &idse_net::trace::Trace| {
-            let config =
-                RunConfig { sensitivity: Sensitivity::new(sensitivity), ..RunConfig::default() };
-            PipelineRunner::new(p.clone(), config).with_training(training.clone()).run(trace)
-        };
-        let out_real = run(&realistic);
-        let out_rand = run(&random);
+        let config =
+            RunConfig { sensitivity: Sensitivity::new(sensitivity), ..RunConfig::default() };
+        // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
+        let runner = PipelineRunner::new(p.clone(), config).with_training(&training);
+        let out_real = runner.run(&realistic);
+        let out_rand = runner.run(&random);
         let mean_cost = |trace: &idse_net::trace::Trace| -> f64 {
             // Engine cost model, averaged over the trace.
             let mut sig = p
@@ -132,9 +131,9 @@ pub fn site_profile_experiment(
                 monitored_hosts: cluster.servers.clone(),
                 ..RunConfig::default()
             };
-            let out = PipelineRunner::new(p.clone(), config)
-                .with_training(training.clone())
-                .run(&cluster.test);
+            // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
+            let runner = PipelineRunner::new(p.clone(), config).with_training(training);
+            let out = runner.run(&cluster.test);
             ledger.score_alerts(&out.alerts, &out.alert_truths)
         };
         let matched = run(&cluster.training);
@@ -187,15 +186,10 @@ pub fn operating_point_experiment(
     let low_fn_point = curve.operating_point(&plan);
 
     let ledger = StreamLedger::of(&feed.test);
+    let trained = feed.trained_runner(product);
     let trust_rate_at = |s: f64| -> Option<f64> {
-        let config = RunConfig {
-            sensitivity: Sensitivity::new(s),
-            monitored_hosts: feed.servers.clone(),
-            ..RunConfig::default()
-        };
-        let out = PipelineRunner::new(product.clone(), config)
-            .with_training(feed.training.clone())
-            .run(&feed.test);
+        let config = RunConfig { sensitivity: Sensitivity::new(s), ..trained.config().clone() };
+        let out = trained.reconfigured(config).run(&feed.test);
         ledger
             .score_alerts(&out.alerts, &out.alert_truths)
             .class_detection_rate(AttackClass::TrustExploit)
@@ -380,28 +374,26 @@ pub fn fault_matrix_experiment(
     let fc = fault_matrix_feed_config(seed);
     let feed = TestFeed::realtime_cluster(&fc);
     let true_alerts = |o: &PipelineOutcome| o.alert_truths.iter().flatten().count() as u64;
-    let run = |product: &IdsProduct, faults: Option<FaultPlan>| {
+    let run = |runner: &PipelineRunner, faults: Option<FaultPlan>| {
         let config = RunConfig {
             sensitivity: Sensitivity::new(sensitivity),
-            monitored_hosts: feed.servers.clone(),
             faults,
-            ..RunConfig::default()
+            ..runner.config().clone()
         };
-        PipelineRunner::new(product.clone(), config)
-            .with_training(feed.training.clone())
-            .run(&feed.test)
+        runner.reconfigured(config).run(&feed.test)
     };
 
-    // Fault-free twins first: one baseline per product, reused by every
-    // scenario in that product's row.
-    let baselines = exec.par_map(products, |_, p| true_alerts(&run(p, None)));
+    // Fault-free twins first: one trained runner and one baseline per
+    // product, reused by every scenario in that product's row.
+    let trained = exec.par_map(products, |_, p| feed.trained_runner(p));
+    let baselines = exec.par_map(&trained, |_, runner| true_alerts(&run(runner, None)));
 
     let grid: Vec<(usize, usize)> =
         (0..products.len()).flat_map(|p| (0..scenarios.len()).map(move |s| (p, s))).collect();
     exec.par_map(&grid, |_, &(pi, si)| {
         let product = &products[pi];
         let scenario = &scenarios[si];
-        let faulted = run(product, Some(scenario.plan.clone()));
+        let faulted = run(&trained[pi], Some(scenario.plan.clone()));
         let s = Survivability::measure(
             baselines[pi],
             true_alerts(&faulted),

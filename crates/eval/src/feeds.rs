@@ -14,6 +14,8 @@
 //! the streamed feed are byte-identical by construction and by test.
 
 use idse_attacks::{Campaign, CampaignConfig};
+use idse_ids::pipeline::{PipelineRunner, RunConfig};
+use idse_ids::products::IdsProduct;
 use idse_net::trace::Trace;
 use idse_sim::SimDuration;
 use idse_traffic::{
@@ -187,6 +189,15 @@ impl TestFeed {
 
         let servers = Self::server_hosts(&profile);
         Self { profile, training, background, test, servers }
+    }
+
+    /// `product`'s runner, trained once on this feed's training trace, with
+    /// host agents on the feed's servers. Batch runs reconfigure it per
+    /// sensitivity, probe or fault plan instead of training again.
+    pub fn trained_runner(&self, product: &IdsProduct) -> PipelineRunner {
+        let config = RunConfig { monitored_hosts: self.servers.clone(), ..RunConfig::default() };
+        // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
+        PipelineRunner::new(product.clone(), config).with_training(&self.training)
     }
 
     /// Stream config for the known-benign training window.

@@ -24,13 +24,13 @@ use crate::evidence::{EvidencePolicy, EvidenceStore};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::measure::{self, EnvironmentNeeds};
 use crate::sweep::{measure_sweep_point, ErrorCurve, SweepPlan};
-use crate::throughput::{throughput_search, ThroughputReport};
+use crate::throughput::{self, ThroughputReport};
 use crate::timing::{timing_report, TimingReport};
 use crate::vendor::score_vendor_metrics;
 use idse_core::{MetricId, Scorecard};
 use idse_exec::{CancelToken, Cancelled, Executor, ExperimentPlan, JobKey};
 use idse_faults::{FaultPlan, Survivability};
-use idse_ids::pipeline::{PipelineOutcome, PipelineRunner, RunConfig};
+use idse_ids::pipeline::{PipelineOutcome, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
 
@@ -239,25 +239,24 @@ impl EvaluationRequest {
         self.sweep.validate();
         let exec = self.executor();
         let ledger = StreamLedger::of(&feed.test);
+        // Each product trains once; every sweep point and probe below
+        // deploys clones of its trained engines.
+        let trained = exec.par_map(products, |_, product| feed.trained_runner(product));
 
         // Phase 1+2a: the sweep fan-out — one job per (product, step).
         let mut sweep_jobs: ExperimentPlan<(usize, f64)> = ExperimentPlan::new(self.feed.seed);
-        for product in products {
+        for (index, product) in products.iter().enumerate() {
             for k in 0..self.sweep.steps {
                 sweep_jobs.push_scoped(
                     JobKey::new(product.id.name(), "sweep", k as u32),
                     product.id.name(),
-                    (k, self.sweep.sensitivity_at(k)),
+                    (index, self.sweep.sensitivity_at(k)),
                 );
             }
         }
-        let sweep_results = sweep_jobs.run(&exec, &self.telemetry, cancel, |ctx, &(_, s)| {
+        let sweep_results = sweep_jobs.run(&exec, &self.telemetry, cancel, |_, &(index, s)| {
             cancel.guard()?;
-            let product = products
-                .iter()
-                .find(|p| p.id.name() == ctx.key.subject)
-                .expect("job subject names an input product");
-            Ok(measure_sweep_point(product, feed, &ledger, s))
+            Ok(measure_sweep_point(&trained[index], feed, &ledger, s))
         })?;
 
         // Reduce 2a: assemble each product's curve (results arrive keyed
@@ -327,19 +326,16 @@ impl EvaluationRequest {
                     // under the product's scope.
                     let run_config = RunConfig {
                         sensitivity: Sensitivity::new(sensitivity),
-                        monitored_hosts: feed.servers.clone(),
                         auto_response: true,
                         telemetry: ctx.telemetry.clone(),
-                        ..RunConfig::default()
+                        ..trained[index].config().clone()
                     };
-                    let outcome = PipelineRunner::new(products[index].clone(), run_config)
-                        .with_training(feed.training.clone())
-                        .run(&feed.test);
+                    let outcome = trained[index].reconfigured(run_config).run(&feed.test);
                     ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.operating_run");
                     ProbeOutput::Operate(Box::new(outcome))
                 }
-                ProbeJob::Throughput { index } => ProbeOutput::Throughput(throughput_search(
-                    &products[index],
+                ProbeJob::Throughput { index } => ProbeOutput::Throughput(throughput::search(
+                    &trained[index],
                     feed,
                     self.max_throughput_factor,
                 )),
@@ -349,15 +345,12 @@ impl EvaluationRequest {
                     // to the fault-free twin in the reduce.
                     let run_config = RunConfig {
                         sensitivity: Sensitivity::new(sensitivity),
-                        monitored_hosts: feed.servers.clone(),
                         auto_response: true,
                         telemetry: ctx.telemetry.clone(),
                         faults: self.fault_plan.clone(),
-                        ..RunConfig::default()
+                        ..trained[index].config().clone()
                     };
-                    let outcome = PipelineRunner::new(products[index].clone(), run_config)
-                        .with_training(feed.training.clone())
-                        .run(&feed.test);
+                    let outcome = trained[index].reconfigured(run_config).run(&feed.test);
                     ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.survive_run");
                     ProbeOutput::Survive(Box::new(outcome))
                 }

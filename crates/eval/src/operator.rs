@@ -117,22 +117,16 @@ pub fn fatigue_sweep(
     window_hours: f64,
     steps: usize,
 ) -> Vec<FatigueRow> {
-    use idse_ids::pipeline::{PipelineRunner, RunConfig};
+    use idse_ids::pipeline::RunConfig;
     let ledger = StreamLedger::of(&feed.test);
     let hours = window_hours;
+    let trained = feed.trained_runner(product);
     let mut rows = Vec::with_capacity(steps);
     for k in 0..steps {
         let s = k as f64 / (steps - 1).max(1) as f64;
-        let out = PipelineRunner::new(
-            product.clone(),
-            RunConfig {
-                sensitivity: idse_ids::Sensitivity::new(s),
-                monitored_hosts: feed.servers.clone(),
-                ..RunConfig::default()
-            },
-        )
-        .with_training(feed.training.clone())
-        .run(&feed.test);
+        let config =
+            RunConfig { sensitivity: idse_ids::Sensitivity::new(s), ..trained.config().clone() };
+        let out = trained.reconfigured(config).run(&feed.test);
         let machine = ledger.score_alerts(&out.alerts, &out.alert_truths);
         let effective = operator.effective_confusion(&ledger, &out, hours);
         rows.push(FatigueRow {

@@ -5,9 +5,12 @@
 //! drives the Figure-1 pipeline directly from the `idse-traffic`
 //! [`RecordStream`]:
 //!
+//! * each product's engines train once, before any shard job starts, and
+//!   every shard job deploys clones of them;
 //! * each shard consumes a lazily merged stream of its background chunk
 //!   sequence and its slice of the (small, materialized) campaign, in the
-//!   exact order `Trace::merge` would produce ([`ShardFeed`]);
+//!   exact order `Trace::merge` would produce ([`ShardFeed`]); the campaign
+//!   is generated once per run and split by shard;
 //! * scoring happens incrementally through the same [`StreamLedger`] and
 //!   the same [`join_alerts`] the batch harness scores with, so the two
 //!   engines share one definition of the Figure 3 quantities and no
@@ -32,9 +35,10 @@ use idse_exec::{CancelToken, Cancelled, ExperimentPlan, JobKey};
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
-use idse_net::trace::{Trace, TraceRecord};
+use idse_net::trace::TraceRecord;
 use idse_net::FlowKey;
 use idse_sim::SimTime;
+use idse_telemetry::Telemetry;
 use idse_traffic::{flow_shard, RecordStream};
 use serde::{Deserialize, Serialize};
 
@@ -54,20 +58,27 @@ pub struct ShardFeed {
 impl ShardFeed {
     /// The feed for `shard` of `config.shards`, over `profile`.
     pub fn new(profile: &idse_traffic::SiteProfile, config: &FeedConfig, shard: u32) -> Self {
+        let campaign = campaign_shards(profile, config);
+        Self::with_campaign(profile, config, shard, &campaign[shard as usize])
+    }
+
+    /// [`ShardFeed::new`] over shard `shard`'s slice of an already
+    /// generated campaign (see [`campaign_shards`]), so a run that feeds
+    /// many shards generates the campaign once.
+    pub fn with_campaign(
+        profile: &idse_traffic::SiteProfile,
+        config: &FeedConfig,
+        shard: u32,
+        campaign: &[TraceRecord],
+    ) -> Self {
         let stream_cfg =
             TestFeed::background_stream(profile, config).with_shard(shard, config.shards);
         let bg = RecordStream::new(stream_cfg).expect("feed session rate within MAX_SESSION_RATE");
-        let campaign: VecDeque<TraceRecord> = TestFeed::campaign_trace(profile, config)
-            .records()
-            .iter()
-            .filter(|r| flow_shard(r.packet.ip.src, r.packet.ip.dst, config.shards) == shard)
-            .cloned()
-            .collect();
         Self {
             bg,
             bg_buf: VecDeque::new(),
             bg_done: false,
-            campaign,
+            campaign: campaign.iter().cloned().collect(),
             chunk_records: config.chunk_records.max(1),
         }
     }
@@ -90,6 +101,20 @@ impl ShardFeed {
             (None, None) => None,
         }
     }
+}
+
+/// The campaign of `config`, split by flow-key shard: element `s` holds
+/// shard `s`'s records in campaign order.
+pub fn campaign_shards(
+    profile: &idse_traffic::SiteProfile,
+    config: &FeedConfig,
+) -> Vec<Vec<TraceRecord>> {
+    let mut shards = vec![Vec::new(); config.shards as usize];
+    for r in TestFeed::campaign_trace(profile, config).records() {
+        shards[flow_shard(r.packet.ip.src, r.packet.ip.dst, config.shards) as usize]
+            .push(r.clone());
+    }
+    shards
 }
 
 impl Iterator for ShardFeed {
@@ -139,11 +164,27 @@ pub struct ShardOutcome {
     pub finished_at: SimTime,
 }
 
+/// The run config of every streaming deployment: automated response armed,
+/// host agents on the profile's servers.
+fn stream_run_config(
+    profile: &idse_traffic::SiteProfile,
+    sensitivity: f64,
+    telemetry: Telemetry,
+) -> RunConfig {
+    RunConfig {
+        sensitivity: Sensitivity::new(sensitivity),
+        monitored_hosts: TestFeed::server_hosts(profile),
+        auto_response: true,
+        telemetry,
+        ..RunConfig::default()
+    }
+}
+
 /// Run one shard of a product's streaming evaluation, with a cooperative
 /// cancellation point at every chunk boundary.
 ///
-/// `training` is the (short, materialized) known-benign trace every shard
-/// trains on; the test window itself is never materialized.
+/// `runner` holds the product's trained engines under this job's run
+/// config; the shard's test window, `feed`, is never materialized.
 ///
 /// The token is checked *between* chunks — never mid-chunk — so a
 /// cancelled shard stops at a deterministic record boundary: everything
@@ -151,29 +192,17 @@ pub struct ShardOutcome {
 /// counters in `telemetry`) is a pure function of the feed and the
 /// checkpoint count, and the partial telemetry is flushed by the plan's
 /// cancellable reduce.
-#[allow(clippy::too_many_arguments)]
 pub fn run_shard_cancellable(
-    product: &IdsProduct,
-    profile: &idse_traffic::SiteProfile,
-    config: &FeedConfig,
-    training: &Trace,
-    sensitivity: f64,
+    runner: &PipelineRunner,
+    feed: ShardFeed,
     shard: u32,
-    telemetry: idse_telemetry::Telemetry,
+    telemetry: Telemetry,
     cancel: &CancelToken,
 ) -> Result<ShardOutcome, Cancelled> {
-    let run_config = RunConfig {
-        sensitivity: Sensitivity::new(sensitivity),
-        monitored_hosts: TestFeed::server_hosts(profile),
-        auto_response: true,
-        telemetry: telemetry.clone(),
-        ..RunConfig::default()
-    };
-    let runner = PipelineRunner::new(product.clone(), run_config).with_training(training.clone());
     // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger below")
     let mut session = runner.session();
     let mut ledger = StreamLedger::new();
-    for chunk in ShardFeed::new(profile, config, shard) {
+    for chunk in feed {
         cancel.guard()?;
         ledger.observe_chunk(&chunk);
         let progress_at = chunk.last().map(|r| r.at.as_nanos()).unwrap_or(0);
@@ -274,7 +303,9 @@ impl EvaluationRequest {
     /// Evaluate products over the streamed real-time-cluster feed this
     /// request describes, at a fixed `sensitivity`.
     ///
-    /// One job per `(product, shard)` runs on the request's executor;
+    /// Each product's engines train once, on the request's executor, and
+    /// the training trace is dropped before any shard job starts. Then one
+    /// job per `(product, shard)` deploys clones of the trained engines;
     /// shard outcomes merge in shard order, so the returned scorecards
     /// are byte-identical for any [`EvaluationRequest::jobs`] setting and
     /// any `chunk_records`. Memory stays O(chunk + in-flight sessions +
@@ -305,9 +336,19 @@ impl EvaluationRequest {
     ) -> Result<Vec<StreamEvaluation>, Cancelled> {
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
-        let training = RecordStream::new(TestFeed::training_stream(&profile, &self.feed))
-            .expect("feed session rate within MAX_SESSION_RATE")
-            .collect_trace();
+        // Train each product once, then let the training trace go: the
+        // shard jobs deploy clones of the trained engines.
+        let runners: Vec<PipelineRunner> = {
+            let training = RecordStream::new(TestFeed::training_stream(&profile, &self.feed))
+                .expect("feed session rate within MAX_SESSION_RATE")
+                .collect_trace();
+            exec.par_map(products, |_, product| {
+                let config = stream_run_config(&profile, sensitivity, Telemetry::disabled());
+                // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
+                PipelineRunner::new(product.clone(), config).with_training(&training)
+            })
+        };
+        let campaign = campaign_shards(&profile, &self.feed);
 
         let mut plan: ExperimentPlan<(usize, u32)> = ExperimentPlan::new(self.feed.seed);
         for (index, product) in products.iter().enumerate() {
@@ -320,12 +361,12 @@ impl EvaluationRequest {
             }
         }
         let results = plan.run(&exec, &self.telemetry, cancel, |ctx, &(index, shard)| {
+            let config = stream_run_config(&profile, sensitivity, ctx.telemetry.clone());
+            let feed =
+                ShardFeed::with_campaign(&profile, &self.feed, shard, &campaign[shard as usize]);
             run_shard_cancellable(
-                &products[index],
-                &profile,
-                &self.feed,
-                &training,
-                sensitivity,
+                &runners[index].reconfigured(config),
+                feed,
                 shard,
                 ctx.telemetry.clone(),
                 cancel,
@@ -469,9 +510,8 @@ mod tests {
             auto_response: true,
             ..RunConfig::default()
         };
-        let outcome = PipelineRunner::new(product, run_config)
-            .with_training(feed.training.clone())
-            .run(&feed.test);
+        let outcome =
+            PipelineRunner::new(product, run_config).with_training(&feed.training).run(&feed.test);
         let reference =
             StreamLedger::of(&feed.test).score_alerts(&outcome.alerts, &outcome.alert_truths);
 
@@ -484,17 +524,51 @@ mod tests {
     }
 
     #[test]
+    fn stream_run_matches_jobs_that_train_and_build_their_own_campaign() {
+        let cfg = small_config(3, 256);
+        let request = EvaluationRequest::new().with_feed(cfg.clone());
+        let product = IdsProduct::model(ProductId::FlowHunter);
+        let got =
+            request.evaluate_stream(std::slice::from_ref(&product), 0.7).pop().expect("one eval");
+
+        let profile = TestFeed::realtime_cluster_profile(&cfg);
+        let training = RecordStream::new(TestFeed::training_stream(&profile, &cfg))
+            .expect("rate in range")
+            .collect_trace();
+        let shards = (0..cfg.shards)
+            .map(|shard| {
+                let config = stream_run_config(&profile, 0.7, Telemetry::disabled());
+                let runner =
+                    PipelineRunner::new(product.clone(), config).with_training(training.clone());
+                let feed = ShardFeed::new(&profile, &cfg, shard);
+                run_shard_cancellable(
+                    &runner,
+                    feed,
+                    shard,
+                    Telemetry::disabled(),
+                    &CancelToken::new(),
+                )
+                .expect("never cancelled")
+            })
+            .collect();
+        let want = request.merge_shards(product.id.name(), shards);
+        assert_eq!(got.scorecard.to_json(), want.scorecard.to_json());
+        assert_eq!(got.window_peak, want.window_peak);
+    }
+
+    #[test]
     fn jobs_and_chunk_size_never_change_the_scorecard_bytes() {
-        let product = IdsProduct::model(ProductId::NidSentry);
+        // NidSentry, and FlowHunter: four sensors sharing one training.
+        let products =
+            [IdsProduct::model(ProductId::NidSentry), IdsProduct::model(ProductId::FlowHunter)];
         let render = |jobs: usize, chunk: usize| {
             EvaluationRequest::new()
                 .with_feed(small_config(3, chunk))
                 .with_jobs(jobs)
-                .evaluate_stream(std::slice::from_ref(&product), 0.7)
-                .pop()
-                .expect("one eval")
-                .scorecard
-                .to_json()
+                .evaluate_stream(&products, 0.7)
+                .iter()
+                .map(|eval| eval.scorecard.to_json())
+                .collect::<Vec<_>>()
         };
         let baseline = render(1, 512);
         assert_eq!(baseline, render(4, 512), "worker count changed the bytes");

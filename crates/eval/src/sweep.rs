@@ -149,22 +149,19 @@ impl ErrorCurve {
     }
 }
 
-/// Measure one sweep sample: run the pipeline at `sensitivity` and score
-/// the alerts against the ledger. Pure function of its arguments — the
-/// unit of work one sweep job executes.
+/// Measure one sweep sample: run the pipeline, with the engines `trained`
+/// holds (see [`TestFeed::trained_runner`]), at `sensitivity` and score the
+/// alerts against the ledger. Pure function of its arguments — the unit of
+/// work one sweep job executes.
 pub(crate) fn measure_sweep_point(
-    product: &IdsProduct,
+    trained: &PipelineRunner,
     feed: &TestFeed,
     ledger: &StreamLedger,
     sensitivity: f64,
 ) -> SweepPoint {
-    let config = RunConfig {
-        sensitivity: Sensitivity::new(sensitivity),
-        monitored_hosts: feed.servers.clone(),
-        ..RunConfig::default()
-    };
-    let runner = PipelineRunner::new(product.clone(), config).with_training(feed.training.clone());
-    let outcome = runner.run(&feed.test);
+    let config =
+        RunConfig { sensitivity: Sensitivity::new(sensitivity), ..trained.config().clone() };
+    let outcome = trained.reconfigured(config).run(&feed.test);
     let counts = ledger.score_alerts(&outcome.alerts, &outcome.alert_truths);
     SweepPoint {
         sensitivity,
@@ -185,6 +182,7 @@ pub fn sweep(
 ) -> ErrorCurve {
     plan.validate();
     let ledger = StreamLedger::of(&feed.test);
+    let trained = feed.trained_runner(product);
     // Sweep jobs are pure replays of the feed — they never draw from
     // ctx.seed — so the plan's master seed is immaterial.
     let mut jobs = ExperimentPlan::new(0);
@@ -193,7 +191,7 @@ pub fn sweep(
     }
     let points = jobs
         .run(exec, &idse_telemetry::Telemetry::disabled(), &CancelToken::new(), |_, &s| {
-            Ok(measure_sweep_point(product, feed, &ledger, s))
+            Ok(measure_sweep_point(&trained, feed, &ledger, s))
         })
         .expect("a sweep nobody can cancel completes")
         .into_iter()

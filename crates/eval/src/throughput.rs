@@ -8,7 +8,7 @@
 //! failure behavior trips.
 
 use crate::feeds::TestFeed;
-use idse_ids::pipeline::{PipelineOutcome, PipelineRunner, RunConfig};
+use idse_ids::pipeline::{PipelineOutcome, PipelineRunner};
 use idse_ids::products::IdsProduct;
 use idse_traffic::DEFAULT_CHUNK_RECORDS;
 use serde::Serialize;
@@ -62,7 +62,7 @@ const LOSSLESS: f64 = 0.001;
 /// evicted-unmonitored count and the number of records in the load; the
 /// probe returns `None` as soon as `stop` says so.
 fn probe(
-    product: &IdsProduct,
+    trained: &PipelineRunner,
     feed: &TestFeed,
     factor: f64,
     mut stop: impl FnMut(u64, usize) -> bool,
@@ -73,13 +73,12 @@ fn probe(
         let copies = if span > 0.0 { (1.0 / span).ceil().max(1.0) as u32 } else { 1 };
         scaled.repeated(copies)
     };
-    let config = RunConfig { monitored_hosts: feed.servers.clone(), ..RunConfig::default() };
     // The evicted-unmonitored count bounds `missed` from below only while
     // nothing is blocked or excluded from the data pool.
+    let config = trained.config();
     debug_assert!(!config.auto_response && config.data_pool.is_permissive());
-    let runner = PipelineRunner::new(product.clone(), config).with_training(feed.training.clone());
     // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; probes report only order-free counts: a lossless verdict, failures and the loss ratio")
-    let mut session = runner.session();
+    let mut session = trained.session();
     for chunk in load.records().chunks(DEFAULT_CHUNK_RECORDS) {
         session.push_chunk(chunk.iter().cloned());
         if stop(session.evicted_unmonitored(), load.len()) {
@@ -98,14 +97,14 @@ fn provably_lossy(evicted_unmonitored: u64, records: usize) -> bool {
 }
 
 /// A probe run to the end.
-fn run_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> PipelineOutcome {
-    probe(product, feed, factor, |_, _| false).expect("a probe that never stops finishes")
+fn run_at(trained: &PipelineRunner, feed: &TestFeed, factor: f64) -> PipelineOutcome {
+    probe(trained, feed, factor, |_, _| false).expect("a probe that never stops finishes")
 }
 
 /// Whether the probe at `factor` is lossless, stopped at the first chunk
 /// boundary where it is provably not.
-fn lossless_at(product: &IdsProduct, feed: &TestFeed, factor: f64) -> bool {
-    probe(product, feed, factor, provably_lossy).is_some_and(|out| out.loss_ratio() <= LOSSLESS)
+fn lossless_at(trained: &PipelineRunner, feed: &TestFeed, factor: f64) -> bool {
+    probe(trained, feed, factor, provably_lossy).is_some_and(|out| out.loss_ratio() <= LOSSLESS)
 }
 
 /// Binary-search the zero-loss maximum and escalate to the lethal dose.
@@ -119,16 +118,26 @@ pub fn throughput_search(
     feed: &TestFeed,
     max_factor: f64,
 ) -> ThroughputReport {
+    search(&feed.trained_runner(product), feed, max_factor)
+}
+
+/// [`throughput_search`] with the runner [`TestFeed::trained_runner`]
+/// gives, so every probe of the search deploys one training.
+pub(crate) fn search(
+    trained: &PipelineRunner,
+    feed: &TestFeed,
+    max_factor: f64,
+) -> ThroughputReport {
     let base_pps = feed.background.mean_pps();
 
     // Establish an upper bracket for zero-loss by doubling.
     let mut lo = 1.0;
     let mut hi = 1.0;
-    let mut hi_lossless = lossless_at(product, feed, hi);
+    let mut hi_lossless = lossless_at(trained, feed, hi);
     while hi_lossless && hi < max_factor {
         lo = hi;
         hi = (hi * 2.0).min(max_factor);
-        hi_lossless = lossless_at(product, feed, hi);
+        hi_lossless = lossless_at(trained, feed, hi);
         if hi >= max_factor {
             break;
         }
@@ -140,7 +149,7 @@ pub fn throughput_search(
         // Bisect [lo, hi].
         for _ in 0..12 {
             let mid = 0.5 * (lo + hi);
-            if lossless_at(product, feed, mid) {
+            if lossless_at(trained, feed, mid) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -154,7 +163,7 @@ pub fn throughput_search(
     let mut loss_at_extreme = 0.0;
     let mut factor = (zero_loss_factor * 1.5).max(2.0);
     while factor <= max_factor {
-        let out = run_at(product, feed, factor);
+        let out = run_at(trained, feed, factor);
         loss_at_extreme = out.loss_ratio();
         if out.failures > 0 {
             lethal = Some(factor);
@@ -167,7 +176,7 @@ pub fn throughput_search(
         peak_simultaneous_streams(&feed.background.time_scaled(zero_loss_factor));
 
     ThroughputReport {
-        product: product.id.name().to_owned(),
+        product: trained.product().id.name().to_owned(),
         base_pps,
         zero_loss_pps: base_pps * zero_loss_factor,
         lethal_dose_pps: lethal.map(|f| base_pps * f),
@@ -231,10 +240,10 @@ mod tests {
         let feed = tiny_feed();
         let (mut stopped, mut finished) = (0, 0);
         for id in ProductId::ALL {
-            let product = IdsProduct::model(id);
+            let trained = feed.trained_runner(&IdsProduct::model(id));
             for factor in [1.0, 256.0, 512.0, 1024.0] {
                 let mut counts = Vec::new();
-                let stopping = probe(&product, &feed, factor, |n, records| {
+                let stopping = probe(&trained, &feed, factor, |n, records| {
                     counts.push(n);
                     provably_lossy(n, records)
                 });
@@ -249,7 +258,7 @@ mod tests {
                     None => {
                         stopped += 1;
                         counts.clear();
-                        probe(&product, &feed, factor, |n, _| {
+                        probe(&trained, &feed, factor, |n, _| {
                             counts.push(n);
                             false
                         })

@@ -74,7 +74,7 @@ mod tests {
                 ..RunConfig::default()
             },
         )
-        .with_training(f.training.clone());
+        .with_training(&f.training);
         let out = runner.run(&f.test);
         let t = timing_report(&f.test, &out);
         assert!(t.attributable_alerts > 0);
@@ -93,7 +93,7 @@ mod tests {
                 IdsProduct::model(id),
                 RunConfig { monitored_hosts: f.servers.clone(), ..RunConfig::default() },
             )
-            .with_training(f.training.clone());
+            .with_training(&f.training);
             let out = runner.run(&f.test);
             timing_report(&f.test, &out)
         };

@@ -29,6 +29,7 @@ use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Anomaly engine configuration: which detector families are built in.
 #[derive(Debug, Clone)]
@@ -78,10 +79,16 @@ struct Baselines {
 }
 
 /// The anomaly engine.
+///
+/// The learned baselines sit behind an [`Arc`]: a clone of a trained
+/// engine shares them and copies only its counters and cooldowns, so a
+/// deployment clones one trained, never-used engine into every sensor
+/// instead of training each sensor on the same trace.
+#[derive(Clone)]
 pub struct AnomalyEngine {
     config: AnomalyConfig,
     sensitivity: Sensitivity,
-    base: Baselines,
+    base: Arc<Baselines>,
     scan_ports: DistinctCounter<Ipv4Addr, u16>,
     fanout: DistinctCounter<Ipv4Addr, Ipv4Addr>,
     syn_rate: RateCounter<Ipv4Addr>,
@@ -146,7 +153,7 @@ impl AnomalyEngine {
         Self {
             config,
             sensitivity: Sensitivity::DEFAULT,
-            base: Baselines::default(),
+            base: Arc::default(),
             scan_ports: DistinctCounter::new(),
             fanout: DistinctCounter::new(),
             syn_rate: RateCounter::new(),
@@ -184,7 +191,7 @@ impl DetectionEngine for AnomalyEngine {
         let mut fails = RateCounter::new();
         let mut dns_sizes: Vec<f64> = Vec::new();
         let mut icmp_sizes: Vec<f64> = Vec::new();
-        let b = &mut self.base;
+        let b = Arc::make_mut(&mut self.base);
         for rec in benign.records() {
             let p = &rec.packet;
             let now = rec.at;

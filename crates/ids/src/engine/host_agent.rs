@@ -21,6 +21,7 @@ use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Host-agent configuration.
 #[derive(Debug, Clone)]
@@ -30,12 +31,16 @@ pub struct HostAgentConfig {
 }
 
 /// A set of host agents (one logical engine covering all monitored hosts).
+///
+/// The learned login origins sit behind an [`Arc`], so a clone of a
+/// trained agent shares them and copies only its counters, cooldowns and
+/// reassembly state.
+#[derive(Clone)]
 pub struct HostAgentEngine {
-    config: HostAgentConfig,
     monitored: HashSet<Ipv4Addr>,
     sensitivity: Sensitivity,
     /// Origins that legitimately logged into each monitored host.
-    known_login_sources: HashSet<Ipv4Addr>,
+    known_login_sources: Arc<HashSet<Ipv4Addr>>,
     trained: bool,
     failed_logins: RateCounter<(Ipv4Addr, Ipv4Addr)>,
     cooldown: Cooldown<(&'static str, Ipv4Addr)>,
@@ -58,22 +63,15 @@ const PRIVILEGED_MARKERS: &[&[u8]] = &[b"authorized_keys", b".rhosts", b"shadow"
 impl HostAgentEngine {
     /// Create agents for the given hosts.
     pub fn new(config: HostAgentConfig) -> Self {
-        let monitored = config.monitored.iter().copied().collect();
         Self {
-            config,
-            monitored,
+            monitored: config.monitored.into_iter().collect(),
             sensitivity: Sensitivity::DEFAULT,
-            known_login_sources: HashSet::new(),
+            known_login_sources: Arc::default(),
             trained: false,
             failed_logins: RateCounter::new(),
             cooldown: Cooldown::new(SimDuration::from_secs(2)),
             reassembler: Reassembler::new(OverlapPolicy::LastWins),
         }
-    }
-
-    /// Hosts under monitoring.
-    pub fn monitored_hosts(&self) -> &[Ipv4Addr] {
-        &self.config.monitored
     }
 
     fn concerns_us(&self, packet: &Packet) -> bool {
@@ -91,10 +89,11 @@ impl DetectionEngine for HostAgentEngine {
     }
 
     fn train(&mut self, benign: &Trace) {
+        let known = Arc::make_mut(&mut self.known_login_sources);
         for rec in benign.records() {
             let p = &rec.packet;
             if self.monitored.contains(&p.ip.dst) && crate::aho::contains(&p.payload, b"login: ") {
-                self.known_login_sources.insert(p.ip.src);
+                known.insert(p.ip.src);
             }
         }
         self.trained = true;

@@ -34,6 +34,7 @@ use idse_net::FlowKey;
 use idse_sim::stats::{DurationSummary, StageCounters};
 use idse_sim::{AuditLevel, EventQueue, HostCpu, SimDuration, SimTime, Simulation, World};
 use idse_telemetry::Telemetry;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -155,23 +156,72 @@ impl Default for RunConfig {
 }
 
 /// Builds deployments and runs traces through them.
+///
+/// The runner holds the product's trainable engines. They are trained at
+/// most once, by [`PipelineRunner::with_training`]; every deployment the
+/// runner (or a [`PipelineRunner::reconfigured`] copy of it) builds clones
+/// them into its sensors. A trained engine's clone shares its baselines, so
+/// one training serves every sensor, session, shard and run config.
 pub struct PipelineRunner {
     product: IdsProduct,
     config: RunConfig,
-    training: Option<Trace>,
+    trained: TrainedEngines,
+}
+
+/// The engines that learn "normal" from a known-benign trace, as the
+/// runner holds them: never used to inspect, only cloned.
+#[derive(Clone)]
+struct TrainedEngines {
+    anomaly: Option<AnomalyEngine>,
+    agents: Option<HostAgentEngine>,
 }
 
 impl PipelineRunner {
-    /// A runner for `product` under `config`.
+    /// A runner for `product` under `config`, with untrained engines.
     pub fn new(product: IdsProduct, config: RunConfig) -> Self {
-        Self { product, config, training: None }
+        let trained = TrainedEngines {
+            anomaly: product.engines.anomaly.clone().map(AnomalyEngine::new),
+            agents: product.engines.host_agents.then(|| {
+                HostAgentEngine::new(HostAgentConfig { monitored: config.monitored_hosts.clone() })
+            }),
+        };
+        Self { product, config, trained }
     }
 
-    /// Provide the known-benign training trace (anomaly/host-agent
-    /// baselines).
-    pub fn with_training(mut self, training: Trace) -> Self {
-        self.training = Some(training);
+    /// Train the anomaly and host-agent baselines on the known-benign
+    /// `training` trace, now. The trace is not kept: deployments clone the
+    /// trained engines.
+    pub fn with_training(mut self, training: impl Borrow<Trace>) -> Self {
+        let training = training.borrow();
+        if let Some(engine) = self.trained.anomaly.as_mut() {
+            engine.train(training);
+        }
+        if let Some(agent) = self.trained.agents.as_mut() {
+            agent.train(training);
+        }
         self
+    }
+
+    /// A runner with this one's trained engines under another `config`,
+    /// so that sweep points, probes and shard jobs reuse one training.
+    /// Host agents learned login origins for the monitored hosts, so
+    /// `config` must monitor the same hosts.
+    pub fn reconfigured(&self, config: RunConfig) -> Self {
+        assert_eq!(
+            config.monitored_hosts, self.config.monitored_hosts,
+            "host agents were trained for other monitored hosts"
+        );
+        Self { product: self.product.clone(), config, trained: self.trained.clone() }
+    }
+
+    /// The product this runner deploys.
+    pub fn product(&self) -> &IdsProduct {
+        &self.product
+    }
+
+    /// The run config deployments use.
+    pub fn config(&self) -> &RunConfig {
+        &self.config
     }
 
     /// Run `trace` through the deployment — a one-chunk [`PipelineSession`].
@@ -189,7 +239,7 @@ impl PipelineRunner {
     /// kernel dispatches inputs ahead of same-instant derived events, so
     /// arrival order matches a fully pre-scheduled run).
     pub fn session(&self) -> PipelineSession {
-        let world = DeploymentWorld::build(&self.product, &self.config, self.training.as_ref());
+        let world = DeploymentWorld::build(&self.product, &self.config, &self.trained);
         let mut sim = Simulation::new();
         sim.set_telemetry(self.config.telemetry.clone());
         PipelineSession { world, sim, next_index: 0 }
@@ -220,11 +270,6 @@ impl PipelineSession {
             self.world.admit(idx, rec);
             self.sim.queue_mut().schedule_input(at, Ev::Arrive(idx));
         }
-    }
-
-    /// Records fed so far.
-    pub fn fed(&self) -> u64 {
-        u64::from(self.next_index)
     }
 
     /// In-scope records already evicted from the window without ever
@@ -407,7 +452,7 @@ struct DeploymentWorld {
 }
 
 impl DeploymentWorld {
-    fn build(product: &IdsProduct, config: &RunConfig, training: Option<&Trace>) -> Self {
+    fn build(product: &IdsProduct, config: &RunConfig, trained: &TrainedEngines) -> Self {
         let arch = &product.architecture;
         let mk_station = |name: &'static str, cap: f64, backlog: SimDuration| {
             ServiceStation::new(name, cap, backlog, arch.lethal_drop_ratio, arch.failure)
@@ -428,31 +473,19 @@ impl DeploymentWorld {
         let mut sensor_sig: Vec<Option<SignatureEngine>> = (0..arch.sensors)
             .map(|_| product.engines.signature.clone().map(SignatureEngine::standard))
             .collect();
-        let mut sensor_ano: Vec<Option<AnomalyEngine>> = (0..arch.sensors)
-            .map(|_| product.engines.anomaly.clone().map(AnomalyEngine::new))
-            .collect();
+        let mut sensor_ano: Vec<Option<AnomalyEngine>> =
+            (0..arch.sensors).map(|_| trained.anomaly.clone()).collect();
+        let mut agents = trained.agents.clone();
 
-        let mut agents = product.engines.host_agents.then(|| {
-            HostAgentEngine::new(HostAgentConfig { monitored: config.monitored_hosts.clone() })
-        });
-
-        // Train and set sensitivity on every engine instance.
+        // The runner trained the engines; each instance only needs its
+        // sensitivity.
         for engine in sensor_sig.iter_mut().flatten() {
-            if let Some(t) = training {
-                engine.train(t);
-            }
             engine.set_sensitivity(config.sensitivity);
         }
         for engine in sensor_ano.iter_mut().flatten() {
-            if let Some(t) = training {
-                engine.train(t);
-            }
             engine.set_sensitivity(config.sensitivity);
         }
         if let Some(agent) = agents.as_mut() {
-            if let Some(t) = training {
-                agent.train(t);
-            }
             agent.set_sensitivity(config.sensitivity);
         }
 
@@ -1650,6 +1683,87 @@ mod tests {
             assert_eq!(a.monitored, b.monitored);
             assert_eq!(a.missed, b.missed);
             assert!(!a.fault_stats.is_quiet());
+        }
+    }
+
+    /// The pre-sharing deployment: every sensor builds and trains its own
+    /// engines on `training`.
+    fn run_with_per_sensor_training(
+        product: IdsProduct,
+        config: RunConfig,
+        training: &Trace,
+        test: &Trace,
+    ) -> PipelineOutcome {
+        let untrained = PipelineRunner::new(product, config);
+        let mut world =
+            DeploymentWorld::build(&untrained.product, &untrained.config, &untrained.trained);
+        for engine in world.sensor_sig.iter_mut().flatten() {
+            engine.train(training);
+        }
+        for engine in world.sensor_ano.iter_mut().flatten() {
+            engine.train(training);
+        }
+        if let Some(agent) = world.agents.as_mut() {
+            agent.train(training);
+        }
+        let mut sim = Simulation::new();
+        sim.set_telemetry(untrained.config.telemetry.clone());
+        let mut session = PipelineSession { world, sim, next_index: 0 };
+        session.push_chunk(test.records().iter().cloned());
+        session.finish()
+    }
+
+    #[test]
+    fn shared_training_matches_per_sensor_training() {
+        use idse_faults::{FaultComponent, FaultKind, FaultPlan};
+        let training = benign(1, 10, 20.0);
+        let test = mixed(3, 20);
+        let plan = FaultPlan::new("shared-training")
+            .with(
+                SimTime::from_secs(2),
+                FaultKind::Crash {
+                    component: FaultComponent::Sensor(0),
+                    restart_after: Some(SimDuration::from_secs(10)),
+                },
+            )
+            .with(
+                SimTime::from_secs(6),
+                FaultKind::LinkDegrade {
+                    loss_per_mille: 200,
+                    extra_latency: SimDuration::from_millis(2),
+                    duration: SimDuration::from_secs(8),
+                },
+            );
+        let base =
+            RunConfig { monitored_hosts: servers(), auto_response: true, ..RunConfig::default() };
+        let fields = |o: &PipelineOutcome| {
+            let counts = (o.offered, o.monitored, o.missed, o.blocked, o.window_peak);
+            (o.alerts.clone(), o.alert_truths.clone(), counts, o.finished_at)
+        };
+        for id in ProductId::ALL {
+            let product = IdsProduct::model(id);
+            let shared =
+                PipelineRunner::new(product.clone(), base.clone()).with_training(&training);
+            for sensitivity in [0.2, 0.6, 0.9] {
+                for faulted in [false, true] {
+                    let config = RunConfig {
+                        sensitivity: Sensitivity::new(sensitivity),
+                        faults: faulted.then(|| plan.clone()),
+                        ..base.clone()
+                    };
+                    let want = run_with_per_sensor_training(
+                        product.clone(),
+                        config.clone(),
+                        &training,
+                        &test,
+                    );
+                    // One trained runner serves all six configs: no
+                    // deployment writes to the baselines it shares.
+                    let got = shared.reconfigured(config).run(&test);
+                    let at = format!("{id:?} at {sensitivity}, faulted {faulted}");
+                    assert_eq!(fields(&got), fields(&want), "{at}");
+                }
+            }
         }
     }
 

@@ -95,7 +95,7 @@ struct FragKey {
     protocol: u8,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PartialDatagram {
     transport: Option<Transport>,
     /// Sparse byte map: offset → byte, resolved per the overlap policy.
@@ -106,7 +106,7 @@ struct PartialDatagram {
 }
 
 /// A reassembler with a configurable overlap policy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Reassembler {
     policy: OverlapPolicy,
     partial: HashMap<FragKey, PartialDatagram>,

@@ -127,9 +127,17 @@ impl Trace {
 
     /// Merge another trace into this one, preserving time order.
     pub fn merge(&mut self, other: Trace) {
+        self.append(other);
+        self.finish();
+    }
+
+    /// Append another trace's records without sorting; call
+    /// [`Trace::finish`] after the last append. The stable sort then puts
+    /// the records in exactly the order a [`Trace::merge`] of each appended
+    /// trace in turn gives, with one sort instead of one per trace.
+    pub fn append(&mut self, other: Trace) {
         self.records.extend(other.records);
         self.sorted = false;
-        self.finish();
     }
 
     /// Sort records by (time, then original position — stable).

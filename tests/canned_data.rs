@@ -48,7 +48,7 @@ fn reloaded_dataset_replays_identically() {
             IdsProduct::model(ProductId::NidSentry),
             RunConfig { sensitivity: Sensitivity::new(0.8), ..RunConfig::default() },
         )
-        .with_training(feed.training.clone())
+        .with_training(&feed.training)
         .run(trace)
     };
     let a = run(&feed.test);

@@ -44,7 +44,7 @@ fn confusion_via(
             ..RunConfig::default()
         },
     )
-    .with_training(feed.training.clone())
+    .with_training(&feed.training)
     .run(&feed.test);
     ledger.score_alerts(&out.alerts, &out.alert_truths)
 }
@@ -214,7 +214,7 @@ fn stealth_and_distributed_scans_evade_windowed_detectors() {
                 ..RunConfig::default()
             },
         )
-        .with_training(f.training.clone())
+        .with_training(&f.training)
         .run(&trace);
         join_alerts(&out.alerts, &out.alert_truths).0
     };
@@ -269,7 +269,7 @@ fn novel_exploits_separate_the_detection_mechanisms() {
                 ..RunConfig::default()
             },
         )
-        .with_training(f.training.clone())
+        .with_training(&f.training)
         .run(&trace);
         ledger.score_alerts(&out.alerts, &out.alert_truths).detection_rate()
     };
