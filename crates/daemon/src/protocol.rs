@@ -15,7 +15,7 @@
 //! | `submit`   | `spec` (a [`JobSpec`] object)        | enqueue a job; rejected with a reason when the queue is full or the daemon is draining |
 //! | `status`   | `id`                                 | one snapshot line for the job |
 //! | `watch`    | `id`                                 | the job's flushed telemetry/phase lines, then a summary line |
-//! | `cancel`   | `id`, optional `after_chunks`        | cancel now, or arm the checkpoint fuse to cancel at the n-th chunk boundary |
+//! | `cancel`   | `id`, optional `after_chunks`        | cancel now, or arm the checkpoint fuse to cancel at the n-th chunk boundary (a stream job counts one per shard chunk, whatever its product count) |
 //! | `list`     | —                                    | one line with every job's snapshot |
 //! | `drain`    | —                                    | run every queued job to completion, in submission order |
 //! | `shutdown` | optional `graceful` (default `true`) | stop accepting submits; graceful drains the queue first |

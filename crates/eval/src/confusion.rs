@@ -148,7 +148,7 @@ pub fn flow_hash(flow: &FlowKey) -> u64 {
 /// transactions by [`join_alerts`], not through the trace.
 ///
 /// Flow-key shards never split a host pair, so per-shard ledgers merge
-/// losslessly: [`StreamLedger::merge`] of the shard ledgers equals the
+/// losslessly: [`StreamLedger::merged`] of the shard ledgers equals the
 /// ledger of the unsharded stream.
 #[derive(Debug, Clone, Default)]
 pub struct StreamLedger {
@@ -214,6 +214,23 @@ impl StreamLedger {
         self.flow_hashes.extend(other.flow_hashes);
         self.records += other.records;
         self.compact();
+    }
+
+    /// The ledger of all of `ledgers`' records: the shard ledgers of one
+    /// run fold into the ledger of the unsharded stream. Compacts once,
+    /// where folding them one [`StreamLedger::merge`] at a time re-sorts
+    /// the accumulated hashes at every step.
+    pub fn merged(ledgers: impl IntoIterator<Item = StreamLedger>) -> StreamLedger {
+        let ledgers: Vec<StreamLedger> = ledgers.into_iter().collect();
+        let mut out = StreamLedger::new();
+        out.flow_hashes.reserve_exact(ledgers.iter().map(|l| l.flow_hashes.len()).sum());
+        for ledger in ledgers {
+            out.attacks.extend(ledger.attacks);
+            out.flow_hashes.extend(ledger.flow_hashes);
+            out.records += ledger.records;
+        }
+        out.compact();
+        out
     }
 
     /// Records observed (packets, not transactions).

@@ -40,26 +40,27 @@ pub const MAX_SWEEP_STEPS: usize = 101;
 
 /// The largest stream chunk, in records.
 ///
-/// Each `(product, shard)` job allocates its chunk buffer up front, at 72
-/// bytes a record: 72 MiB at this bound. Chunking is pure batching, so no
-/// chunk size can change a scorecard. The bound is 128 times
+/// Each shard job allocates its chunk buffer up front, at 72 bytes a
+/// record: 72 MiB at this bound, and every product the job drives takes a
+/// clone of each chunk. Chunking is pure batching, so no chunk size can
+/// change a scorecard. The bound is 128 times
 /// [`idse_traffic::DEFAULT_CHUNK_RECORDS`].
 pub const MAX_CHUNK_RECORDS: usize = 1 << 20;
 
 /// The most flow-key shards a stream job may split into.
 ///
-/// The plan holds one job per `(product, shard)`, and each job builds and
-/// trains its own deployment on the whole training trace, so training work
-/// grows linearly with the shard count. The bound is 8 times the `stream`
-/// CLI's default of 8.
+/// Each shard job generates its shard's feed and deploys every product's
+/// trained engines on it, so deployment work and the number of live
+/// sessions grow linearly with the shard count. The bound is 8 times the
+/// `stream` CLI's default of 8.
 pub const MAX_SHARDS: u32 = 64;
 
 /// The highest attack-campaign intensity.
 ///
 /// Each step adds one instance of every attack family, about 4,400
-/// records, and every shard job materializes the whole campaign, streaming
-/// runs included. At this bound a campaign is about 285,000 records. The
-/// bound is 32 times the default of 2.
+/// records, and every run materializes the whole campaign once, streaming
+/// runs included (split by shard). At this bound a campaign is about
+/// 285,000 records. The bound is 32 times the default of 2.
 pub const MAX_CAMPAIGN_INTENSITY: u32 = 64;
 
 /// A spec failed validation (unknown profile, malformed knob, …).
@@ -221,7 +222,8 @@ impl JobSpec {
     }
 
     /// The products this job evaluates, in selector order (all four
-    /// models when no selector is given).
+    /// models when no selector is given). A product listed twice is
+    /// refused: its jobs would share one key.
     pub fn resolve_products(&self) -> Result<Vec<IdsProduct>, SpecError> {
         let selectors = self.products.as_deref().unwrap_or(&[]);
         if selectors.is_empty() {
@@ -229,7 +231,11 @@ impl JobSpec {
         }
         selectors
             .iter()
-            .map(|name| {
+            .enumerate()
+            .map(|(i, name)| {
+                if selectors[..i].contains(name) {
+                    return Err(SpecError::new(format!("product {name:?} listed twice")));
+                }
                 let id = match name.as_str() {
                     "nid" => ProductId::NidSentry,
                     "guard" => ProductId::GuardSecure,
@@ -452,6 +458,16 @@ mod tests {
             .expect_err("rejected")
             .to_string()
             .contains("product"));
+
+        // A product listed twice would be planned twice under one job key.
+        for kind in [JobSpec::evaluate(), JobSpec::stream()] {
+            let twice = JobSpec {
+                products: Some(vec!["guard".to_owned(), "flow".to_owned(), "guard".to_owned()]),
+                ..kind
+            };
+            let err = twice.to_request().expect_err("rejected").to_string();
+            assert!(err.contains("\"guard\" listed twice"), "{err}");
+        }
     }
 
     #[test]

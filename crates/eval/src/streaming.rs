@@ -11,15 +11,21 @@
 //!   sequence and its slice of the (small, materialized) campaign, in the
 //!   exact order `Trace::merge` would produce ([`ShardFeed`]); the campaign
 //!   is generated once per run and split by shard;
+//! * one job per shard (or per shard and product group, when there are
+//!   more workers than shards) runs on the [`idse_exec::Executor`] through
+//!   [`run_shard_cancellable`]: it generates the shard's feed once and
+//!   pushes every chunk into one pipeline session per product, so every
+//!   product is scored on the same records, generated once per run;
 //! * scoring happens incrementally through the same [`StreamLedger`] and
 //!   the same [`join_alerts`] the batch harness scores with, so the two
 //!   engines share one definition of the Figure 3 quantities and no
-//!   record index over the full trace ever exists;
-//! * one job per `(product, shard)` runs on the [`idse_exec::Executor`]
-//!   through [`run_shard_cancellable`], and the shard outcomes merge in
-//!   deterministic shard order — the resulting [`StreamScorecard`] is
-//!   byte-identical at any [`EvaluationRequest::jobs`] setting and any
-//!   chunk size.
+//!   record index over the full trace ever exists. The ledger does not
+//!   depend on the product: each shard folds one, and the run merges them
+//!   once and scores every product against the result;
+//! * outcomes merge in deterministic shard order and telemetry flushes in
+//!   `(product, shard)` order, so the resulting [`StreamScorecard`]s and
+//!   event stream are byte-identical at any [`EvaluationRequest::jobs`]
+//!   setting and any chunk size.
 //!
 //! Shard count *is* part of the experiment identity (a sharded pipeline
 //! sees only its shard's cross-flow context), so it is recorded in the
@@ -31,14 +37,15 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::confusion::{join_alerts, ConfusionCounts, StreamLedger};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::harness::EvaluationRequest;
-use idse_exec::{CancelToken, Cancelled, ExperimentPlan, JobKey};
-use idse_ids::pipeline::{PipelineRunner, RunConfig};
+use idse_exec::plan::JOB_TELEMETRY_CAPACITY;
+use idse_exec::{CancelToken, Cancelled};
+use idse_ids::pipeline::{PipelineRunner, PipelineSession, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
 use idse_net::trace::TraceRecord;
 use idse_net::FlowKey;
 use idse_sim::SimTime;
-use idse_telemetry::Telemetry;
+use idse_telemetry::{JobRecorder, Telemetry};
 use idse_traffic::{flow_shard, RecordStream};
 use serde::{Deserialize, Serialize};
 
@@ -137,13 +144,11 @@ impl Iterator for ShardFeed {
     }
 }
 
-/// What one `(product, shard)` job produced.
+/// What one product's session produced over one shard.
 #[derive(Debug)]
 pub struct ShardOutcome {
     /// Shard index.
     pub shard: u32,
-    /// Incremental transaction ledger over this shard's records.
-    pub ledger: StreamLedger,
     /// Attack ids with at least one alert.
     pub detected: BTreeSet<u32>,
     /// Distinct benign canonical flows falsely flagged.
@@ -180,52 +185,71 @@ fn stream_run_config(
     }
 }
 
-/// Run one shard of a product's streaming evaluation, with a cooperative
-/// cancellation point at every chunk boundary.
+/// Run one shard for several products, with a cooperative cancellation
+/// point at every chunk boundary.
 ///
-/// `runner` holds the product's trained engines under this job's run
-/// config; the shard's test window, `feed`, is never materialized.
+/// Each of `runners` holds one product's trained engines under its own run
+/// config. The shard's test window, `feed`, is generated once and never
+/// materialized: every chunk goes to one pipeline session per runner, and
+/// the chunk's `stream.chunk.records` progress counter to that runner's
+/// telemetry. `ledger`, when given, folds the shard's records; it does not
+/// depend on the product, so one fold per shard is enough. Returns one
+/// outcome per runner, in `runners` order.
 ///
-/// The token is checked *between* chunks — never mid-chunk — so a
-/// cancelled shard stops at a deterministic record boundary: everything
-/// observed so far (including the `stream.chunk.records` progress
-/// counters in `telemetry`) is a pure function of the feed and the
-/// checkpoint count, and the partial telemetry is flushed by the plan's
-/// cancellable reduce.
+/// The token is checked once per chunk — between chunks, never mid-chunk,
+/// whatever the number of runners — so a cancelled shard stops every
+/// product at the same record boundary: everything observed so far
+/// (including the progress counters) is a pure function of the feed and
+/// the checkpoint count, and the caller flushes the partial telemetry.
 pub fn run_shard_cancellable(
-    runner: &PipelineRunner,
+    runners: &[PipelineRunner],
     feed: ShardFeed,
     shard: u32,
-    telemetry: Telemetry,
+    mut ledger: Option<&mut StreamLedger>,
     cancel: &CancelToken,
-) -> Result<ShardOutcome, Cancelled> {
-    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger below")
-    let mut session = runner.session();
-    let mut ledger = StreamLedger::new();
+) -> Result<Vec<ShardOutcome>, Cancelled> {
+    let mut sessions: Vec<PipelineSession> = runners.iter().map(PipelineRunner::session).collect();
     for chunk in feed {
         cancel.guard()?;
-        ledger.observe_chunk(&chunk);
+        if let Some(ledger) = ledger.as_deref_mut() {
+            ledger.observe_chunk(&chunk);
+        }
         let progress_at = chunk.last().map(|r| r.at.as_nanos()).unwrap_or(0);
         let records = chunk.len() as u64;
-        session.push_chunk(chunk);
-        telemetry.counter(progress_at, "stream.chunk.records", records);
+        for (runner, session) in runners.iter().zip(&mut sessions) {
+            // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger")
+            session.push_chunk(chunk.iter().cloned());
+            runner.config().telemetry.counter(progress_at, "stream.chunk.records", records);
+        }
     }
-    let outcome = session.finish();
+    Ok(sessions
+        .into_iter()
+        .map(|session| {
+            let outcome = session.finish();
+            let (detected, flagged) = join_alerts(&outcome.alerts, &outcome.alert_truths);
+            ShardOutcome {
+                shard,
+                detected,
+                flagged,
+                alerts: outcome.alerts.len() as u64,
+                offered: outcome.offered,
+                monitored: outcome.monitored,
+                lost: outcome.missed,
+                blocked: outcome.blocked,
+                window_peak: outcome.window_peak,
+                finished_at: outcome.finished_at,
+            }
+        })
+        .collect())
+}
 
-    let (detected, flagged) = join_alerts(&outcome.alerts, &outcome.alert_truths);
-    Ok(ShardOutcome {
-        shard,
-        ledger,
-        detected,
-        flagged,
-        alerts: outcome.alerts.len() as u64,
-        offered: outcome.offered,
-        monitored: outcome.monitored,
-        lost: outcome.missed,
-        blocked: outcome.blocked,
-        window_peak: outcome.window_peak,
-        finished_at: outcome.finished_at,
-    })
+/// How many product groups split each shard's products between them: one
+/// job per shard and group, and just enough groups that the job count,
+/// `groups × shards`, never falls below `min(workers, products × shards)`.
+/// With at least as many shards as workers that is one group, so each
+/// shard's feed is generated once per run.
+fn product_groups(products: usize, workers: usize, shards: u32) -> usize {
+    products.min(workers.div_ceil(shards.max(1) as usize)).max(1)
 }
 
 /// The merged, serializable result of one product's streaming run.
@@ -305,11 +329,15 @@ impl EvaluationRequest {
     ///
     /// Each product's engines train once, on the request's executor, and
     /// the training trace is dropped before any shard job starts. Then one
-    /// job per `(product, shard)` deploys clones of the trained engines;
-    /// shard outcomes merge in shard order, so the returned scorecards
-    /// are byte-identical for any [`EvaluationRequest::jobs`] setting and
-    /// any `chunk_records`. Memory stays O(chunk + in-flight sessions +
-    /// distinct-flow hashes) — the test window is never materialized.
+    /// job per shard generates the shard's feed once and drives every
+    /// product's deployment over it; when the executor has more workers
+    /// than there are shards, each shard's products split into groups, one
+    /// job per shard and group (see [`run_shard_cancellable`]). Outcomes
+    /// merge in shard order and the shard ledgers merge once, so the
+    /// returned scorecards are byte-identical for any
+    /// [`EvaluationRequest::jobs`] setting and any `chunk_records`. Memory
+    /// stays O(chunk + in-flight sessions + distinct-flow hashes) — the
+    /// test window is never materialized.
     pub fn evaluate_stream(
         &self,
         products: &[IdsProduct],
@@ -321,19 +349,25 @@ impl EvaluationRequest {
 
     /// [`EvaluationRequest::evaluate_stream`] with cooperative
     /// cancellation: the token is polled at every chunk boundary of every
-    /// `(product, shard)` job (see [`run_shard_cancellable`]) and between
-    /// job claims on the executor.
+    /// shard job — once per shard chunk, whatever the product count (see
+    /// [`run_shard_cancellable`]) — and between job claims on the executor.
     ///
-    /// On cancellation the partial telemetry of every job that ran —
-    /// including the per-chunk `stream.chunk.records` progress counters of
-    /// the job that observed the cancel — is flushed into the request's
-    /// sink in canonical job order before `Err(Cancelled)` is returned.
+    /// Every product's session records into its own buffer under the
+    /// product's scope. The buffers are flushed into the request's sink in
+    /// `(product name, shard)` order — also on cancellation, including the
+    /// per-chunk `stream.chunk.records` progress counters of the job that
+    /// observed the cancel — before `Err(Cancelled)` is returned.
     pub fn evaluate_stream_cancellable(
         &self,
         products: &[IdsProduct],
         sensitivity: f64,
         cancel: &CancelToken,
     ) -> Result<Vec<StreamEvaluation>, Cancelled> {
+        if products.is_empty() {
+            return Ok(Vec::new());
+        }
+        let names: BTreeSet<&str> = products.iter().map(|p| p.id.name()).collect();
+        assert_eq!(names.len(), products.len(), "each product is evaluated once per stream run");
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
         // Train each product once, then let the training trace go: the
@@ -350,51 +384,83 @@ impl EvaluationRequest {
         };
         let campaign = campaign_shards(&profile, &self.feed);
 
-        let mut plan: ExperimentPlan<(usize, u32)> = ExperimentPlan::new(self.feed.seed);
-        for (index, product) in products.iter().enumerate() {
-            for shard in 0..self.feed.shards {
-                plan.push_scoped(
-                    JobKey::new(product.id.name(), "shard", shard),
-                    product.id.name(),
-                    (index, shard),
-                );
-            }
-        }
-        let results = plan.run(&exec, &self.telemetry, cancel, |ctx, &(index, shard)| {
-            let config = stream_run_config(&profile, sensitivity, ctx.telemetry.clone());
+        // Product `p` belongs to group `p % groups`; jobs run shard-major.
+        let groups = product_groups(products.len(), exec.workers(), self.feed.shards);
+        let jobs: Vec<(u32, usize)> =
+            (0..self.feed.shards).flat_map(|shard| (0..groups).map(move |g| (shard, g))).collect();
+        let completed = exec.try_par_map(&jobs, cancel, |_, &(shard, group)| {
+            let members: Vec<usize> = (group..products.len()).step_by(groups).collect();
+            let (recorders, shard_runners): (Vec<JobRecorder>, Vec<PipelineRunner>) = members
+                .iter()
+                .map(|&p| {
+                    let name = products[p].id.name();
+                    let recorder = JobRecorder::fork(&self.telemetry, name, JOB_TELEMETRY_CAPACITY);
+                    let config = stream_run_config(&profile, sensitivity, recorder.handle());
+                    let runner = runners[p].reconfigured(config);
+                    (recorder, runner)
+                })
+                .unzip();
             let feed =
                 ShardFeed::with_campaign(&profile, &self.feed, shard, &campaign[shard as usize]);
-            run_shard_cancellable(
-                &runners[index].reconfigured(config),
-                feed,
-                shard,
-                ctx.telemetry.clone(),
-                cancel,
-            )
-        })?;
-        let mut outcomes: BTreeMap<JobKey, ShardOutcome> =
-            results.into_iter().map(|r| (r.key, r.output)).collect();
+            let mut ledger = (group == 0).then(StreamLedger::new);
+            let outcomes =
+                run_shard_cancellable(&shard_runners, feed, shard, ledger.as_mut(), cancel);
+            (outcomes.map(|outcomes| (ledger, outcomes)), members, recorders)
+        });
 
+        let mut ledgers = Vec::with_capacity(self.feed.shards as usize);
+        let mut per_product: Vec<Vec<ShardOutcome>> = products.iter().map(|_| Vec::new()).collect();
+        let mut recorded: BTreeMap<(&str, u32), JobRecorder> = BTreeMap::new();
+        let mut stopped = false;
+        for (slot, &(shard, _)) in completed.into_iter().zip(&jobs) {
+            match slot {
+                None => stopped = true,
+                #[expect(
+                    clippy::panic,
+                    reason = "re-raises a job panic the executor contained for slot accounting; swallowing it would report a poisoned run as a clean cancellation"
+                )]
+                Some(Err(job_panic)) => panic!("stream shard job panicked: {job_panic}"),
+                Some(Ok((result, members, recorders))) => {
+                    for (&p, recorder) in members.iter().zip(recorders) {
+                        recorded.insert((products[p].id.name(), shard), recorder);
+                    }
+                    match result {
+                        Ok((ledger, outcomes)) => {
+                            ledgers.extend(ledger);
+                            for (&p, outcome) in members.iter().zip(outcomes) {
+                                per_product[p].push(outcome);
+                            }
+                        }
+                        Err(Cancelled) => stopped = true,
+                    }
+                }
+            }
+        }
+        // Flush even the partial telemetry of a cancelled run, in
+        // `(product name, shard)` order whatever the grouping and schedule.
+        for recorder in recorded.into_values() {
+            recorder.merge_into(&self.telemetry);
+        }
+        if stopped || cancel.is_cancelled() {
+            return Err(Cancelled);
+        }
+
+        let ledger = StreamLedger::merged(ledgers);
         Ok(products
             .iter()
-            .map(|product| {
-                let name = product.id.name();
-                let shard_outcomes: Vec<ShardOutcome> = (0..self.feed.shards)
-                    .map(|s| {
-                        outcomes
-                            .remove(&JobKey::new(name, "shard", s))
-                            .expect("every shard job completed under its key")
-                    })
-                    .collect();
-                self.merge_shards(name, shard_outcomes)
-            })
+            .zip(per_product)
+            .map(|(product, outcomes)| self.merge_shards(product.id.name(), &ledger, outcomes))
             .collect())
     }
 
-    /// Deterministic reduce: fold shard outcomes (in shard order) into one
-    /// scorecard.
-    fn merge_shards(&self, product: &str, shard_outcomes: Vec<ShardOutcome>) -> StreamEvaluation {
-        let mut ledger = StreamLedger::new();
+    /// Deterministic reduce: fold one product's shard outcomes (in shard
+    /// order) into one scorecard, scored against the run's merged ledger.
+    fn merge_shards(
+        &self,
+        product: &str,
+        ledger: &StreamLedger,
+        shard_outcomes: Vec<ShardOutcome>,
+    ) -> StreamEvaluation {
         let mut detected: BTreeSet<u32> = BTreeSet::new();
         let mut flagged: BTreeSet<FlowKey> = BTreeSet::new();
         let (mut alerts, mut offered, mut monitored, mut lost) = (0u64, 0u64, 0u64, 0u64);
@@ -402,7 +468,6 @@ impl EvaluationRequest {
         let mut window_peak = 0usize;
         let mut finished_at = SimTime::ZERO;
         for o in shard_outcomes {
-            ledger.merge(o.ledger);
             detected.extend(o.detected);
             flagged.extend(o.flagged);
             alerts += o.alerts;
@@ -523,37 +588,120 @@ mod tests {
         assert_eq!(eval.confusion, reference);
     }
 
-    #[test]
-    fn stream_run_matches_jobs_that_train_and_build_their_own_campaign() {
-        let cfg = small_config(3, 256);
+    /// The reference job shape: one job per `(product, shard)` that trains
+    /// its own engines, builds its own campaign and `ShardFeed`, folds its
+    /// own ledger and records into its own buffer, run in `(product name,
+    /// shard)` order with the shard ledgers merged pairwise per product.
+    fn per_product_shard_jobs(
+        cfg: &FeedConfig,
+        products: &[IdsProduct],
+        telemetry: &Telemetry,
+    ) -> Vec<StreamEvaluation> {
         let request = EvaluationRequest::new().with_feed(cfg.clone());
-        let product = IdsProduct::model(ProductId::FlowHunter);
-        let got =
-            request.evaluate_stream(std::slice::from_ref(&product), 0.7).pop().expect("one eval");
-
-        let profile = TestFeed::realtime_cluster_profile(&cfg);
-        let training = RecordStream::new(TestFeed::training_stream(&profile, &cfg))
+        let profile = TestFeed::realtime_cluster_profile(cfg);
+        let training = RecordStream::new(TestFeed::training_stream(&profile, cfg))
             .expect("rate in range")
             .collect_trace();
-        let shards = (0..cfg.shards)
-            .map(|shard| {
+        let mut order: Vec<usize> = (0..products.len()).collect();
+        order.sort_by_key(|&p| products[p].id.name());
+        let mut evals: Vec<Option<StreamEvaluation>> = products.iter().map(|_| None).collect();
+        for p in order {
+            let name = products[p].id.name();
+            let mut ledger = StreamLedger::new();
+            let mut outcomes = Vec::new();
+            for shard in 0..cfg.shards {
+                let recorder = JobRecorder::fork(telemetry, name, JOB_TELEMETRY_CAPACITY);
                 let config = stream_run_config(&profile, 0.7, Telemetry::disabled());
-                let runner =
-                    PipelineRunner::new(product.clone(), config).with_training(training.clone());
-                let feed = ShardFeed::new(&profile, &cfg, shard);
-                run_shard_cancellable(
-                    &runner,
-                    feed,
-                    shard,
-                    Telemetry::disabled(),
-                    &CancelToken::new(),
-                )
-                .expect("never cancelled")
-            })
-            .collect();
-        let want = request.merge_shards(product.id.name(), shards);
-        assert_eq!(got.scorecard.to_json(), want.scorecard.to_json());
-        assert_eq!(got.window_peak, want.window_peak);
+                let runner = PipelineRunner::new(products[p].clone(), config)
+                    .with_training(training.clone())
+                    .reconfigured(stream_run_config(&profile, 0.7, recorder.handle()));
+                let mut shard_ledger = StreamLedger::new();
+                outcomes.extend(
+                    run_shard_cancellable(
+                        std::slice::from_ref(&runner),
+                        ShardFeed::new(&profile, cfg, shard),
+                        shard,
+                        Some(&mut shard_ledger),
+                        &CancelToken::new(),
+                    )
+                    .expect("never cancelled"),
+                );
+                ledger.merge(shard_ledger);
+                recorder.merge_into(telemetry);
+            }
+            evals[p] = Some(request.merge_shards(name, &ledger, outcomes));
+        }
+        evals.into_iter().map(|e| e.expect("every product evaluated")).collect()
+    }
+
+    #[test]
+    fn stream_run_matches_jobs_that_train_and_build_their_own_campaign() {
+        use idse_telemetry::MemorySink;
+        let cfg = small_config(3, 256);
+        // Listed out of name order, so the flush order is not list order.
+        let products = [
+            IdsProduct::model(ProductId::NidSentry),
+            IdsProduct::model(ProductId::GuardSecure),
+            IdsProduct::model(ProductId::FlowHunter),
+            IdsProduct::model(ProductId::AgentWatch),
+        ];
+        let render = |evals: Vec<StreamEvaluation>, sink: &MemorySink| {
+            let cards: Vec<(String, usize)> =
+                evals.iter().map(|e| (e.scorecard.to_json(), e.window_peak)).collect();
+            assert_eq!(sink.dropped(), 0, "the sink holds the whole event stream");
+            let events: Vec<String> = sink.events().iter().map(|e| e.to_jsonl()).collect();
+            (cards, events)
+        };
+        let sink = MemorySink::new(1 << 20);
+        let want =
+            render(per_product_shard_jobs(&cfg, &products, &Telemetry::new(sink.clone())), &sink);
+        assert!(!want.1.is_empty(), "the reference recorded telemetry");
+        // 1 worker: one job per shard; 2: still one group at 3 shards;
+        // 8: three groups of products per shard, nine jobs.
+        for jobs in [1, 2, 8] {
+            let sink = MemorySink::new(1 << 20);
+            let evals = EvaluationRequest::new()
+                .with_feed(cfg.clone())
+                .with_jobs(jobs)
+                .with_telemetry(Telemetry::new(sink.clone()))
+                .evaluate_stream(&products, 0.7);
+            assert_eq!(
+                render(evals, &sink),
+                want,
+                "--jobs {jobs} differs from per-(product, shard) jobs"
+            );
+        }
+    }
+
+    #[test]
+    fn product_groups_keep_every_worker_busy_at_few_shards() {
+        // Enough shards for the workers: one job per shard.
+        assert_eq!(product_groups(4, 2, 4), 1);
+        assert_eq!(product_groups(4, 1, 1), 1);
+        // One shard, two workers: two groups, two jobs.
+        assert_eq!(product_groups(4, 2, 1), 2);
+        // Never more groups than products.
+        assert_eq!(product_groups(4, 64, 1), 4);
+        assert_eq!(product_groups(1, 8, 3), 1);
+        for products in 1..6usize {
+            for workers in 1..10usize {
+                for shards in 1..6u32 {
+                    let jobs = product_groups(products, workers, shards) * shards as usize;
+                    assert!(jobs >= workers.min(products * shards as usize));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_product_list_generates_nothing() {
+        let token = CancelToken::after_checkpoints(1);
+        let evals = EvaluationRequest::new()
+            .with_feed(small_config(2, 64))
+            .evaluate_stream_cancellable(&[], 0.7, &token)
+            .expect("nothing to cancel");
+        assert!(evals.is_empty());
+        assert!(!token.is_cancelled(), "no chunk was generated, so no checkpoint was reached");
     }
 
     #[test]
@@ -578,27 +726,44 @@ mod tests {
 
     #[test]
     fn cancellation_stops_at_a_chunk_boundary_with_partial_telemetry_flushed() {
-        use idse_telemetry::{MemorySink, Telemetry};
-        let product = IdsProduct::model(ProductId::NidSentry);
+        use idse_telemetry::MemorySink;
+        let cfg = small_config(2, 128);
+        let products =
+            [IdsProduct::model(ProductId::NidSentry), IdsProduct::model(ProductId::FlowHunter)];
+        let profile = TestFeed::realtime_cluster_profile(&cfg);
+        let shard0_chunks = ShardFeed::new(&profile, &cfg, 0).count() as u64;
+        // The fuse trips on shard 1's second chunk: all of shard 0 and one
+        // chunk of shard 1 are pushed, to both products.
+        let checkpoints = shard0_chunks + 2;
         let run_cancelled = || {
-            let sink = MemorySink::new(1 << 14);
+            let sink = MemorySink::new(1 << 20);
             let request = EvaluationRequest::new()
-                .with_feed(small_config(1, 128))
+                .with_feed(cfg.clone())
                 .with_telemetry(Telemetry::new(sink.clone()));
-            // The fuse trips on the third chunk-boundary checkpoint: two
-            // chunks are processed, the third is never pushed.
-            let token = CancelToken::after_checkpoints(3);
-            let outcome =
-                request.evaluate_stream_cancellable(std::slice::from_ref(&product), 0.7, &token);
-            assert!(outcome.is_err(), "the armed fuse cancels the run");
-            sink.events().iter().map(|e| e.to_jsonl()).collect::<Vec<_>>()
+            let token = CancelToken::after_checkpoints(checkpoints);
+            assert!(request.evaluate_stream_cancellable(&products, 0.7, &token).is_err());
+            sink.events()
         };
         let events = run_cancelled();
-        let chunks: Vec<&String> =
-            events.iter().filter(|l| l.contains("stream.chunk.records")).collect();
-        assert_eq!(chunks.len(), 2, "exactly the pre-cancel chunk progress is flushed");
-        assert!(!events.is_empty(), "partial telemetry reaches the sink on cancellation");
-        assert_eq!(events, run_cancelled(), "a cancelled run is still deterministic");
+        let progress = |scope: &str| {
+            events
+                .iter()
+                .filter(|e| e.scope == scope && e.name == "stream.chunk.records")
+                .map(|e| (e.at, e.value.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let nid = progress(ProductId::NidSentry.name());
+        let flow = progress(ProductId::FlowHunter.name());
+        assert_eq!(nid.len() as u64, checkpoints - 1, "one checkpoint per shard chunk");
+        assert_eq!(nid, flow, "both products stop at the same shard-chunk boundary");
+        assert!(
+            events.iter().any(|e| e.name != "stream.chunk.records"),
+            "the sessions' partial telemetry reaches the sink on cancellation"
+        );
+        let lines = |events: &[idse_telemetry::Event]| {
+            events.iter().map(|e| e.to_jsonl()).collect::<Vec<_>>()
+        };
+        assert_eq!(lines(&events), lines(&run_cancelled()), "a cancelled run is deterministic");
     }
 
     #[test]

@@ -156,6 +156,30 @@ proptest! {
         prop_assert_eq!(score(&streamed, &trace, &triggers), reference);
     }
 
+    /// Shard ledgers merged with one compaction score exactly as when
+    /// folded one `merge` at a time, however the records were split.
+    #[test]
+    fn ledgers_merged_once_score_like_pairwise_merges(
+        trace in arb_trace(),
+        shards in 1usize..6,
+        shard_of in prop::collection::vec(0usize..6, 120),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 0..40),
+    ) {
+        let mut parts: Vec<StreamLedger> = (0..shards).map(|_| StreamLedger::new()).collect();
+        for (rec, &s) in trace.records().iter().zip(&shard_of) {
+            parts[s % shards].observe(rec);
+        }
+        let mut pairwise = StreamLedger::new();
+        for part in parts.clone() {
+            pairwise.merge(part);
+        }
+        let once = StreamLedger::merged(parts);
+        let triggers = triggers(&trace, &picks);
+        prop_assert_eq!(score(&once, &trace, &triggers), score(&pairwise, &trace, &triggers));
+        prop_assert_eq!(once.records(), pairwise.records());
+        prop_assert_eq!(once.benign_count(), pairwise.benign_count());
+    }
+
     /// Ratios are bounded and consistent for any trace and alert subset.
     #[test]
     fn confusion_ratios_are_bounded(trace in arb_trace(), picks in prop::collection::vec(any::<prop::sample::Index>(), 0..40)) {

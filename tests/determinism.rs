@@ -62,9 +62,10 @@ fn worker_count_never_changes_a_byte() {
 
 #[test]
 fn streaming_scorecards_are_identical_at_any_width_and_chunk_size() {
-    // The RecordStream evaluation path: one job per (product, shard),
-    // merged in shard order. Worker count and chunk size must never
-    // change a byte of the merged scorecard.
+    // The RecordStream evaluation path: one job per shard drives every
+    // product's session (one per shard and product group when workers
+    // outnumber shards), merged in shard order. Worker count and chunk
+    // size must never change a byte of the merged scorecard.
     let product = IdsProduct::model(ProductId::FlowHunter);
     let run = |jobs: usize, chunk: usize| {
         request()
