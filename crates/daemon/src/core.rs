@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use idse_eval::{JobKind, JobSpec};
 use idse_exec::{CancelToken, SlotGuard, SlotPool};
 use idse_store::{JobState, Journal, JournalEntry};
-use idse_telemetry::{ChannelSink, Telemetry};
+use idse_telemetry::{Aggregate, Aggregates, SummarySink, Telemetry};
 use serde_json::Value;
 
 use crate::protocol::{error_line, line, Request};
@@ -31,7 +31,9 @@ pub struct DaemonConfig {
     pub queue_capacity: usize,
     /// Worker threads each evaluation runs with.
     pub jobs: usize,
-    /// Bounded telemetry buffer per job (events; oldest dropped beyond).
+    /// Most distinct `(scope, name, kind)` telemetry aggregates one job
+    /// keeps; events on any further key are counted in its `dropped`,
+    /// with the events a shard job's buffer evicted before the fold.
     pub telemetry_capacity: usize,
     /// Journal file for crash-safe restart; `None` disables journaling.
     pub journal: Option<PathBuf>,
@@ -74,9 +76,10 @@ pub struct Job {
     pub state: JobState,
     /// Context for the latest transition (error text, cancel reason, …).
     pub detail: Option<String>,
-    /// Flushed telemetry and phase events, one JSON line each. Partial
-    /// for cancelled jobs — everything up to the observed chunk boundary.
-    pub events: Vec<String>,
+    /// The job's telemetry folded per `(scope, name, kind)`, once it has
+    /// run. Partial for cancelled jobs — everything up to the observed
+    /// chunk boundary.
+    pub telemetry: Option<Aggregates>,
     /// Structured result summary for completed jobs.
     pub result: Option<Value>,
     /// Shared cancellation flag; clones travel into the executing job.
@@ -94,7 +97,8 @@ impl Job {
             "label": self.spec.label(),
             "state": self.state.name(),
             "detail": self.detail,
-            "events": self.events.len(),
+            "aggregates": self.telemetry.as_ref().map_or(0, |t| t.entries.len()),
+            "dropped": self.telemetry.as_ref().map_or(0, |t| t.dropped),
             "result": self.result,
         })
     }
@@ -173,7 +177,7 @@ impl DaemonCore {
                     spec,
                     state: job.state,
                     detail: job.detail,
-                    events: Vec::new(),
+                    telemetry: None,
                     result: None,
                     cancel: CancelToken::new(),
                     slot: None,
@@ -305,7 +309,7 @@ impl DaemonCore {
                 spec,
                 state: JobState::Queued,
                 detail: None,
-                events: Vec::new(),
+                telemetry: None,
                 result: None,
                 cancel: CancelToken::new(),
                 slot: Some(slot),
@@ -315,31 +319,35 @@ impl DaemonCore {
         line(&serde_json::json!({ "ok": true, "id": id, "state": "queued", "label": label }))
     }
 
-    /// All event lines flushed so far, then a summary line. Valid in any
-    /// state — watching a completed job replays its full event log.
-    fn watch(&mut self, id: u64) -> Vec<String> {
-        match self.jobs.get(&id) {
-            Some(job) => {
-                let mut lines = job.events.clone();
-                lines.push(line(&serde_json::json!({
-                    "ok": true,
-                    "id": id,
-                    "state": job.state.name(),
-                    "events": job.events.len(),
-                })));
-                lines
-            }
-            None => vec![error_line(&format!("no such job: {id}"))],
+    /// The `watch` response for job `id`, valid in any state: the
+    /// `running` phase line once the job has started, one `summary` line
+    /// per telemetry aggregate in key order, the terminal phase line, then
+    /// the one line starting `{"ok":`, which counts the aggregates and the
+    /// events the summary could not fold.
+    pub fn watch(&self, id: u64) -> Vec<String> {
+        let Some(job) = self.jobs.get(&id) else {
+            return vec![error_line(&format!("no such job: {id}"))];
+        };
+        let empty = Aggregates::default();
+        let aggregates = job.telemetry.as_ref().unwrap_or(&empty);
+        let mut lines = Vec::with_capacity(aggregates.entries.len() + 3);
+        if job.state == JobState::Running || job.telemetry.is_some() {
+            lines.push(phase_line(id, "running"));
         }
-    }
-
-    /// Event lines from `cursor` on, plus the job's current state — the
-    /// incremental form the live server streams from.
-    pub fn watch_from(&self, id: u64, cursor: usize) -> Option<(Vec<String>, JobState)> {
-        self.jobs.get(&id).map(|job| {
-            let fresh = job.events.get(cursor..).unwrap_or(&[]).to_vec();
-            (fresh, job.state)
-        })
+        lines.extend(
+            aggregates.entries.iter().map(|(&key, aggregate)| summary_line(id, key, aggregate)),
+        );
+        if job.state.is_terminal() {
+            lines.push(phase_line(id, job.state.name()));
+        }
+        lines.push(line(&serde_json::json!({
+            "ok": true,
+            "id": id,
+            "state": job.state.name(),
+            "aggregates": aggregates.entries.len(),
+            "dropped": aggregates.dropped,
+        })));
+        lines
     }
 
     fn cancel(&mut self, id: u64, after_chunks: Option<u64>) -> String {
@@ -387,7 +395,6 @@ impl DaemonCore {
                 continue;
             }
             job.state = JobState::Running;
-            job.events.push(phase_line(id, "running"));
             let started = StartedJob { id, spec: job.spec.clone(), cancel: job.cancel.clone() };
             self.running = Some(id);
             self.append_journal(JournalEntry::transition(id, JobState::Running))?;
@@ -396,13 +403,13 @@ impl DaemonCore {
         Ok(None)
     }
 
-    /// Record an executed job's outcome: append its flushed events,
+    /// Record an executed job's outcome: keep its folded telemetry,
     /// journal the terminal transition, release the queue slot.
     pub fn finish(
         &mut self,
         id: u64,
         outcome: JobOutcome,
-        events: Vec<String>,
+        telemetry: Aggregates,
     ) -> std::io::Result<()> {
         if self.running == Some(id) {
             self.running = None;
@@ -415,7 +422,7 @@ impl DaemonCore {
             JobOutcome::Failed(reason) => (JobState::Failed, Some(reason.clone())),
         };
         if let Some(job) = self.jobs.get_mut(&id) {
-            job.events.extend(events);
+            job.telemetry = Some(telemetry);
             if let JobOutcome::Completed(result) = outcome {
                 job.result = Some(result);
             }
@@ -427,13 +434,13 @@ impl DaemonCore {
     /// finished job's id.
     pub fn run_next(&mut self) -> std::io::Result<Option<u64>> {
         let Some(started) = self.begin_next()? else { return Ok(None) };
-        let (outcome, events) = execute_job(
+        let (outcome, telemetry) = execute_job(
             &started.spec,
             self.config.jobs,
             self.config.telemetry_capacity,
             &started.cancel,
         );
-        self.finish(started.id, outcome, events)?;
+        self.finish(started.id, outcome, telemetry)?;
         Ok(Some(started.id))
     }
 
@@ -447,13 +454,12 @@ impl DaemonCore {
         Ok(ran)
     }
 
-    /// Terminal transition: set state/detail, emit the phase event,
-    /// journal, and drop the slot guard (deterministic release).
+    /// Terminal transition: set state/detail, journal, and drop the slot
+    /// guard (deterministic release).
     fn finalize(&mut self, id: u64, state: JobState, detail: Option<&str>) -> std::io::Result<()> {
         if let Some(job) = self.jobs.get_mut(&id) {
             job.state = state;
             job.detail = detail.map(str::to_owned);
-            job.events.push(phase_line(id, state.name()));
             job.slot = None;
         }
         self.append_journal(JournalEntry {
@@ -472,20 +478,53 @@ impl DaemonCore {
     }
 }
 
-/// A daemon-emitted lifecycle event, in the same JSONL stream as the
-/// job's telemetry so `watch` interleaves both.
+/// A daemon-emitted lifecycle event, framing the job's telemetry in
+/// `watch`.
 fn phase_line(id: u64, phase: &str) -> String {
     line(&serde_json::json!({ "event": "phase", "id": id, "phase": phase }))
 }
 
+/// One telemetry aggregate as a `watch` line.
+fn summary_line(
+    id: u64,
+    (scope, name, _): idse_telemetry::AggregateKey,
+    aggregate: &Aggregate,
+) -> String {
+    let mut value = serde_json::json!({
+        "event": "summary",
+        "id": id,
+        "scope": scope,
+        "name": name,
+        "kind": aggregate.label(),
+    });
+    let fields = match *aggregate {
+        Aggregate::Span { count, total_ns, max_ns } => {
+            serde_json::json!({ "count": count, "total_ns": total_ns, "max_ns": max_ns })
+        }
+        Aggregate::Counter { sum } => serde_json::json!({ "sum": sum }),
+        Aggregate::Gauge { samples, min, sum, max } => serde_json::json!({
+            "samples": samples,
+            "min": min,
+            "mean": sum / samples as f64,
+            "max": max,
+        }),
+    };
+    if let (Value::Object(map), Value::Object(fields)) = (&mut value, fields) {
+        map.extend(fields);
+    }
+    line(&value)
+}
+
 /// Execute a validated spec with cooperative cancellation, returning the
-/// outcome and the flushed telemetry lines.
+/// outcome and the job's telemetry folded per `(scope, name, kind)`.
 ///
-/// Telemetry rides a [`ChannelSink`] — a conveyor, not a recorder: its
-/// `snapshot()` is `None`, so attaching it cannot change what the
-/// harness records in the run store. A daemon-submitted job therefore
-/// produces byte-identical store records to a direct `evaluate --store`
-/// run of the same spec; the byte-identity test pins this.
+/// Telemetry folds into a [`SummarySink`] of at most `telemetry_capacity`
+/// keys, so a job's telemetry memory is O(stages × scopes), not O(events).
+/// The sink keeps no events — its `snapshot()` is `None` — so attaching it
+/// cannot change what the harness records in the run store. A
+/// daemon-submitted job therefore produces byte-identical store records to
+/// a direct `evaluate --store` run of the same spec; the byte-identity test
+/// pins this.
 ///
 /// Cancellation is observed at chunk boundaries (stream path) and job
 /// starts (batch path); whatever telemetry was flushed before the
@@ -495,14 +534,16 @@ pub fn execute_job(
     jobs: usize,
     telemetry_capacity: usize,
     cancel: &CancelToken,
-) -> (JobOutcome, Vec<String>) {
+) -> (JobOutcome, Aggregates) {
     let request = match spec.to_request() {
         Ok(request) => request,
-        Err(e) => return (JobOutcome::Failed(format!("invalid job spec: {e}")), Vec::new()),
+        Err(e) => {
+            return (JobOutcome::Failed(format!("invalid job spec: {e}")), Aggregates::default())
+        }
     };
     let kind = spec.job_kind().expect("invariant: to_request validated the kind");
     let products = spec.resolve_products().expect("invariant: to_request validated products");
-    let sink = ChannelSink::new(telemetry_capacity);
+    let sink = SummarySink::new(telemetry_capacity);
     let request = request.with_telemetry(Telemetry::new(sink.clone())).with_jobs(jobs);
     let outcome = match kind {
         JobKind::Evaluate => {
@@ -547,6 +588,5 @@ pub fn execute_job(
             }
         }
     };
-    let events: Vec<String> = sink.drain().iter().map(idse_telemetry::Event::to_jsonl).collect();
-    (outcome, events)
+    (outcome, sink.aggregates())
 }

@@ -16,8 +16,12 @@
 //!   deterministically through the RAII guard.
 //! * Cancellation is the cooperative [`idse_exec::CancelToken`], observed
 //!   at the chunk boundaries of the streaming path and the job starts of
-//!   the batch path; the checkpoint fuse makes mid-flight cancellation
-//!   reproducible at any worker count.
+//!   the batch path; the checkpoint fuse stops a stream job at the same
+//!   chunks at any worker count.
+//! * A job's telemetry is folded as it arrives into per-stage aggregates
+//!   ([`idse_telemetry::SummarySink`]) with an explicit count of what the
+//!   key cap dropped, so a finished job costs the daemon O(stages ×
+//!   scopes) memory, not O(events).
 //! * Every state transition is appended to the crash-safe
 //!   [`idse_store::Journal`]; on restart, queued work resumes and jobs
 //!   that were mid-flight are re-marked aborted.

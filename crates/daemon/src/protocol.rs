@@ -5,6 +5,12 @@
 //! reason in `"error"` so a rejected submit (malformed spec, full queue,
 //! draining daemon) is always distinguishable from a transport failure.
 //!
+//! Only the last line of a response starts with `{"ok":`, so a client can
+//! read a `watch` up to it. A `summary` line carries `count`, `total_ns`
+//! and `max_ns` for a span, `sum` for a counter, and `samples`, `min`,
+//! `mean` and `max` for a gauge. Raw per-event spans are not served; a
+//! direct `evaluate --telemetry-out` run writes them.
+//!
 //! Requests are parsed by hand over [`serde_json::Value`] rather than
 //! derived, so a malformed line yields a message naming the field that is
 //! wrong instead of a generic deserialization error — the protocol is the
@@ -13,9 +19,9 @@
 //! | command    | fields                               | effect |
 //! |------------|--------------------------------------|--------|
 //! | `submit`   | `spec` (a [`JobSpec`] object)        | enqueue a job; rejected with a reason when the queue is full or the daemon is draining |
-//! | `status`   | `id`                                 | one snapshot line for the job |
-//! | `watch`    | `id`                                 | the job's flushed telemetry/phase lines, then a summary line |
-//! | `cancel`   | `id`, optional `after_chunks`        | cancel now, or arm the checkpoint fuse to cancel at the n-th chunk boundary (a stream job counts one per shard chunk, whatever its product count) |
+//! | `status`   | `id`                                 | one snapshot line for the job: state, detail, `aggregates` and `dropped` counts, result |
+//! | `watch`    | `id`                                 | once the job is terminal: its `running` phase line, one `summary` line per `(scope, name, kind)` telemetry aggregate in key order, its terminal phase line, then a line counting the `aggregates` and the events `dropped` before the fold or beyond the key cap |
+//! | `cancel`   | `id`, optional `after_chunks`        | cancel now, or arm the checkpoint fuse: a stream job stops before every chunk of canonical rank `after_chunks` or more (chunk `c` of shard `s` of `S` has rank `c·S + s + 1`, whatever the product count), a batch job at its n-th job start |
 //! | `list`     | —                                    | one line with every job's snapshot |
 //! | `drain`    | —                                    | run every queued job to completion, in submission order |
 //! | `shutdown` | optional `graceful` (default `true`) | stop accepting submits; graceful drains the queue first |
@@ -33,7 +39,7 @@ pub enum Request {
         /// Daemon-assigned job id.
         id: u64,
     },
-    /// Stream a job's flushed telemetry and phase events.
+    /// A job's phase lines and per-stage telemetry aggregates.
     Watch {
         /// Daemon-assigned job id.
         id: u64,
@@ -43,8 +49,9 @@ pub enum Request {
         /// Daemon-assigned job id.
         id: u64,
         /// When set, arm the checkpoint fuse instead of cancelling
-        /// immediately: the job stops at its `n`-th chunk boundary, at
-        /// any worker count — the deterministic mid-flight cancel.
+        /// immediately: a stream job stops before every chunk of canonical
+        /// rank `n` or more, at any worker count — the deterministic
+        /// mid-flight cancel.
         after_chunks: Option<u64>,
     },
     /// Report every job's state.

@@ -4,18 +4,26 @@
 //! *runner* that claims queued jobs and executes them (outside the lock,
 //! so status/cancel/watch stay responsive mid-job), and an *accept* loop
 //! serving protocol connections. Both are spawned through
-//! [`idse_exec::with_worker`] — the one sanctioned thread primitive — and
-//! poll with [`idse_exec::breathe`] instead of spinning.
+//! [`idse_exec::with_worker`] — the one sanctioned thread primitive.
+//!
+//! Every change to the core is followed by a wake-up on one condition
+//! variable, and everything that waits on the core — the idle runner, a
+//! `watch` of an unfinished job, a `drain` — sleeps on it until the state
+//! it needs holds. So a job starts the moment it is submitted and its
+//! `watch` answers the moment it finishes, with no polling interval in
+//! between.
 //!
 //! The listener is non-blocking so the accept loop can notice shutdown
-//! between connections; accepted streams switch back to blocking for
-//! plain line-at-a-time I/O. One connection may carry many requests;
-//! `watch` streams incrementally until the job reaches a terminal state.
+//! between connections, polling with [`idse_exec::breathe`]; accepted
+//! streams switch back to blocking for plain line-at-a-time I/O. One
+//! connection may carry many requests; `watch` waits until the job
+//! reaches a terminal state, then answers exactly what the replay driver
+//! would.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use idse_exec::{breathe, with_worker};
 
@@ -37,41 +45,63 @@ pub fn serve(core: DaemonCore, socket: &Path) -> std::io::Result<()> {
     let _ = std::fs::remove_file(socket);
     let listener = UnixListener::bind(socket)?;
     listener.set_nonblocking(true)?;
-    let shared = Mutex::new(core);
+    let shared = Shared { core: Mutex::new(core), changed: Condvar::new() };
     let (runner, accept) = with_worker(|| runner_loop(&shared), || accept_loop(&listener, &shared));
     let _ = std::fs::remove_file(socket);
     runner.and(accept)
 }
 
-fn lock(shared: &Mutex<DaemonCore>) -> std::sync::MutexGuard<'_, DaemonCore> {
-    shared.lock().expect("invariant: daemon state lock is never poisoned")
+/// The core both loops share, and the wake-up that follows each change.
+struct Shared {
+    core: Mutex<DaemonCore>,
+    changed: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, DaemonCore> {
+        self.core.lock().expect("invariant: daemon state lock is never poisoned")
+    }
+
+    /// Apply `change` under the lock, then wake every waiter to re-check.
+    fn update<T>(&self, change: impl FnOnce(&mut DaemonCore) -> T) -> T {
+        let out = change(&mut self.lock());
+        self.changed.notify_all();
+        out
+    }
+
+    /// Hold the lock from the first moment `ready` is true.
+    fn wait_until(&self, ready: impl Fn(&DaemonCore) -> bool) -> MutexGuard<'_, DaemonCore> {
+        let core = self.lock();
+        self.changed
+            .wait_while(core, |core| !ready(core))
+            .expect("invariant: daemon state lock is never poisoned")
+    }
 }
 
 /// Claim → execute → finish, one job at a time, until shutdown.
-fn runner_loop(shared: &Mutex<DaemonCore>) -> std::io::Result<()> {
+fn runner_loop(shared: &Shared) -> std::io::Result<()> {
     loop {
-        let started = {
-            let mut core = lock(shared);
+        let claimed = {
+            let mut core =
+                shared.wait_until(|core| core.should_stop() || core.pending().next().is_some());
             if core.should_stop() {
                 return Ok(());
             }
-            core.begin_next()?
+            let config = core.config();
+            let (jobs, capacity) = (config.jobs, config.telemetry_capacity);
+            core.begin_next()?.map(|job| (job, jobs, capacity))
         };
-        match started {
-            Some(job) => {
-                let (jobs, capacity) = {
-                    let core = lock(shared);
-                    (core.config().jobs, core.config().telemetry_capacity)
-                };
-                let (outcome, events) = execute_job(&job.spec, jobs, capacity, &job.cancel);
-                lock(shared).finish(job.id, outcome, events)?;
-            }
-            None => breathe(),
+        // Claiming marked the job running, and finished any job that was
+        // cancelled before its start.
+        shared.changed.notify_all();
+        if let Some((job, jobs, capacity)) = claimed {
+            let (outcome, telemetry) = execute_job(&job.spec, jobs, capacity, &job.cancel);
+            shared.update(|core| core.finish(job.id, outcome, telemetry))?;
         }
     }
 }
 
-fn accept_loop(listener: &UnixListener, shared: &Mutex<DaemonCore>) -> std::io::Result<()> {
+fn accept_loop(listener: &UnixListener, shared: &Shared) -> std::io::Result<()> {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -81,7 +111,7 @@ fn accept_loop(listener: &UnixListener, shared: &Mutex<DaemonCore>) -> std::io::
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if lock(shared).should_stop() {
+                if shared.lock().should_stop() {
                     return Ok(());
                 }
                 breathe();
@@ -91,7 +121,7 @@ fn accept_loop(listener: &UnixListener, shared: &Mutex<DaemonCore>) -> std::io::
     }
 }
 
-fn serve_client(stream: UnixStream, shared: &Mutex<DaemonCore>) -> std::io::Result<()> {
+fn serve_client(stream: UnixStream, shared: &Shared) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -125,18 +155,11 @@ fn serve_client(stream: UnixStream, shared: &Mutex<DaemonCore>) -> std::io::Resu
             Request::Watch { id } => stream_watch(&mut writer, shared, id)?,
             Request::Drain => {
                 // The runner drains; this connection just waits for idle.
-                loop {
-                    let core = lock(shared);
-                    if core.is_idle() || core.should_stop() {
-                        break;
-                    }
-                    drop(core);
-                    breathe();
-                }
+                drop(shared.wait_until(|core| core.is_idle() || core.should_stop()));
                 writeln!(writer, "{}", line(&serde_json::json!({ "ok": true, "drained": true })))?;
             }
             other => {
-                for response in lock(shared).handle(other) {
+                for response in shared.update(|core| core.handle(other)) {
                     writeln!(writer, "{response}")?;
                 }
             }
@@ -145,47 +168,17 @@ fn serve_client(stream: UnixStream, shared: &Mutex<DaemonCore>) -> std::io::Resu
     }
 }
 
-/// Stream a job's event lines from the start, then follow the live tail
-/// until the job is terminal (or the daemon stops). Ends with a summary
-/// line so clients can tell the stream from the verdict.
-fn stream_watch(
-    writer: &mut UnixStream,
-    shared: &Mutex<DaemonCore>,
-    id: u64,
-) -> std::io::Result<()> {
-    let mut cursor = 0usize;
-    loop {
-        let (fresh, state, stopping) = {
-            let core = lock(shared);
-            match core.watch_from(id, cursor) {
-                Some((fresh, state)) => (fresh, state, core.should_stop()),
-                None => {
-                    drop(core);
-                    writeln!(writer, "{}", error_line(&format!("no such job: {id}")))?;
-                    return Ok(());
-                }
-            }
-        };
-        for event in &fresh {
-            writeln!(writer, "{event}")?;
-        }
-        cursor += fresh.len();
-        if !fresh.is_empty() {
-            writer.flush()?;
-        }
-        if state.is_terminal() || stopping {
-            writeln!(
-                writer,
-                "{}",
-                line(&serde_json::json!({
-                    "ok": true,
-                    "id": id,
-                    "state": state.name(),
-                    "events": cursor,
-                }))
-            )?;
-            return Ok(());
-        }
-        breathe();
+/// Wait until the job is terminal (or the daemon stops), then write
+/// [`DaemonCore::watch`]'s lines — the same bytes a replay's `watch` of the
+/// finished job produces.
+fn stream_watch(writer: &mut UnixStream, shared: &Shared, id: u64) -> std::io::Result<()> {
+    let lines = shared
+        .wait_until(|core| {
+            core.should_stop() || core.job(id).is_none_or(|job| job.state.is_terminal())
+        })
+        .watch(id);
+    for response in &lines {
+        writeln!(writer, "{response}")?;
     }
+    Ok(())
 }

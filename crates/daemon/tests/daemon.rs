@@ -111,28 +111,89 @@ fn double_cancel_is_a_clean_error() {
     assert!(missing[0].contains("no such job"), "{}", missing[0]);
 }
 
+/// The `summary` lines of a `watch` response.
+fn summaries(watch: &[String]) -> Vec<Value> {
+    watch
+        .iter()
+        .map(|l| parsed(l))
+        .filter(|v| v.get("event").and_then(Value::as_str) == Some("summary"))
+        .collect()
+}
+
+/// The `sum` of counter `name` per scope, from a `watch` response.
+fn counter_sums(watch: &[String], name: &str) -> BTreeMap<String, u64> {
+    summaries(watch)
+        .iter()
+        .filter(|v| v.get("name").and_then(Value::as_str) == Some(name))
+        .map(|v| {
+            assert_eq!(v.get("kind").and_then(Value::as_str), Some("counter"), "{v:?}");
+            let scope = v.get("scope").and_then(Value::as_str).expect("scope").to_owned();
+            let sum = v.get("sum").and_then(Value::as_f64).expect("counter sum");
+            (scope, sum as u64)
+        })
+        .collect()
+}
+
+/// Records the job's one product scored, from its `status` result.
+fn result_records(status: &str) -> u64 {
+    let status = parsed(status);
+    let products = status.get("job").and_then(|j| j.get("result")).and_then(|r| r.get("products"));
+    let products = products.and_then(Value::as_array).expect("a completed job's products");
+    assert_eq!(products.len(), 1);
+    products[0].get("records").and_then(Value::as_u64).expect("records")
+}
+
 #[test]
 fn watch_after_completion_replays_the_full_event_log() {
     let mut core = core(2);
-    let script =
-        format!("{}\n{{\"cmd\":\"drain\"}}\n{{\"cmd\":\"watch\",\"id\":1}}", stream_submit());
+    let script = format!(
+        "{}\n{{\"cmd\":\"drain\"}}\n{{\"cmd\":\"watch\",\"id\":1}}\n{{\"cmd\":\"status\",\"id\":1}}",
+        stream_submit()
+    );
     let out = replay(&mut core, &script).expect("replay");
     assert!(out[1].contains("\"drained\":1"), "{}", out[1]);
-    let watch = &out[2..];
-    assert!(watch.len() > 2, "telemetry plus phase events were flushed");
+    let (watch, status) = out[2..].split_at(out.len() - 3);
     assert!(watch[0].contains("\"phase\":\"running\""), "{}", watch[0]);
-    let summary = watch.last().expect("summary line");
-    assert!(ok(summary) && summary.contains("\"state\":\"completed\""), "{summary}");
     assert!(
-        watch.iter().any(|l| l.contains("stream.chunk.records")),
-        "chunk telemetry is in the watch stream"
+        watch[watch.len() - 2].contains("\"phase\":\"completed\""),
+        "{}",
+        watch[watch.len() - 2]
     );
+    let last = parsed(watch.last().expect("terminal line"));
+    assert!(ok(watch.last().expect("terminal line")));
+    assert_eq!(last.get("state").and_then(Value::as_str), Some("completed"));
+    assert_eq!(last.get("dropped").and_then(Value::as_u64), Some(0), "nothing was dropped");
+    let aggregates = summaries(watch);
+    assert_eq!(aggregates.len(), watch.len() - 3, "phase, summaries, phase, terminal");
+    assert_eq!(last.get("aggregates").and_then(Value::as_u64), Some(aggregates.len() as u64));
+    assert!(
+        watch[..watch.len() - 1].iter().all(|l| !l.starts_with("{\"ok\":")),
+        "only the terminal line starts with {{\"ok\":"
+    );
+    // The chunk progress counter covers every record the job scored.
+    let chunks = counter_sums(watch, "stream.chunk.records");
+    assert_eq!(chunks.len(), 1, "one product scope: {chunks:?}");
+    let records = result_records(&status[0]);
+    assert!(records > 0);
+    assert_eq!(chunks.values().sum::<u64>(), records, "{chunks:?}");
+    // Per-stage spans of the Figure-1 pipeline are summarized.
+    assert!(
+        aggregates.iter().any(|v| v.get("kind").and_then(Value::as_str) == Some("span")
+            && v.get("count").and_then(Value::as_u64).is_some_and(|c| c > 0)),
+        "{aggregates:?}"
+    );
+    let snapshot = parsed(&status[0]);
+    let job = snapshot.get("job").expect("job snapshot");
+    assert_eq!(job.get("aggregates").and_then(Value::as_u64), Some(aggregates.len() as u64));
+    assert_eq!(job.get("dropped").and_then(Value::as_u64), Some(0));
+    assert!(job.get("events").is_none(), "{snapshot:?}");
 }
 
 #[test]
 fn cancel_mid_flight_stops_at_a_chunk_boundary_with_partial_telemetry() {
-    // Arm the fuse at the 3rd checkpoint before the job runs: the run
-    // stops at exactly that chunk boundary, at any worker count.
+    // Arm the fuse at rank 3 before the job runs. Chunk `c` of shard `s`
+    // of 2 has rank `2c + s + 1`, so each shard pushes its first 64-record
+    // chunk (ranks 1 and 2) and stops there, at any worker count.
     let mut core = core(2);
     let script = format!(
         "{}\n{}\n{{\"cmd\":\"drain\"}}\n{{\"cmd\":\"watch\",\"id\":1}}\n{{\"cmd\":\"status\",\"id\":1}}",
@@ -144,16 +205,18 @@ fn cancel_mid_flight_stops_at_a_chunk_boundary_with_partial_telemetry() {
     let status = out.last().expect("status line");
     assert!(status.contains("\"state\":\"cancelled\""), "{status}");
     assert!(status.contains("cancelled at a chunk boundary"), "{status}");
+    let watch = &out[3..out.len() - 1];
+    assert!(watch[watch.len() - 2].contains("\"phase\":\"cancelled\""), "{watch:?}");
 
-    // Partial telemetry: some chunk counters flushed, but fewer than a
-    // full run of the same spec produces.
-    let cancelled_chunks = out.iter().filter(|l| l.contains("stream.chunk.records")).count();
-    assert!(cancelled_chunks > 0, "partial telemetry was flushed");
+    // Partial telemetry: exactly the two chunks' records were counted,
+    // fewer than a full run of the same spec produces.
+    let cancelled: u64 = counter_sums(watch, "stream.chunk.records").values().sum();
+    assert_eq!(cancelled, 2 * 64, "partial telemetry was flushed");
     let mut full = core_with_full_run();
-    let full_chunks = full_run_chunk_lines(&mut full);
+    let full_records = full_run_chunk_records(&mut full);
     assert!(
-        cancelled_chunks < full_chunks,
-        "cancelled run flushed {cancelled_chunks} chunk events, full run {full_chunks}"
+        cancelled < full_records,
+        "cancelled run counted {cancelled} chunk records, full run {full_records}"
     );
 }
 
@@ -164,9 +227,41 @@ fn core_with_full_run() -> DaemonCore {
     core
 }
 
-fn full_run_chunk_lines(core: &mut DaemonCore) -> usize {
+fn full_run_chunk_records(core: &mut DaemonCore) -> u64 {
     let out = replay(core, r#"{"cmd":"watch","id":1}"#).expect("replay");
-    out.iter().filter(|l| l.contains("stream.chunk.records")).count()
+    counter_sums(&out, "stream.chunk.records").values().sum()
+}
+
+/// A cancelled 2-product, 4-shard stream job, replayed at 1, 2 and 8
+/// workers: its whole output, telemetry aggregates included, is the same
+/// bytes at every width and on every repeat.
+#[test]
+fn cancelled_multi_shard_stream_is_byte_identical_at_any_width() {
+    let script = [
+        r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid","flow"],"seed":5,"rate":500.0,"transactions":20000,"chunk_records":1024,"shards":4}}"#,
+        r#"{"cmd":"cancel","id":1,"after_chunks":9}"#,
+        r#"{"cmd":"drain"}"#,
+        r#"{"cmd":"watch","id":1}"#,
+    ]
+    .join("\n");
+    let run = |jobs: usize| {
+        let mut core =
+            DaemonCore::new(DaemonConfig::default().with_queue_capacity(2).with_jobs(jobs))
+                .expect("core");
+        replay(&mut core, &script).expect("replay")
+    };
+    let want = run(1);
+    let watch = &want[3..];
+    assert!(watch[watch.len() - 2].contains("\"phase\":\"cancelled\""), "{want:?}");
+    // Ranks 1..=8 are two chunks of each of the four shards.
+    let chunks = counter_sums(watch, "stream.chunk.records");
+    assert_eq!(chunks.len(), 2, "{chunks:?}");
+    for sum in chunks.values() {
+        assert_eq!(*sum, 8 * 1024, "{chunks:?}");
+    }
+    for jobs in [2, 8, 2, 2] {
+        assert_eq!(run(jobs), want, "--jobs {jobs} differs from --jobs 1");
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! The live socket server under hostile input: an over-long request line
+//! The live socket server: under hostile input, an over-long request line
 //! is refused with a reason and its connection dropped, and a line nested
 //! too deep to parse is refused with a reason, without touching the
-//! daemon's ability to serve the next client.
+//! daemon's ability to serve the next client; and a socket `watch` answers
+//! the same bytes as the socketless replay driver.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -10,7 +11,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 
 use idse_daemon::server::{serve, MAX_REQUEST_LINE};
-use idse_daemon::{DaemonConfig, DaemonCore};
+use idse_daemon::{replay, DaemonConfig, DaemonCore};
 use idse_exec::{breathe, with_worker};
 
 fn connect(socket: &Path) -> UnixStream {
@@ -83,4 +84,33 @@ fn a_deeply_nested_request_line_is_refused_and_the_next_client_is_served() {
         "{}",
         refused[0]
     );
+}
+
+#[test]
+fn a_socket_watch_is_byte_identical_to_a_replay_watch() {
+    let submit = r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid","flow"],"seed":9,"rate":500.0,"transactions":2000,"chunk_records":128,"shards":2}}"#;
+    let config = DaemonConfig::default().with_jobs(2);
+
+    let mut core = DaemonCore::new(config.clone()).expect("core");
+    let script = format!("{submit}\n{{\"cmd\":\"drain\"}}\n{{\"cmd\":\"watch\",\"id\":1}}");
+    let replayed = replay(&mut core, &script).expect("replay");
+    let want = &replayed[2..];
+    assert!(want.last().is_some_and(|l| l.contains("\"state\":\"completed\"")), "{want:?}");
+
+    let socket =
+        std::env::temp_dir().join(format!("idse-daemon-parity-{}.sock", std::process::id()));
+    let core = DaemonCore::new(config).expect("core");
+    let (served, watched) = with_worker(
+        || serve(core, &socket),
+        || {
+            let submitted = exchange(&socket, format!("{submit}\n").as_bytes());
+            assert!(submitted[0].contains("\"ok\":true"), "{submitted:?}");
+            // The watch waits for the job to finish, then answers.
+            let watched = exchange(&socket, b"{\"cmd\":\"watch\",\"id\":1}\n");
+            exchange(&socket, b"{\"cmd\":\"shutdown\",\"graceful\":true}\n");
+            watched
+        },
+    );
+    served.expect("daemon shuts down cleanly");
+    assert_eq!(watched, want);
 }

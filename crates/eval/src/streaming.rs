@@ -60,6 +60,8 @@ pub struct ShardFeed {
     bg_done: bool,
     campaign: VecDeque<TraceRecord>,
     chunk_records: usize,
+    shard: u32,
+    shards: u32,
 }
 
 impl ShardFeed {
@@ -87,7 +89,17 @@ impl ShardFeed {
             bg_done: false,
             campaign: campaign.iter().cloned().collect(),
             chunk_records: config.chunk_records.max(1),
+            shard,
+            shards: config.shards.max(1),
         }
+    }
+
+    /// The 1-based canonical rank of this feed's chunk `chunk` among every
+    /// shard's chunks, `chunk · shards + shard + 1`: the order in which
+    /// [`CancelToken::stop_before_rank`] counts a stream run's chunk
+    /// boundaries, the same at any worker count.
+    pub fn chunk_rank(&self, chunk: u64) -> u64 {
+        chunk * u64::from(self.shards) + u64::from(self.shard) + 1
     }
 
     fn refill(&mut self) {
@@ -197,20 +209,29 @@ fn stream_run_config(
 /// outcome per runner, in `runners` order.
 ///
 /// The token is checked once per chunk — between chunks, never mid-chunk,
-/// whatever the number of runners — so a cancelled shard stops every
-/// product at the same record boundary: everything observed so far
-/// (including the progress counters) is a pure function of the feed and
-/// the checkpoint count, and the caller flushes the partial telemetry.
+/// whatever the number of runners — against the chunk's canonical rank
+/// ([`ShardFeed::chunk_rank`]), so a fuse armed with `n` stops this shard
+/// before its first chunk of rank `n` or more, whatever the other shard
+/// jobs have done. Every product stops at the same record boundary, and
+/// everything observed so far (including the progress counters) is a pure
+/// function of the feed and `n`; the caller flushes the partial telemetry.
+/// An explicit [`CancelToken::cancel`] is observed at the next chunk.
 pub fn run_shard_cancellable(
     runners: &[PipelineRunner],
-    feed: ShardFeed,
-    shard: u32,
+    mut feed: ShardFeed,
     mut ledger: Option<&mut StreamLedger>,
     cancel: &CancelToken,
 ) -> Result<Vec<ShardOutcome>, Cancelled> {
+    let shard = feed.shard;
     let mut sessions: Vec<PipelineSession> = runners.iter().map(PipelineRunner::session).collect();
-    for chunk in feed {
-        cancel.guard()?;
+    let mut index = 0u64;
+    while let Some(chunk) = feed.next() {
+        if cancel.stop_before_rank(feed.chunk_rank(index)) {
+            return Err(Cancelled);
+        }
+        #[cfg(test)]
+        tests::jitter(shard, index);
+        index += 1;
         if let Some(ledger) = ledger.as_deref_mut() {
             ledger.observe_chunk(&chunk);
         }
@@ -351,6 +372,10 @@ impl EvaluationRequest {
     /// cancellation: the token is polled at every chunk boundary of every
     /// shard job — once per shard chunk, whatever the product count (see
     /// [`run_shard_cancellable`]) — and between job claims on the executor.
+    /// A fuse armed with `n` stops every shard before its first chunk of
+    /// canonical rank `n` or more ([`ShardFeed::chunk_rank`]), so the run
+    /// pushes exactly the chunks of rank below `n` at any worker count; an
+    /// explicit cancel is best-effort.
     ///
     /// Every product's session records into its own buffer under the
     /// product's scope. The buffers are flushed into the request's sink in
@@ -403,8 +428,7 @@ impl EvaluationRequest {
             let feed =
                 ShardFeed::with_campaign(&profile, &self.feed, shard, &campaign[shard as usize]);
             let mut ledger = (group == 0).then(StreamLedger::new);
-            let outcomes =
-                run_shard_cancellable(&shard_runners, feed, shard, ledger.as_mut(), cancel);
+            let outcomes = run_shard_cancellable(&shard_runners, feed, ledger.as_mut(), cancel);
             (outcomes.map(|outcomes| (ledger, outcomes)), members, recorders)
         });
 
@@ -518,6 +542,19 @@ mod tests {
     use idse_ids::products::ProductId;
     use idse_sim::SimDuration;
 
+    /// Yield the thread 0–3 times between chunks, varying with the shard,
+    /// the chunk and every earlier call, so concurrent shard jobs
+    /// interleave differently from run to run.
+    pub(super) fn jitter(shard: u32, chunk: u64) {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let mix = (call ^ (u64::from(shard) << 32) ^ chunk).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..(mix >> 62) {
+            std::thread::yield_now();
+        }
+    }
+
     fn small_config(shards: u32, chunk: usize) -> FeedConfig {
         FeedConfig::builder()
             .session_rate(12.0)
@@ -620,7 +657,6 @@ mod tests {
                     run_shard_cancellable(
                         std::slice::from_ref(&runner),
                         ShardFeed::new(&profile, cfg, shard),
-                        shard,
                         Some(&mut shard_ledger),
                         &CancelToken::new(),
                     )
@@ -731,20 +767,27 @@ mod tests {
         let products =
             [IdsProduct::model(ProductId::NidSentry), IdsProduct::model(ProductId::FlowHunter)];
         let profile = TestFeed::realtime_cluster_profile(&cfg);
-        let shard0_chunks = ShardFeed::new(&profile, &cfg, 0).count() as u64;
-        // The fuse trips on shard 1's second chunk: all of shard 0 and one
-        // chunk of shard 1 are pushed, to both products.
-        let checkpoints = shard0_chunks + 2;
-        let run_cancelled = || {
+        let shard_chunks = |shard| ShardFeed::new(&profile, &cfg, shard).count() as u64;
+        let (shard0_chunks, shard1_chunks) = (shard_chunks(0), shard_chunks(1));
+        assert!(shard0_chunks >= 4 && shard1_chunks >= 4, "both shards outlast the fuse");
+        // Chunk `c` of shard `s` has rank `2c + s + 1`. Armed with 7, shard
+        // 0 pushes its chunks of rank 1, 3, 5 and shard 1 those of rank 2,
+        // 4, 6: three each, to both products, whichever shard runs first.
+        let checkpoints = 7;
+        let run_cancelled = |jobs: usize| {
             let sink = MemorySink::new(1 << 20);
             let request = EvaluationRequest::new()
                 .with_feed(cfg.clone())
+                .with_jobs(jobs)
                 .with_telemetry(Telemetry::new(sink.clone()));
             let token = CancelToken::after_checkpoints(checkpoints);
             assert!(request.evaluate_stream_cancellable(&products, 0.7, &token).is_err());
             sink.events()
         };
-        let events = run_cancelled();
+        let lines = |events: &[idse_telemetry::Event]| {
+            events.iter().map(|e| e.to_jsonl()).collect::<Vec<_>>()
+        };
+        let events = run_cancelled(1);
         let progress = |scope: &str| {
             events
                 .iter()
@@ -760,10 +803,19 @@ mod tests {
             events.iter().any(|e| e.name != "stream.chunk.records"),
             "the sessions' partial telemetry reaches the sink on cancellation"
         );
-        let lines = |events: &[idse_telemetry::Event]| {
-            events.iter().map(|e| e.to_jsonl()).collect::<Vec<_>>()
-        };
-        assert_eq!(lines(&events), lines(&run_cancelled()), "a cancelled run is deterministic");
+        // 1 worker: two shard jobs in turn; 2: both shards at once; 8: two
+        // product groups per shard, four jobs, each deciding alone. Run
+        // each width several times under the chunk jitter.
+        let want = lines(&events);
+        for jobs in [1, 2, 8] {
+            for _ in 0..3 {
+                assert_eq!(
+                    lines(&run_cancelled(jobs)),
+                    want,
+                    "a cancelled run at --jobs {jobs} differs from --jobs 1"
+                );
+            }
+        }
     }
 
     #[test]

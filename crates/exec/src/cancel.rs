@@ -12,7 +12,11 @@
 //!   points (chunk boundaries of the streaming path, job starts of the
 //!   batch path). For deterministic tests it carries an optional
 //!   *checkpoint fuse*: arm it with `n` and the `n`-th checkpoint observes
-//!   cancellation, at any worker count, without any timing involved.
+//!   cancellation, without any timing involved. Batch checkpoints burn the
+//!   fuse in the order they reach it, so they stop at the same place only
+//!   at `--jobs 1`; stream chunks are ranked in a canonical order instead
+//!   ([`CancelToken::stop_before_rank`]) and stop at the same place at any
+//!   worker count.
 //! * [`SlotPool`] — a counting semaphore whose permits are RAII
 //!   [`SlotGuard`]s. A job that finishes, cancels, *or panics* releases
 //!   its slot when the guard drops (panics unwind through
@@ -48,6 +52,9 @@ struct CancelState {
     cancelled: AtomicBool,
     /// Remaining checkpoint budget; [`FUSE_UNARMED`] disables the fuse.
     fuse: AtomicU64,
+    /// The `n` the fuse was armed with: the first ranked checkpoint that
+    /// stops. [`FUSE_UNARMED`] when unarmed.
+    threshold: AtomicU64,
 }
 
 /// A shared, clonable cancellation flag with a deterministic test fuse.
@@ -75,6 +82,7 @@ impl CancelToken {
             state: Arc::new(CancelState {
                 cancelled: AtomicBool::new(false),
                 fuse: AtomicU64::new(FUSE_UNARMED),
+                threshold: AtomicU64::new(FUSE_UNARMED),
             }),
         }
     }
@@ -89,13 +97,14 @@ impl CancelToken {
     }
 
     /// Arm (or re-arm) the checkpoint fuse on an existing token: the
-    /// `n`-th subsequent checkpoint observes cancellation. The daemon uses
-    /// this to schedule a mid-flight cancel against a job that has not
-    /// started yet.
+    /// `n`-th subsequent checkpoint observes cancellation, and so does
+    /// every ranked checkpoint of rank `n` or more. The daemon uses this to
+    /// schedule a mid-flight cancel against a job that has not started yet.
     pub fn arm_after_checkpoints(&self, n: u64) {
         if n == 0 {
             self.cancel();
         } else {
+            self.state.threshold.store(n, Ordering::Relaxed);
             self.state.fuse.store(n, Ordering::Relaxed);
         }
     }
@@ -145,6 +154,20 @@ impl CancelToken {
         } else {
             Ok(())
         }
+    }
+
+    /// Ranked cancellation point: whether the caller should stop before
+    /// the checkpoint of 1-based canonical `rank`, because cancellation
+    /// was requested or because `rank` reaches the armed fuse's `n`.
+    ///
+    /// Concurrent jobs that number their checkpoints in one canonical
+    /// order (the streaming path ranks chunk `c` of shard `s` of `S` as
+    /// `c·S + s + 1`) each stop at the same place whatever the schedule:
+    /// the check reads the armed `n` and burns nothing, and reaching it
+    /// stops only the caller — tripping the shared flag would stop the
+    /// other jobs at whichever chunk they happened to be on.
+    pub fn stop_before_rank(&self, rank: u64) -> bool {
+        self.is_cancelled() || rank >= self.state.threshold.load(Ordering::Relaxed)
     }
 }
 
@@ -254,6 +277,24 @@ mod tests {
         assert!(token.checkpoint(), "checkpoint 3 observes cancellation");
         assert!(token.is_cancelled(), "the tripped fuse latches the shared flag");
         assert!(token.checkpoint(), "later checkpoints stay cancelled");
+    }
+
+    #[test]
+    fn ranked_checkpoints_stop_at_the_armed_rank_and_burn_nothing() {
+        let token = CancelToken::new();
+        assert!(!token.stop_before_rank(u64::MAX - 1), "an unarmed token never stops");
+        token.arm_after_checkpoints(3);
+        // Any order, any number of times: the answer depends on the rank.
+        for _ in 0..2 {
+            assert!(token.stop_before_rank(5));
+            assert!(!token.stop_before_rank(2));
+            assert!(token.stop_before_rank(3));
+            assert!(!token.stop_before_rank(1));
+        }
+        assert!(!token.is_cancelled(), "reaching the rank does not trip the shared flag");
+        assert!(!token.checkpoint() && !token.checkpoint(), "the batch fuse is untouched");
+        assert!(token.checkpoint(), "and trips on its own n-th checkpoint");
+        assert!(token.stop_before_rank(1), "an explicit cancel stops every rank");
     }
 
     #[test]

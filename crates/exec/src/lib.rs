@@ -267,9 +267,9 @@ where
 
 /// Park the calling thread for one polling interval (a few milliseconds).
 ///
-/// Polling loops that wait on cross-thread state (the daemon's
-/// non-blocking accept loop, a drain loop waiting for a runner) call this
-/// between probes instead of spinning. Centralized here so the interval is
+/// Polling loops that wait on state they cannot be woken by (the daemon's
+/// non-blocking accept loop, a client waiting for the daemon's socket)
+/// call this between probes instead of spinning. Centralized here so the interval is
 /// one knob and no other crate needs a thread API for it.
 pub fn breathe() {
     std::thread::sleep(std::time::Duration::from_millis(2));

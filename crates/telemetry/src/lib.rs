@@ -32,8 +32,8 @@
 //! * [`MemorySink`] — bounded ring buffer, readable back for
 //!   aggregation via [`summary::summarize`] (`evaluate --telemetry-out`
 //!   writes its JSONL from this sink's snapshot);
-//! * [`ChannelSink`] — bounded, drainable conveyor for live consumers (the
-//!   daemon's `watch` feed).
+//! * [`SummarySink`] — folds events into per-`(scope, name, kind)`
+//!   aggregates as they arrive (the daemon's per-job telemetry).
 //!
 //! ```
 //! use idse_telemetry::{MemorySink, Telemetry};
@@ -48,6 +48,7 @@
 
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -55,7 +56,7 @@ use std::sync::{Arc, Mutex};
 pub type SimNanos = u64;
 
 /// What a single telemetry event describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// A named region of sim-time began (`value` is 0).
     SpanEnter,
@@ -127,7 +128,7 @@ pub trait Sink: Send {
     fn record(&mut self, event: &Event);
 
     /// A copy of the retained events, oldest first, when the sink keeps
-    /// any (conveyors such as [`ChannelSink`] return `None`). Lets a run
+    /// any (folding sinks such as [`SummarySink`] return `None`). Lets a run
     /// fold its own telemetry into a persisted summary without holding a
     /// second reference to the concrete sink.
     fn snapshot(&self) -> Option<Vec<Event>> {
@@ -139,6 +140,11 @@ pub trait Sink: Send {
     fn dropped_count(&self) -> u64 {
         0
     }
+
+    /// Account for `n` events lost before they reached this sink, evicted
+    /// from an upstream buffer ([`JobRecorder`]). A sink that reports a
+    /// drop count with its contents adds them; the default ignores them.
+    fn note_dropped(&mut self, _n: u64) {}
 }
 
 /// Discards every event. Lets benchmarks measure the overhead of the
@@ -218,74 +224,131 @@ impl Sink for MemorySink {
     }
 }
 
-/// A drainable event channel for *live* streaming to a consumer on
-/// another thread (the evaluation daemon's `watch` feed).
+/// What a [`SummarySink`] keeps per `(scope, name, kind)`: the shapes
+/// [`summary::summarize`] reports, folded one event at a time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Aggregate {
+    /// Span exits: how many, and their summed and longest duration.
+    Span { count: u64, total_ns: u64, max_ns: u64 },
+    /// Counter advances: the summed deltas.
+    Counter { sum: f64 },
+    /// Gauge samples: how many, their extremes, and their sum (in arrival
+    /// order) for the mean.
+    Gauge { samples: u64, min: f64, sum: f64, max: f64 },
+}
+
+impl Aggregate {
+    /// The empty aggregate events of `kind` fold into.
+    fn empty(kind: EventKind) -> Aggregate {
+        match kind {
+            EventKind::SpanEnter | EventKind::SpanExit => {
+                Aggregate::Span { count: 0, total_ns: 0, max_ns: 0 }
+            }
+            EventKind::Counter => Aggregate::Counter { sum: 0.0 },
+            EventKind::Gauge => Aggregate::Gauge {
+                samples: 0,
+                min: f64::INFINITY,
+                sum: 0.0,
+                max: f64::NEG_INFINITY,
+            },
+        }
+    }
+
+    fn fold(&mut self, value: f64) {
+        match self {
+            Aggregate::Span { count, total_ns, max_ns } => {
+                *count += 1;
+                *total_ns += value as u64;
+                *max_ns = (*max_ns).max(value as u64);
+            }
+            Aggregate::Counter { sum } => *sum += value,
+            Aggregate::Gauge { samples, min, sum, max } => {
+                *samples += 1;
+                *min = min.min(value);
+                *sum += value;
+                *max = max.max(value);
+            }
+        }
+    }
+
+    /// Stable lowercase name of the aggregate's kind.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Aggregate::Span { .. } => "span",
+            Aggregate::Counter { .. } => "counter",
+            Aggregate::Gauge { .. } => "gauge",
+        }
+    }
+}
+
+/// `(scope, name, kind)`: the key one [`Aggregate`] is kept under. Spans
+/// are kept under [`EventKind::SpanExit`], whose events carry durations.
+pub type AggregateKey = (&'static str, &'static str, EventKind);
+
+/// A folded event stream: one [`Aggregate`] per key, in key order, and
+/// how many events could not be folded — those on keys beyond the sink's
+/// cap, and those evicted upstream ([`Sink::note_dropped`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Aggregates {
+    pub entries: BTreeMap<AggregateKey, Aggregate>,
+    pub dropped: u64,
+}
+
+/// Folds every event into per-`(scope, name, kind)` aggregates as it
+/// arrives, so its memory is O(keys), not O(events) — the daemon's
+/// per-job telemetry.
 ///
-/// Producers record through the [`Sink`] impl; a consumer periodically
-/// calls [`ChannelSink::drain`], which *removes* the buffered events and
-/// hands them over, oldest first. Unlike [`MemorySink`], this sink is a
-/// conveyor, not a recorder: [`Sink::snapshot`] intentionally returns
-/// `None`, because what a snapshot would see depends on how recently the
-/// consumer drained — a wall-clock accident that must never leak into a
-/// persisted run header. The buffer is bounded; when the consumer falls
-/// behind, the oldest undelivered events are dropped and counted.
+/// At most `max_keys` distinct keys are kept; events on any further key
+/// are counted in [`Aggregates::dropped`], never silently lost. Span
+/// entries fold into nothing (their exits carry the duration). Like every
+/// sink that keeps no events, [`Sink::snapshot`] is `None`, so attaching
+/// one cannot change what a run records in its store.
 #[derive(Debug, Clone)]
-pub struct ChannelSink {
-    shared: Arc<Mutex<MemoryBuffer>>,
+pub struct SummarySink {
+    shared: Arc<Mutex<SummaryTable>>,
 }
 
-impl ChannelSink {
-    /// A channel buffering at most `capacity` undelivered events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        ChannelSink {
-            shared: Arc::new(Mutex::new(MemoryBuffer {
-                events: std::collections::VecDeque::new(),
-                capacity: capacity.max(1),
-                dropped: 0,
-            })),
+#[derive(Debug)]
+struct SummaryTable {
+    folded: Aggregates,
+    max_keys: usize,
+}
+
+impl SummarySink {
+    /// A sink keeping at most `max_keys` distinct keys.
+    pub fn new(max_keys: usize) -> Self {
+        SummarySink {
+            shared: Arc::new(Mutex::new(SummaryTable { folded: Aggregates::default(), max_keys })),
         }
     }
 
-    /// Take every buffered event, oldest first, leaving the channel
-    /// empty. Returns an empty vector when nothing arrived since the
-    /// last drain.
-    pub fn drain(&self) -> Vec<Event> {
-        let mut buf = self.shared.lock().expect("telemetry channel lock");
-        buf.events.drain(..).collect()
-    }
-
-    /// Undelivered events currently buffered.
-    pub fn len(&self) -> usize {
-        self.shared.lock().expect("telemetry channel lock").events.len()
-    }
-
-    /// Whether the channel is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped because the consumer fell behind.
-    pub fn dropped(&self) -> u64 {
-        self.shared.lock().expect("telemetry channel lock").dropped
+    /// A copy of everything folded so far.
+    pub fn aggregates(&self) -> Aggregates {
+        self.shared.lock().expect("telemetry summary lock").folded.clone()
     }
 }
 
-impl Sink for ChannelSink {
+impl Sink for SummarySink {
     fn record(&mut self, event: &Event) {
-        let mut buf = self.shared.lock().expect("telemetry channel lock");
-        if buf.events.len() == buf.capacity {
-            buf.events.pop_front();
-            buf.dropped += 1;
+        if event.kind == EventKind::SpanEnter {
+            return;
         }
-        buf.events.push_back(*event);
+        let mut table = self.shared.lock().expect("telemetry summary lock");
+        let SummaryTable { folded, max_keys } = &mut *table;
+        let key = (event.scope, event.name, event.kind);
+        if !folded.entries.contains_key(&key) && folded.entries.len() >= *max_keys {
+            folded.dropped += 1;
+            return;
+        }
+        folded.entries.entry(key).or_insert_with(|| Aggregate::empty(event.kind)).fold(event.value);
     }
-
-    // snapshot() stays `None` (the trait default): a drained channel's
-    // contents are timing-dependent, so nothing here may feed a
-    // deterministic run summary.
 
     fn dropped_count(&self) -> u64 {
-        self.dropped()
+        self.shared.lock().expect("telemetry summary lock").folded.dropped
+    }
+
+    fn note_dropped(&mut self, n: u64) {
+        self.shared.lock().expect("telemetry summary lock").folded.dropped += n;
     }
 }
 
@@ -415,6 +478,15 @@ impl Telemetry {
             .map_or(0, |inner| inner.lock().expect("telemetry sink lock").dropped_count())
     }
 
+    /// Tell the sink that `n` events were lost upstream
+    /// ([`Sink::note_dropped`]).
+    pub fn note_dropped(&self, n: u64) {
+        match &self.inner {
+            Some(inner) if n > 0 => inner.lock().expect("telemetry sink lock").note_dropped(n),
+            _ => {}
+        }
+    }
+
     /// Record a pre-built event verbatim — scope and timestamp are taken
     /// from the event, not from this handle. This is the replay primitive
     /// behind [`JobRecorder::merge_into`]: buffered events keep the scope
@@ -467,7 +539,8 @@ impl JobRecorder {
         self.buffer.as_ref().map_or(0, MemorySink::dropped)
     }
 
-    /// Replay the buffered events, in recording order, into `target`.
+    /// Replay the buffered events, in recording order, into `target`, and
+    /// tell it how many the buffer evicted ([`Telemetry::note_dropped`]).
     /// Returns how many events were merged.
     pub fn merge_into(self, target: &Telemetry) -> u64 {
         let Some(buffer) = self.buffer else { return 0 };
@@ -475,6 +548,7 @@ impl JobRecorder {
         for event in &events {
             target.emit(*event);
         }
+        target.note_dropped(buffer.dropped());
         events.len() as u64
     }
 }
@@ -630,34 +704,65 @@ mod tests {
     }
 
     #[test]
-    fn channel_sink_drains_in_order_and_then_is_empty() {
-        let chan = ChannelSink::new(16);
-        let tel = Telemetry::new(chan.clone()).with_scope("job-1");
-        tel.counter(1, "a", 1);
-        tel.gauge(2, "b", 0.5);
-        assert_eq!(chan.len(), 2);
-        let first = chan.drain();
-        assert_eq!(first.len(), 2);
-        assert_eq!((first[0].name, first[0].scope), ("a", "job-1"));
-        assert_eq!(first[1].name, "b");
-        assert!(chan.is_empty());
-        assert!(chan.drain().is_empty(), "a second drain sees nothing new");
-        tel.counter(3, "c", 1);
-        assert_eq!(chan.drain().len(), 1, "later events arrive in the next drain");
+    fn summary_sink_folds_each_key_and_never_snapshots() {
+        let sink = SummarySink::new(16);
+        let tel = Telemetry::new(sink.clone()).with_scope("job-1");
+        tel.span(0, 100, "stage.sense");
+        tel.span(200, 500, "stage.sense");
+        tel.counter(1, "pipeline.alert", 2);
+        tel.counter(2, "pipeline.alert", 3);
+        tel.gauge(3, "queue.depth", 4.0);
+        tel.gauge(4, "queue.depth", 1.0);
+        assert!(tel.snapshot_events().is_none(), "a folding sink must not feed run summaries");
+        let folded = sink.aggregates();
+        assert_eq!(folded.dropped, 0);
+        let entries: Vec<_> = folded.entries.into_iter().collect();
+        assert_eq!(
+            entries,
+            vec![
+                (("job-1", "pipeline.alert", EventKind::Counter), Aggregate::Counter { sum: 5.0 }),
+                (
+                    ("job-1", "queue.depth", EventKind::Gauge),
+                    Aggregate::Gauge { samples: 2, min: 1.0, sum: 5.0, max: 4.0 }
+                ),
+                (
+                    ("job-1", "stage.sense", EventKind::SpanExit),
+                    Aggregate::Span { count: 2, total_ns: 400, max_ns: 300 }
+                ),
+            ]
+        );
     }
 
     #[test]
-    fn channel_sink_never_snapshots_and_bounds_its_lag() {
-        let chan = ChannelSink::new(2);
-        let tel = Telemetry::new(chan.clone());
+    fn summary_sink_counts_what_a_job_recorder_evicted() {
+        let sink = SummarySink::new(16);
+        let parent = Telemetry::new(sink.clone());
+        let fork = JobRecorder::fork(&parent, "job", 2);
         for i in 0..5u64 {
-            tel.counter(i, "c", 1);
+            fork.handle().counter(i, "c", 1);
         }
-        assert!(tel.snapshot_events().is_none(), "a conveyor must not feed run summaries");
-        assert_eq!(chan.dropped(), 3);
-        assert_eq!(tel.dropped_events(), 3);
-        let survivors = chan.drain();
-        assert_eq!(survivors.len(), 2);
-        assert_eq!(survivors[0].at, 3, "oldest undelivered events are the ones dropped");
+        assert_eq!(fork.merge_into(&parent), 2);
+        let folded = sink.aggregates();
+        assert_eq!(folded.dropped, 3, "the recorder's evictions reach the summary");
+        assert_eq!(
+            folded.entries[&("job", "c", EventKind::Counter)],
+            Aggregate::Counter { sum: 2.0 }
+        );
+    }
+
+    #[test]
+    fn summary_sink_counts_events_beyond_its_key_cap() {
+        let sink = SummarySink::new(2);
+        let tel = Telemetry::new(sink.clone());
+        tel.counter(1, "a", 1);
+        tel.counter(2, "b", 1);
+        tel.counter(3, "c", 1);
+        tel.span(4, 9, "d");
+        tel.counter(5, "a", 1);
+        let folded = sink.aggregates();
+        assert_eq!(folded.entries.len(), 2);
+        assert_eq!(folded.dropped, 2, "one event on `c`, one span exit on `d`");
+        assert_eq!(tel.dropped_events(), 2);
+        assert_eq!(folded.entries[&("", "a", EventKind::Counter)], Aggregate::Counter { sum: 2.0 });
     }
 }
