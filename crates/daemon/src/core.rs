@@ -32,8 +32,7 @@ pub struct DaemonConfig {
     /// Worker threads each evaluation runs with.
     pub jobs: usize,
     /// Most distinct `(scope, name, kind)` telemetry aggregates one job
-    /// keeps; events on any further key are counted in its `dropped`,
-    /// with the events a shard job's buffer evicted before the fold.
+    /// keeps; events on any further key are counted in its `dropped`.
     pub telemetry_capacity: usize,
     /// Journal file for crash-safe restart; `None` disables journaling.
     pub journal: Option<PathBuf>,

@@ -59,10 +59,14 @@ fn malformed_submits_are_rejected_with_reasons() {
         r#"{"cmd":"submit","spec":{"kind":"stream","shards":4294967295}}"#,
         r#"{"cmd":"submit","spec":{"kind":"evaluate","sweep":1099511627776}}"#,
         r#"{"cmd":"submit","spec":{"kind":"evaluate","intensity":4294967295}}"#,
+        // Misspelled or retired fields are refused, not ignored.
+        r#"{"cmd":"submit","spec":{"kind":"stream","prodcts":["nid"]}}"#,
+        r#"{"cmd":"submit","spec":{"kind":"stream","products":["nid"],"chunk":256}}"#,
+        r#"{"cmd":"submit","spec":{"kind":"evaluate","store":{"dir":"runs","stmap":"x"}}}"#,
     ]
     .join("\n");
     let out = replay(&mut core, &script).expect("replay");
-    assert_eq!(out.len(), 14);
+    assert_eq!(out.len(), 17);
     for line in &out {
         assert!(!ok(line), "every malformed line is rejected: {line}");
         let msg = parsed(line);
@@ -76,9 +80,21 @@ fn malformed_submits_are_rejected_with_reasons() {
     for line in &out[6..10] {
         assert!(line.contains("invalid job spec: rate"), "{line}");
     }
-    for (line, field) in out[10..].iter().zip(["chunk_records", "shards", "sweep", "intensity"]) {
+    for (line, field) in out[10..14].iter().zip(["chunk_records", "shards", "sweep", "intensity"]) {
         assert!(line.contains(&format!("invalid job spec: {field}")), "{line}");
     }
+    let reasons: Vec<String> = out[14..]
+        .iter()
+        .map(|line| parsed(line).get("error").and_then(Value::as_str).expect("reason").to_owned())
+        .collect();
+    assert_eq!(
+        reasons,
+        [
+            r#"malformed job spec: unknown field "prodcts""#,
+            r#"malformed job spec: unknown field "chunk""#,
+            r#"malformed job spec: JobSpec.store: unknown field "stmap""#,
+        ]
+    );
     assert!(core.is_idle(), "nothing was queued");
 }
 

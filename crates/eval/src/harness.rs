@@ -3,15 +3,16 @@
 //! This is the methodology end-to-end, split into the three phases the
 //! executor makes explicit:
 //!
-//! 1. **Plan construction** — enumerate every independent experiment as a
-//!    job: one per (product, sweep point), then one operating-point run
-//!    and one throughput search per product.
+//! 1. **Job lists** — enumerate every independent experiment as a job: one
+//!    per (product, sweep point), then one operating-point run and one
+//!    throughput search per product, in (product name, stage, point)
+//!    order.
 //! 2. **Parallel execution** — run the jobs on an [`idse_exec::Executor`]
 //!    sized by [`EvaluationRequest::jobs`]. Each job is a pure function of
-//!    the feed and its key, with its own buffered telemetry recorder.
+//!    the feed and its inputs, recording into its own telemetry fork.
 //! 3. **Deterministic reduce** — assemble curves, pick operating points,
 //!    convert measurements through the `measure` rubrics, and fill one
-//!    [`Scorecard`] per product, always in canonical job-key order.
+//!    [`Scorecard`] per product, reading results by job position.
 //!
 //! Because no phase ever observes scheduling, the scorecards, curves and
 //! telemetry streams are byte-identical at any worker count — the serial
@@ -28,7 +29,7 @@ use crate::throughput::{self, ThroughputReport};
 use crate::timing::{timing_report, TimingReport};
 use crate::vendor::score_vendor_metrics;
 use idse_core::{MetricId, Scorecard};
-use idse_exec::{CancelToken, Cancelled, Executor, ExperimentPlan, JobKey};
+use idse_exec::{CancelToken, Cancelled, Executor};
 use idse_faults::{FaultPlan, Survivability};
 use idse_ids::pipeline::{PipelineOutcome, RunConfig};
 use idse_ids::products::IdsProduct;
@@ -237,156 +238,129 @@ impl EvaluationRequest {
         cancel: &CancelToken,
     ) -> Result<Vec<ProductEvaluation>, Cancelled> {
         self.sweep.validate();
+        evaluated_once(products);
         let exec = self.executor();
         let ledger = StreamLedger::of(&feed.test);
         // Each product trains once; every sweep point and probe below
         // deploys clones of its trained engines.
         let trained = exec.par_map(products, |_, product| feed.trained_runner(product));
+        // Jobs run in (product name, stage, point) order: the order the
+        // batch fuse burns in and, as every job records under its
+        // product's scope, the order their telemetry joins the sink in.
+        let mut by_name: Vec<usize> = (0..products.len()).collect();
+        by_name.sort_by_key(|&p| products[p].id.name());
 
         // Phase 1+2a: the sweep fan-out — one job per (product, step).
-        let mut sweep_jobs: ExperimentPlan<(usize, f64)> = ExperimentPlan::new(self.feed.seed);
-        for (index, product) in products.iter().enumerate() {
-            for k in 0..self.sweep.steps {
-                sweep_jobs.push_scoped(
-                    JobKey::new(product.id.name(), "sweep", k as u32),
-                    product.id.name(),
-                    (index, self.sweep.sensitivity_at(k)),
-                );
-            }
-        }
-        let sweep_results = sweep_jobs.run(&exec, &self.telemetry, cancel, |_, &(index, s)| {
-            cancel.guard()?;
-            Ok(measure_sweep_point(&trained[index], feed, &ledger, s))
-        })?;
+        let sweep_jobs: Vec<(usize, usize)> =
+            by_name.iter().flat_map(|&p| (0..self.sweep.steps).map(move |k| (p, k))).collect();
+        let points =
+            exec.try_par_map_recorded(&sweep_jobs, &self.telemetry, cancel, |&(p, k), _| {
+                cancel.guard()?;
+                Ok(measure_sweep_point(&trained[p], feed, &ledger, self.sweep.sensitivity_at(k)))
+            })?;
 
-        // Reduce 2a: assemble each product's curve (results arrive keyed
-        // and ordered, so this is a grouping, not a sort) and pick the
-        // §3.3 operating point.
-        let mut curves: BTreeMap<&str, ErrorCurve> = BTreeMap::new();
-        for r in sweep_results {
-            let product = products
-                .iter()
-                .find(|p| p.id.name() == r.key.subject)
-                .expect("job subject names an input product");
-            curves
-                .entry(product.id.name())
-                .or_insert_with(|| ErrorCurve {
-                    product: product.id.name().to_owned(),
-                    points: Vec::with_capacity(self.sweep.steps),
-                })
-                .points
-                .push(r.output);
+        // Reduce 2a: assemble each product's curve (its points arrive in
+        // step order) and pick the §3.3 operating point.
+        let mut curves: Vec<ErrorCurve> = products
+            .iter()
+            .map(|product| ErrorCurve {
+                product: product.id.name().to_owned(),
+                points: Vec::with_capacity(self.sweep.steps),
+            })
+            .collect();
+        for (&(p, _), point) in sweep_jobs.iter().zip(points) {
+            curves[p].points.push(point);
         }
-        let mut operating: BTreeMap<&str, f64> = BTreeMap::new();
-        for product in products {
-            let name = product.id.name();
-            let curve = &curves[name];
-            self.telemetry.with_scope(name).counter(
-                0,
-                "phase.sweep.points",
-                curve.points.len() as u64,
-            );
-            let s = curve.operating_point(&self.sweep).map(|p| p.sensitivity).unwrap_or(0.5);
-            operating.insert(name, s);
-        }
+        let operating: Vec<f64> = products
+            .iter()
+            .zip(&curves)
+            .map(|(product, curve)| {
+                self.telemetry.with_scope(product.id.name()).counter(
+                    0,
+                    "phase.sweep.points",
+                    curve.points.len() as u64,
+                );
+                curve.operating_point(&self.sweep).map(|p| p.sensitivity).unwrap_or(0.5)
+            })
+            .collect();
 
         // Phase 1+2b: the measured probes — per product, one instrumented
         // operating-point run and one throughput search. The throughput
         // search is a sequential bisection per product (each probe depends
         // on the previous bracket), so the product is the unit of work.
-        let mut probe_jobs: ExperimentPlan<ProbeJob> = ExperimentPlan::new(self.feed.seed);
-        for (index, product) in products.iter().enumerate() {
-            let name = product.id.name();
-            probe_jobs.push_scoped(
-                JobKey::new(name, "operate", 0),
-                name,
-                ProbeJob::Operate { index, sensitivity: operating[name] },
-            );
-            probe_jobs.push_scoped(
-                JobKey::new(name, "throughput", 0),
-                name,
-                ProbeJob::Throughput { index },
-            );
-            if self.fault_plan.is_some() {
-                probe_jobs.push_scoped(
-                    JobKey::new(name, "survive", 0),
-                    name,
-                    ProbeJob::Survive { index, sensitivity: operating[name] },
-                );
-            }
-        }
+        let probes_per_product: &[Probe] = if self.fault_plan.is_some() {
+            &[Probe::Operate, Probe::Survive, Probe::Throughput]
+        } else {
+            &[Probe::Operate, Probe::Throughput]
+        };
+        let probe_jobs: Vec<(usize, Probe)> = by_name
+            .iter()
+            .flat_map(|&p| probes_per_product.iter().map(move |&probe| (p, probe)))
+            .collect();
         cancel.guard()?;
-        let probe_results = probe_jobs.run(&exec, &self.telemetry, cancel, |ctx, job| {
-            cancel.guard()?;
-            Ok(match *job {
-                ProbeJob::Operate { index, sensitivity } => {
-                    // The accuracy/response run at the operating point, with
-                    // automated response armed so filter effectiveness is
-                    // observable. Per-stage spans land in this job's buffer
-                    // under the product's scope.
-                    let run_config = RunConfig {
-                        sensitivity: Sensitivity::new(sensitivity),
-                        auto_response: true,
-                        telemetry: ctx.telemetry.clone(),
-                        ..trained[index].config().clone()
-                    };
-                    let outcome = trained[index].reconfigured(run_config).run(&feed.test);
-                    ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.operating_run");
-                    ProbeOutput::Operate(Box::new(outcome))
+        let outputs = exec.try_par_map_recorded(
+            &probe_jobs,
+            &self.telemetry,
+            cancel,
+            |&(p, probe), forks| {
+                cancel.guard()?;
+                if probe == Probe::Throughput {
+                    let report = throughput::search(&trained[p], feed, self.max_throughput_factor);
+                    return Ok(ProbeOutput::Throughput(report));
                 }
-                ProbeJob::Throughput { index } => ProbeOutput::Throughput(throughput::search(
-                    &trained[index],
-                    feed,
-                    self.max_throughput_factor,
-                )),
-                ProbeJob::Survive { index, sensitivity } => {
-                    // The operating-point run again, this time with the fault
-                    // plan injected. Survivability falls out of comparing it
-                    // to the fault-free twin in the reduce.
-                    let run_config = RunConfig {
-                        sensitivity: Sensitivity::new(sensitivity),
-                        auto_response: true,
-                        telemetry: ctx.telemetry.clone(),
-                        faults: self.fault_plan.clone(),
-                        ..trained[index].config().clone()
-                    };
-                    let outcome = trained[index].reconfigured(run_config).run(&feed.test);
-                    ctx.telemetry.span(0, outcome.finished_at.as_nanos(), "phase.survive_run");
-                    ProbeOutput::Survive(Box::new(outcome))
-                }
-            })
-        })?;
-        let mut probes: BTreeMap<JobKey, ProbeOutput> =
-            probe_results.into_iter().map(|r| (r.key, r.output)).collect();
+                // The accuracy/response run at the operating point, with
+                // automated response armed so filter effectiveness is
+                // observable, and again under the fault plan for the
+                // survive probe, whose survivability falls out of comparing
+                // it to the fault-free twin in the reduce. Per-stage spans
+                // land in this job's fork under the product's scope.
+                let telemetry = forks.scoped(products[p].id.name());
+                let mut run_config = RunConfig {
+                    sensitivity: Sensitivity::new(operating[p]),
+                    auto_response: true,
+                    telemetry: telemetry.clone(),
+                    ..trained[p].config().clone()
+                };
+                let span = if probe == Probe::Survive {
+                    run_config.faults = self.fault_plan.clone();
+                    "phase.survive_run"
+                } else {
+                    "phase.operating_run"
+                };
+                let outcome = trained[p].reconfigured(run_config).run(&feed.test);
+                telemetry.span(0, outcome.finished_at.as_nanos(), span);
+                Ok(ProbeOutput::Run(Box::new(outcome)))
+            },
+        )?;
+        let mut probes: BTreeMap<(usize, Probe), ProbeOutput> =
+            probe_jobs.into_iter().zip(outputs).collect();
 
         // Reduce 2b: fill the scorecards in input product order.
         let evaluations: Vec<ProductEvaluation> = products
             .iter()
-            .map(|product| {
-                let name = product.id.name();
+            .zip(curves)
+            .enumerate()
+            .map(|(p, (product, curve))| {
                 let outcome = probes
-                    .remove(&JobKey::new(name, "operate", 0))
-                    .and_then(ProbeOutput::into_operate)
-                    .expect("operate probe completed under its key");
+                    .remove(&(p, Probe::Operate))
+                    .and_then(ProbeOutput::into_run)
+                    .expect("operate probe completed");
                 let throughput = probes
-                    .remove(&JobKey::new(name, "throughput", 0))
+                    .remove(&(p, Probe::Throughput))
                     .and_then(ProbeOutput::into_throughput)
-                    .expect("throughput probe completed under its key");
-                let faulted = probes
-                    .remove(&JobKey::new(name, "survive", 0))
-                    .and_then(ProbeOutput::into_survive);
-                self.telemetry.with_scope(name).gauge(
+                    .expect("throughput probe completed");
+                let faulted = probes.remove(&(p, Probe::Survive)).and_then(ProbeOutput::into_run);
+                self.telemetry.with_scope(product.id.name()).gauge(
                     outcome.finished_at.as_nanos(),
                     "phase.throughput.zero_loss_pps",
                     throughput.zero_loss_pps,
                 );
-                let curve = curves.remove(name).expect("every product swept");
                 self.fill_scorecard(
                     product,
                     feed,
                     &ledger,
                     curve,
-                    operating[name],
+                    operating[p],
                     *outcome,
                     throughput,
                     faulted.map(|b| *b),
@@ -667,44 +641,45 @@ impl EvaluationRequest {
     }
 }
 
-/// One measured probe: the unit of work in phase 2b.
-#[derive(Debug, Clone, Copy)]
-enum ProbeJob {
+/// Panics unless every product in `products` is a different one: a
+/// product listed twice would be evaluated, and its telemetry recorded
+/// under its scope, twice in one run.
+pub(crate) fn evaluated_once(products: &[IdsProduct]) {
+    let names: std::collections::BTreeSet<&str> = products.iter().map(|p| p.id.name()).collect();
+    assert_eq!(names.len(), products.len(), "each product is evaluated once per run");
+}
+
+/// One measured probe: the unit of work in phase 2b, in the order one
+/// product's probes run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Probe {
     /// The instrumented accuracy/response run at the operating point.
-    Operate { index: usize, sensitivity: f64 },
-    /// The zero-loss / lethal-dose throughput searches.
-    Throughput { index: usize },
+    Operate,
     /// The operating-point run under the request's fault plan.
-    Survive { index: usize, sensitivity: f64 },
+    Survive,
+    /// The zero-loss / lethal-dose throughput searches.
+    Throughput,
 }
 
 /// What a probe produced.
 #[derive(Debug)]
 enum ProbeOutput {
-    Operate(Box<PipelineOutcome>),
+    Run(Box<PipelineOutcome>),
     Throughput(ThroughputReport),
-    Survive(Box<PipelineOutcome>),
 }
 
 impl ProbeOutput {
-    fn into_operate(self) -> Option<Box<PipelineOutcome>> {
+    fn into_run(self) -> Option<Box<PipelineOutcome>> {
         match self {
-            ProbeOutput::Operate(outcome) => Some(outcome),
-            _ => None,
+            ProbeOutput::Run(outcome) => Some(outcome),
+            ProbeOutput::Throughput(_) => None,
         }
     }
 
     fn into_throughput(self) -> Option<ThroughputReport> {
         match self {
             ProbeOutput::Throughput(report) => Some(report),
-            _ => None,
-        }
-    }
-
-    fn into_survive(self) -> Option<Box<PipelineOutcome>> {
-        match self {
-            ProbeOutput::Survive(outcome) => Some(outcome),
-            _ => None,
+            ProbeOutput::Run(_) => None,
         }
     }
 }
@@ -778,6 +753,15 @@ mod tests {
             assert_eq!(Some(s), b.scorecard.get(id), "{id:?} differs between runs");
         }
         assert_eq!(a.operating_sensitivity, b.operating_sensitivity);
+    }
+
+    #[test]
+    #[should_panic(expected = "each product is evaluated once")]
+    fn a_product_listed_twice_is_rejected() {
+        let request = quick_request();
+        let feed = request.build_feed();
+        let nid = IdsProduct::model(ProductId::NidSentry);
+        request.evaluate_products(&[nid.clone(), nid], &feed);
     }
 
     #[test]

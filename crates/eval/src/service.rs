@@ -106,6 +106,7 @@ impl JobKind {
 /// Store recording knobs carried by a job spec (the `--store`,
 /// `--stamp`, `--git-rev` flags in wire form).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[serde(deny_unknown_fields)]
 pub struct StoreRequest {
     /// Run-store directory.
     pub dir: String,
@@ -120,7 +121,10 @@ pub struct StoreRequest {
 /// Every field is optional on the wire (the vendored serde shim defaults
 /// missing fields), and the defaults are exactly the `evaluate` /
 /// `stream` CLI defaults, resolved in one place by the accessors below.
+/// A key that names no field is refused, so a misspelled knob cannot
+/// silently run the default.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[serde(deny_unknown_fields)]
 pub struct JobSpec {
     /// `"evaluate"` (default) or `"stream"`.
     pub kind: Option<String>,
@@ -395,8 +399,10 @@ mod tests {
             transactions: Some(100_000),
             hosts: Some(1_000),
             shards: Some(4),
+            store: Some(StoreRequest { dir: "runs".to_owned(), ..StoreRequest::default() }),
             ..JobSpec::default()
         };
+        // Every key a spec serializes under is one it accepts.
         let json = serde_json::to_string(&spec).expect("spec serializes");
         let back: JobSpec = serde_json::from_str(&json).expect("spec parses");
         assert_eq!(back, spec);
@@ -459,7 +465,7 @@ mod tests {
             .to_string()
             .contains("product"));
 
-        // A product listed twice would be planned twice under one job key.
+        // A product listed twice would be evaluated twice in one run.
         for kind in [JobSpec::evaluate(), JobSpec::stream()] {
             let twice = JobSpec {
                 products: Some(vec!["guard".to_owned(), "flow".to_owned(), "guard".to_owned()]),

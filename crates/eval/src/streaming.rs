@@ -37,7 +37,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::confusion::{join_alerts, ConfusionCounts, StreamLedger};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::harness::EvaluationRequest;
-use idse_exec::plan::JOB_TELEMETRY_CAPACITY;
 use idse_exec::{CancelToken, Cancelled};
 use idse_ids::pipeline::{PipelineRunner, PipelineSession, RunConfig};
 use idse_ids::products::IdsProduct;
@@ -45,7 +44,7 @@ use idse_ids::Sensitivity;
 use idse_net::trace::TraceRecord;
 use idse_net::FlowKey;
 use idse_sim::SimTime;
-use idse_telemetry::{JobRecorder, Telemetry};
+use idse_telemetry::Telemetry;
 use idse_traffic::{flow_shard, RecordStream};
 use serde::{Deserialize, Serialize};
 
@@ -377,11 +376,12 @@ impl EvaluationRequest {
     /// pushes exactly the chunks of rank below `n` at any worker count; an
     /// explicit cancel is best-effort.
     ///
-    /// Every product's session records into its own buffer under the
-    /// product's scope. The buffers are flushed into the request's sink in
-    /// `(product name, shard)` order — also on cancellation, including the
-    /// per-chunk `stream.chunk.records` progress counters of the job that
-    /// observed the cancel — before `Err(Cancelled)` is returned.
+    /// Every product's session records into its shard job's fork of the
+    /// request's telemetry under the product's scope. The forks join the
+    /// request's sink in `(product name, shard)` order — also on
+    /// cancellation, including the per-chunk `stream.chunk.records`
+    /// progress counters of the job that observed the cancel — before
+    /// `Err(Cancelled)` is returned.
     pub fn evaluate_stream_cancellable(
         &self,
         products: &[IdsProduct],
@@ -391,8 +391,7 @@ impl EvaluationRequest {
         if products.is_empty() {
             return Ok(Vec::new());
         }
-        let names: BTreeSet<&str> = products.iter().map(|p| p.id.name()).collect();
-        assert_eq!(names.len(), products.len(), "each product is evaluated once per stream run");
+        crate::harness::evaluated_once(products);
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
         // Train each product once, then let the training trace go: the
@@ -409,66 +408,41 @@ impl EvaluationRequest {
         };
         let campaign = campaign_shards(&profile, &self.feed);
 
-        // Product `p` belongs to group `p % groups`; jobs run shard-major.
+        // Product `p` belongs to group `p % groups`; jobs run shard-major,
+        // so each product's forks join in shard order.
         let groups = product_groups(products.len(), exec.workers(), self.feed.shards);
         let jobs: Vec<(u32, usize)> =
             (0..self.feed.shards).flat_map(|shard| (0..groups).map(move |g| (shard, g))).collect();
-        let completed = exec.try_par_map(&jobs, cancel, |_, &(shard, group)| {
-            let members: Vec<usize> = (group..products.len()).step_by(groups).collect();
-            let (recorders, shard_runners): (Vec<JobRecorder>, Vec<PipelineRunner>) = members
-                .iter()
-                .map(|&p| {
-                    let name = products[p].id.name();
-                    let recorder = JobRecorder::fork(&self.telemetry, name, JOB_TELEMETRY_CAPACITY);
-                    let config = stream_run_config(&profile, sensitivity, recorder.handle());
-                    let runner = runners[p].reconfigured(config);
-                    (recorder, runner)
-                })
-                .unzip();
-            let feed =
-                ShardFeed::with_campaign(&profile, &self.feed, shard, &campaign[shard as usize]);
-            let mut ledger = (group == 0).then(StreamLedger::new);
-            let outcomes = run_shard_cancellable(&shard_runners, feed, ledger.as_mut(), cancel);
-            (outcomes.map(|outcomes| (ledger, outcomes)), members, recorders)
-        });
+        let completed =
+            exec.try_par_map_recorded(&jobs, &self.telemetry, cancel, |&(shard, group), forks| {
+                let members: Vec<usize> = (group..products.len()).step_by(groups).collect();
+                let shard_runners: Vec<PipelineRunner> = members
+                    .iter()
+                    .map(|&p| {
+                        let telemetry = forks.scoped(products[p].id.name());
+                        runners[p].reconfigured(stream_run_config(&profile, sensitivity, telemetry))
+                    })
+                    .collect();
+                let feed = ShardFeed::with_campaign(
+                    &profile,
+                    &self.feed,
+                    shard,
+                    &campaign[shard as usize],
+                );
+                let mut ledger = (group == 0).then(StreamLedger::new);
+                let outcomes =
+                    run_shard_cancellable(&shard_runners, feed, ledger.as_mut(), cancel)?;
+                Ok((ledger, members.into_iter().zip(outcomes)))
+            })?;
 
         let mut ledgers = Vec::with_capacity(self.feed.shards as usize);
         let mut per_product: Vec<Vec<ShardOutcome>> = products.iter().map(|_| Vec::new()).collect();
-        let mut recorded: BTreeMap<(&str, u32), JobRecorder> = BTreeMap::new();
-        let mut stopped = false;
-        for (slot, &(shard, _)) in completed.into_iter().zip(&jobs) {
-            match slot {
-                None => stopped = true,
-                #[expect(
-                    clippy::panic,
-                    reason = "re-raises a job panic the executor contained for slot accounting; swallowing it would report a poisoned run as a clean cancellation"
-                )]
-                Some(Err(job_panic)) => panic!("stream shard job panicked: {job_panic}"),
-                Some(Ok((result, members, recorders))) => {
-                    for (&p, recorder) in members.iter().zip(recorders) {
-                        recorded.insert((products[p].id.name(), shard), recorder);
-                    }
-                    match result {
-                        Ok((ledger, outcomes)) => {
-                            ledgers.extend(ledger);
-                            for (&p, outcome) in members.iter().zip(outcomes) {
-                                per_product[p].push(outcome);
-                            }
-                        }
-                        Err(Cancelled) => stopped = true,
-                    }
-                }
+        for (ledger, outcomes) in completed {
+            ledgers.extend(ledger);
+            for (p, outcome) in outcomes {
+                per_product[p].push(outcome);
             }
         }
-        // Flush even the partial telemetry of a cancelled run, in
-        // `(product name, shard)` order whatever the grouping and schedule.
-        for recorder in recorded.into_values() {
-            recorder.merge_into(&self.telemetry);
-        }
-        if stopped || cancel.is_cancelled() {
-            return Err(Cancelled);
-        }
-
         let ledger = StreamLedger::merged(ledgers);
         Ok(products
             .iter()
@@ -627,7 +601,7 @@ mod tests {
 
     /// The reference job shape: one job per `(product, shard)` that trains
     /// its own engines, builds its own campaign and `ShardFeed`, folds its
-    /// own ledger and records into its own buffer, run in `(product name,
+    /// own ledger and records into its own fork, run in `(product name,
     /// shard)` order with the shard ledgers merged pairwise per product.
     fn per_product_shard_jobs(
         cfg: &FeedConfig,
@@ -647,11 +621,11 @@ mod tests {
             let mut ledger = StreamLedger::new();
             let mut outcomes = Vec::new();
             for shard in 0..cfg.shards {
-                let recorder = JobRecorder::fork(telemetry, name, JOB_TELEMETRY_CAPACITY);
+                let fork = telemetry.fork(name);
                 let config = stream_run_config(&profile, 0.7, Telemetry::disabled());
                 let runner = PipelineRunner::new(products[p].clone(), config)
                     .with_training(training.clone())
-                    .reconfigured(stream_run_config(&profile, 0.7, recorder.handle()));
+                    .reconfigured(stream_run_config(&profile, 0.7, fork.clone()));
                 let mut shard_ledger = StreamLedger::new();
                 outcomes.extend(
                     run_shard_cancellable(
@@ -663,7 +637,7 @@ mod tests {
                     .expect("never cancelled"),
                 );
                 ledger.merge(shard_ledger);
-                recorder.merge_into(telemetry);
+                fork.join();
             }
             evals[p] = Some(request.merge_shards(name, &ledger, outcomes));
         }

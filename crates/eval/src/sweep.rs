@@ -8,7 +8,7 @@
 
 use crate::confusion::StreamLedger;
 use crate::feeds::TestFeed;
-use idse_exec::{CancelToken, Executor, ExperimentPlan, JobKey};
+use idse_exec::Executor;
 use idse_ids::pipeline::{PipelineRunner, RunConfig};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
@@ -161,6 +161,7 @@ pub(crate) fn measure_sweep_point(
 ) -> SweepPoint {
     let config =
         RunConfig { sensitivity: Sensitivity::new(sensitivity), ..trained.config().clone() };
+    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; the point's counts come from the ordered ledger")
     let outcome = trained.reconfigured(config).run(&feed.test);
     let counts = ledger.score_alerts(&outcome.alerts, &outcome.alert_truths);
     SweepPoint {
@@ -183,20 +184,8 @@ pub fn sweep(
     plan.validate();
     let ledger = StreamLedger::of(&feed.test);
     let trained = feed.trained_runner(product);
-    // Sweep jobs are pure replays of the feed — they never draw from
-    // ctx.seed — so the plan's master seed is immaterial.
-    let mut jobs = ExperimentPlan::new(0);
-    for k in 0..plan.steps {
-        jobs.push(JobKey::new(product.id.name(), "sweep", k as u32), plan.sensitivity_at(k));
-    }
-    let points = jobs
-        .run(exec, &idse_telemetry::Telemetry::disabled(), &CancelToken::new(), |_, &s| {
-            Ok(measure_sweep_point(&trained, feed, &ledger, s))
-        })
-        .expect("a sweep nobody can cancel completes")
-        .into_iter()
-        .map(|r| r.output)
-        .collect();
+    let ladder: Vec<f64> = (0..plan.steps).map(|k| plan.sensitivity_at(k)).collect();
+    let points = exec.par_map(&ladder, |_, &s| measure_sweep_point(&trained, feed, &ledger, s));
     ErrorCurve { product: product.id.name().to_owned(), points }
 }
 

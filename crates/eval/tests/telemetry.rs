@@ -62,8 +62,8 @@ fn recorded_stream_is_deterministic_and_scoped() {
     assert!(a.iter().all(|e| e.scope == product.id.name()));
 
     // The recorded stream — not just the scorecard — is identical when the
-    // same evaluation fans out across workers: per-job buffers merge in
-    // canonical key order, never completion order.
+    // same evaluation fans out across workers: per-job forks join in
+    // (scope, job index) order, never completion order.
     let wide = run(8);
     assert_eq!(a.len(), wide.len(), "worker count changed the event count");
     assert!(a.iter().zip(wide.iter()).all(|(x, y)| x == y), "worker count reordered events");

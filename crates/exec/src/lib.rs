@@ -9,22 +9,21 @@
 //! (enforced by clippy's `disallowed-methods`, see `clippy.toml`), and it is built so
 //! that output is **byte-identical at any worker count**:
 //!
-//! * jobs are identified by an ordered [`JobKey`] and executed from a
-//!   shared queue that idle workers steal from — dynamic load balancing
-//!   without any per-worker state that could leak into results;
-//! * each job gets its own derived RNG seed (a pure function of the plan's
-//!   master seed and the job's key via [`idse_sim::derive_seed`]) and its
-//!   own buffered telemetry recorder ([`idse_telemetry::JobRecorder`]);
-//! * results go back into their submission slots and telemetry buffers
-//!   are replayed in **canonical job-key order**, never in completion
+//! * jobs are claimed in input order from a shared queue that idle
+//!   workers steal from — dynamic load balancing without any per-worker
+//!   state that could leak into results;
+//! * results go back into their submission slots, never into completion
 //!   order ([`reduce_in_order`] is the same step for callers that hold
-//!   `(index, output)` pairs).
+//!   `(index, output)` pairs);
+//! * a job that records telemetry records into its own forks of the
+//!   caller's handle, one per scope ([`Forks::scoped`]), and the forks are
+//!   joined into the caller's sink in `(scope, job index)` order.
 //!
 //! There is one worker pool, [`Executor::try_par_map`] (panic-containing
-//! and cancellable; [`Executor::par_map`] is its plain form), and one plan
-//! runner on top of it, [`ExperimentPlan::run`]. The serial path
-//! (`jobs = 1`, or one-element inputs) runs inline on the calling thread
-//! with no pool at all, and produces the same bytes.
+//! and cancellable; [`Executor::par_map`] is its plain form), and one
+//! recorded fan-out on top of it, [`Executor::try_par_map_recorded`]. The
+//! serial path (`jobs = 1`, or one-element inputs) runs inline on the
+//! calling thread with no pool at all, and produces the same bytes.
 //!
 //! ```
 //! use idse_exec::Executor;
@@ -39,13 +38,14 @@
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 pub mod cancel;
-pub mod plan;
 
 pub use cancel::{CancelToken, Cancelled, SlotGuard, SlotPool};
-pub use plan::{ExperimentPlan, Job, JobCtx, JobKey, JobResult};
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use idse_telemetry::Telemetry;
 
 /// A job that panicked inside [`Executor::try_par_map`].
 ///
@@ -237,6 +237,96 @@ impl Executor {
     }
 }
 
+/// The telemetry forks of one job of [`Executor::try_par_map_recorded`]:
+/// one fork of the caller's handle per scope, made on first use.
+#[derive(Debug)]
+pub struct Forks<'a> {
+    parent: &'a Telemetry,
+    made: RefCell<Vec<Telemetry>>,
+}
+
+impl Forks<'_> {
+    /// This job's fork of the caller's handle whose events carry `scope`
+    /// (the same fork on every call with one scope). Disabled when the
+    /// caller's handle is.
+    pub fn scoped(&self, scope: &'static str) -> Telemetry {
+        let mut made = self.made.borrow_mut();
+        if let Some(fork) = made.iter().find(|fork| fork.scope() == scope) {
+            return fork.clone();
+        }
+        let fork = self.parent.fork(scope);
+        made.push(fork.clone());
+        fork
+    }
+}
+
+impl Executor {
+    /// Map `f` over `items` on the pool, each job recording telemetry into
+    /// its own forks of `parent` ([`Forks::scoped`]), and return the
+    /// outputs in input order.
+    ///
+    /// After the batch, every fork is joined into `parent` in `(scope, job
+    /// index)` order — also the forks of a job that returned `Cancelled`
+    /// and of every job that ran before a cancel, so a cancelled batch
+    /// flushes a deterministic partial event stream. The joined stream is
+    /// therefore byte-identical for any worker count, including the
+    /// inline serial path.
+    ///
+    /// Jobs should poll `cancel` at their safe points; once it trips,
+    /// unstarted jobs are never claimed. Returns `Err(Cancelled)` if any
+    /// job was skipped or stopped early. A job panic is re-raised here,
+    /// after the batch; its forks are lost with it.
+    pub fn try_par_map_recorded<T, O, F>(
+        &self,
+        items: &[T],
+        parent: &Telemetry,
+        cancel: &CancelToken,
+        f: F,
+    ) -> Result<Vec<O>, Cancelled>
+    where
+        T: Sync,
+        O: Send,
+        F: Fn(&T, &Forks<'_>) -> Result<O, Cancelled> + Sync,
+    {
+        let slots = self.try_par_map(items, cancel, |_, item| {
+            let forks = Forks { parent, made: RefCell::default() };
+            let output = f(item, &forks);
+            (output, forks.made.into_inner())
+        });
+        let mut outputs = Vec::with_capacity(items.len());
+        let mut forks = Vec::new();
+        let mut stopped = false;
+        for slot in slots {
+            match slot {
+                None => stopped = true,
+                #[expect(
+                    clippy::panic,
+                    reason = "re-raises a job panic the executor contained for slot accounting; swallowing it would report a poisoned run as a clean cancellation"
+                )]
+                Some(Err(job_panic)) => {
+                    panic!("recorded job panicked; contain it inside the job: {job_panic}")
+                }
+                Some(Ok((output, made))) => {
+                    forks.extend(made);
+                    match output {
+                        Ok(output) => outputs.push(output),
+                        Err(Cancelled) => stopped = true,
+                    }
+                }
+            }
+        }
+        // Stable: within one scope, forks stay in job index order.
+        forks.sort_by_key(Telemetry::scope);
+        for fork in forks {
+            fork.join();
+        }
+        if stopped || cancel.is_cancelled() {
+            return Err(Cancelled);
+        }
+        Ok(outputs)
+    }
+}
+
 /// Run `worker` on a scoped helper thread while `foreground` runs on the
 /// calling thread; returns both results after the worker joins.
 ///
@@ -294,6 +384,7 @@ pub fn reduce_in_order<O>(mut completed: Vec<(usize, O)>, expected: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idse_telemetry::MemorySink;
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -496,6 +587,93 @@ mod tests {
         let outputs: Vec<u64> =
             followup.into_iter().map(|s| s.expect("ran").expect("clean")).collect();
         assert_eq!(outputs, vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn telemetry_merges_in_key_order_at_any_worker_count() {
+        // Jobs listed scope-major, as callers build them; each records
+        // under its own scope and, for odd points, under a shared one.
+        let jobs: Vec<(&'static str, u32)> = ["alpha", "beta", "gamma"]
+            .into_iter()
+            .flat_map(|scope| (0..4u32).map(move |point| (scope, point)))
+            .collect();
+        let stream = |workers: usize| {
+            let sink = MemorySink::new(1 << 12);
+            let parent = Telemetry::new(sink.clone());
+            let outputs = Executor::new(workers)
+                .try_par_map_recorded(
+                    &jobs,
+                    &parent,
+                    &CancelToken::new(),
+                    |&(scope, point), forks| {
+                        forks.scoped(scope).counter(
+                            u64::from(point),
+                            "job.point",
+                            u64::from(point) + 1,
+                        );
+                        if point % 2 == 1 {
+                            forks.scoped("shared").counter(u64::from(point), "job.odd", 1);
+                        }
+                        Ok((scope, point))
+                    },
+                )
+                .expect("uncancelled batch completes");
+            assert_eq!(outputs, jobs, "outputs come back in input order");
+            sink.events()
+                .iter()
+                .map(|e| format!("{}/{}@{}", e.scope, e.name, e.at))
+                .collect::<Vec<_>>()
+        };
+        let serial = stream(1);
+        assert_eq!(serial.len(), 18);
+        assert_eq!(serial[..2], ["alpha/job.point@0", "alpha/job.point@1"]);
+        assert_eq!(
+            serial[12..14],
+            ["shared/job.odd@1", "shared/job.odd@3"],
+            "scope, then job index"
+        );
+        assert_eq!(serial, stream(2));
+        assert_eq!(serial, stream(16));
+    }
+
+    #[test]
+    fn cancellation_flushes_partial_telemetry_in_key_order() {
+        let sink = MemorySink::new(1 << 12);
+        let parent = Telemetry::new(sink.clone());
+        let points: Vec<u32> = (0..5).collect();
+        // The fuse trips inside job 2: jobs 0 and 1 complete, job 2 stops
+        // after recording its first event, jobs 3 and 4 never run.
+        let token = CancelToken::after_checkpoints(3);
+        let outcome =
+            Executor::serial().try_par_map_recorded(&points, &parent, &token, |&point, forks| {
+                let telemetry = forks.scoped("s");
+                telemetry.counter(u64::from(point), "job.start", u64::from(point));
+                token.guard()?;
+                telemetry.counter(u64::from(point), "job.end", u64::from(point));
+                Ok(point)
+            });
+        assert_eq!(outcome, Err(Cancelled), "the tripped fuse cancels the batch");
+        let names: Vec<String> =
+            sink.events().iter().map(|e| format!("{}@{}", e.name, e.at)).collect();
+        assert_eq!(
+            names,
+            vec!["job.start@0", "job.end@0", "job.start@1", "job.end@1", "job.start@2"],
+            "partial telemetry is flushed deterministically up to the cancellation point"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded job panicked")]
+    fn recorded_jobs_reraise_their_panics() {
+        let _ = Executor::new(2).try_par_map_recorded(
+            &[1u32, 2, 3],
+            &Telemetry::disabled(),
+            &CancelToken::new(),
+            |&x, _| {
+                assert!(x != 2, "boom");
+                Ok(x)
+            },
+        );
     }
 
     #[test]

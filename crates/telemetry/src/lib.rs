@@ -35,6 +35,14 @@
 //! * [`SummarySink`] — folds events into per-`(scope, name, kind)`
 //!   aggregates as they arrive (the daemon's per-job telemetry).
 //!
+//! Parallel jobs never record straight into a shared sink, whose contents
+//! would then depend on scheduling. Each job records into a *fork*
+//! ([`Telemetry::fork`]) that the parent sink makes itself, an empty sink
+//! of its own kind; the executor then joins the forks back in a fixed
+//! order ([`Telemetry::join`]). Joining folds a fork's events in exactly
+//! as if they had been recorded into the parent in that order, so the
+//! joined contents, drop counts included, equal a serial recording's.
+//!
 //! ```
 //! use idse_telemetry::{MemorySink, Telemetry};
 //!
@@ -48,6 +56,7 @@
 
 #![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -141,10 +150,15 @@ pub trait Sink: Send {
         0
     }
 
-    /// Account for `n` events lost before they reached this sink, evicted
-    /// from an upstream buffer ([`JobRecorder`]). A sink that reports a
-    /// drop count with its contents adds them; the default ignores them.
-    fn note_dropped(&mut self, _n: u64) {}
+    /// An empty sink of this kind for one parallel job to record into
+    /// privately; [`Sink::join`] on the fork later folds what it recorded
+    /// into this sink.
+    fn fork(&self) -> Box<dyn Sink>;
+
+    /// Fold everything this fork recorded into the sink it was forked
+    /// from, exactly as if each event had been recorded there in order, and
+    /// empty the fork. A sink that is not a fork has nothing to join.
+    fn join(&mut self) {}
 }
 
 /// Discards every event. Lets benchmarks measure the overhead of the
@@ -154,6 +168,10 @@ pub struct NoopSink;
 
 impl Sink for NoopSink {
     fn record(&mut self, _event: &Event) {}
+
+    fn fork(&self) -> Box<dyn Sink> {
+        Box::new(NoopSink)
+    }
 }
 
 /// Bounded ring buffer of events, shared across clones.
@@ -163,6 +181,9 @@ impl Sink for NoopSink {
 #[derive(Debug, Clone)]
 pub struct MemorySink {
     shared: Arc<Mutex<MemoryBuffer>>,
+    /// The buffer this sink was forked from, which [`Sink::join`] drains
+    /// into.
+    parent: Option<Arc<Mutex<MemoryBuffer>>>,
 }
 
 #[derive(Debug)]
@@ -170,6 +191,16 @@ struct MemoryBuffer {
     events: std::collections::VecDeque<Event>,
     capacity: usize,
     dropped: u64,
+}
+
+impl MemoryBuffer {
+    fn push(&mut self, event: Event) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
 }
 
 impl MemorySink {
@@ -181,6 +212,7 @@ impl MemorySink {
                 capacity: capacity.max(1),
                 dropped: 0,
             })),
+            parent: None,
         }
     }
 
@@ -207,12 +239,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&mut self, event: &Event) {
-        let mut buf = self.shared.lock().expect("telemetry buffer lock");
-        if buf.events.len() == buf.capacity {
-            buf.events.pop_front();
-            buf.dropped += 1;
-        }
-        buf.events.push_back(*event);
+        self.shared.lock().expect("telemetry buffer lock").push(*event);
     }
 
     fn snapshot(&self) -> Option<Vec<Event>> {
@@ -221,6 +248,25 @@ impl Sink for MemorySink {
 
     fn dropped_count(&self) -> u64 {
         self.dropped()
+    }
+
+    /// A ring buffer of this one's capacity. It keeps the last `capacity`
+    /// of its events, the only ones that could survive in this buffer
+    /// anyway, so the joined events and drop count equal a serial
+    /// recording's.
+    fn fork(&self) -> Box<dyn Sink> {
+        let capacity = self.shared.lock().expect("telemetry buffer lock").capacity;
+        Box::new(MemorySink { parent: Some(Arc::clone(&self.shared)), ..MemorySink::new(capacity) })
+    }
+
+    fn join(&mut self) {
+        let Some(parent) = &self.parent else { return };
+        let mut fork = self.shared.lock().expect("telemetry buffer lock");
+        let mut parent = parent.lock().expect("telemetry buffer lock");
+        for event in fork.events.drain(..) {
+            parent.push(event);
+        }
+        parent.dropped += std::mem::take(&mut fork.dropped);
     }
 }
 
@@ -254,20 +300,39 @@ impl Aggregate {
         }
     }
 
-    fn fold(&mut self, value: f64) {
-        match self {
-            Aggregate::Span { count, total_ns, max_ns } => {
-                *count += 1;
-                *total_ns += value as u64;
-                *max_ns = (*max_ns).max(value as u64);
+    /// The aggregate of the one event of `kind` carrying `value`.
+    fn of(kind: EventKind, value: f64) -> Aggregate {
+        match kind {
+            EventKind::SpanEnter | EventKind::SpanExit => {
+                Aggregate::Span { count: 1, total_ns: value as u64, max_ns: value as u64 }
             }
-            Aggregate::Counter { sum } => *sum += value,
-            Aggregate::Gauge { samples, min, sum, max } => {
-                *samples += 1;
-                *min = min.min(value);
-                *sum += value;
-                *max = max.max(value);
+            EventKind::Counter => Aggregate::Counter { sum: value },
+            EventKind::Gauge => Aggregate::Gauge { samples: 1, min: value, sum: value, max: value },
+        }
+    }
+
+    /// Fold `other`, an aggregate of the same kind, into this one.
+    fn merge(&mut self, other: &Aggregate) {
+        match (self, other) {
+            (
+                Aggregate::Span { count, total_ns, max_ns },
+                Aggregate::Span { count: n, total_ns: total, max_ns: longest },
+            ) => {
+                *count += n;
+                *total_ns += total;
+                *max_ns = (*max_ns).max(*longest);
             }
+            (Aggregate::Counter { sum }, Aggregate::Counter { sum: more }) => *sum += more,
+            (
+                Aggregate::Gauge { samples, min, sum, max },
+                Aggregate::Gauge { samples: n, min: low, sum: more, max: high },
+            ) => {
+                *samples += n;
+                *min = min.min(*low);
+                *sum += more;
+                *max = max.max(*high);
+            }
+            _ => unreachable!("every aggregate under one key has the key's kind"),
         }
     }
 
@@ -286,8 +351,8 @@ impl Aggregate {
 pub type AggregateKey = (&'static str, &'static str, EventKind);
 
 /// A folded event stream: one [`Aggregate`] per key, in key order, and
-/// how many events could not be folded — those on keys beyond the sink's
-/// cap, and those evicted upstream ([`Sink::note_dropped`]).
+/// how many events could not be folded because they arrived on keys
+/// beyond the sink's cap.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Aggregates {
     pub entries: BTreeMap<AggregateKey, Aggregate>,
@@ -306,25 +371,70 @@ pub struct Aggregates {
 #[derive(Debug, Clone)]
 pub struct SummarySink {
     shared: Arc<Mutex<SummaryTable>>,
+    /// The table this sink was forked from, which [`Sink::join`] folds
+    /// into.
+    parent: Option<Arc<Mutex<SummaryTable>>>,
 }
 
 #[derive(Debug)]
 struct SummaryTable {
-    folded: Aggregates,
+    entries: BTreeMap<AggregateKey, Folded>,
+    dropped: u64,
     max_keys: usize,
+}
+
+/// One key's aggregate, with what a parent needs to admit it at join
+/// time as it would have admitted the events themselves.
+#[derive(Debug)]
+struct Folded {
+    aggregate: Aggregate,
+    /// How many events folded into `aggregate`.
+    events: u64,
+    /// The key's first-arrival rank in its table.
+    rank: usize,
+}
+
+impl SummaryTable {
+    /// Fold `aggregate`, made of `events` events, under `key`, or count
+    /// the events as dropped when `key` is new and the table is full.
+    fn fold(&mut self, key: AggregateKey, aggregate: &Aggregate, events: u64) {
+        let rank = self.entries.len();
+        match self.entries.entry(key) {
+            Entry::Occupied(mut kept) => {
+                let kept = kept.get_mut();
+                kept.aggregate.merge(aggregate);
+                kept.events += events;
+            }
+            Entry::Vacant(_) if rank >= self.max_keys => self.dropped += events,
+            Entry::Vacant(slot) => {
+                let mut folded = Aggregate::empty(key.2);
+                folded.merge(aggregate);
+                slot.insert(Folded { aggregate: folded, events, rank });
+            }
+        }
+    }
 }
 
 impl SummarySink {
     /// A sink keeping at most `max_keys` distinct keys.
     pub fn new(max_keys: usize) -> Self {
         SummarySink {
-            shared: Arc::new(Mutex::new(SummaryTable { folded: Aggregates::default(), max_keys })),
+            shared: Arc::new(Mutex::new(SummaryTable {
+                entries: BTreeMap::new(),
+                dropped: 0,
+                max_keys,
+            })),
+            parent: None,
         }
     }
 
     /// A copy of everything folded so far.
     pub fn aggregates(&self) -> Aggregates {
-        self.shared.lock().expect("telemetry summary lock").folded.clone()
+        let table = self.shared.lock().expect("telemetry summary lock");
+        Aggregates {
+            entries: table.entries.iter().map(|(&key, kept)| (key, kept.aggregate)).collect(),
+            dropped: table.dropped,
+        }
     }
 }
 
@@ -333,22 +443,36 @@ impl Sink for SummarySink {
         if event.kind == EventKind::SpanEnter {
             return;
         }
-        let mut table = self.shared.lock().expect("telemetry summary lock");
-        let SummaryTable { folded, max_keys } = &mut *table;
         let key = (event.scope, event.name, event.kind);
-        if !folded.entries.contains_key(&key) && folded.entries.len() >= *max_keys {
-            folded.dropped += 1;
-            return;
-        }
-        folded.entries.entry(key).or_insert_with(|| Aggregate::empty(event.kind)).fold(event.value);
+        let mut table = self.shared.lock().expect("telemetry summary lock");
+        table.fold(key, &Aggregate::of(event.kind, event.value), 1);
     }
 
     fn dropped_count(&self) -> u64 {
-        self.shared.lock().expect("telemetry summary lock").folded.dropped
+        self.shared.lock().expect("telemetry summary lock").dropped
     }
 
-    fn note_dropped(&mut self, n: u64) {
-        self.shared.lock().expect("telemetry summary lock").folded.dropped += n;
+    /// An uncapped fold: this sink applies its key cap when it joins the
+    /// fork, admitting the fork's keys in their first-arrival order, so
+    /// it admits and drops exactly what a serial recording would.
+    fn fork(&self) -> Box<dyn Sink> {
+        Box::new(SummarySink {
+            parent: Some(Arc::clone(&self.shared)),
+            ..SummarySink::new(usize::MAX)
+        })
+    }
+
+    fn join(&mut self) {
+        let Some(parent) = &self.parent else { return };
+        let mut fork = self.shared.lock().expect("telemetry summary lock");
+        let mut arrivals: Vec<(AggregateKey, Folded)> =
+            std::mem::take(&mut fork.entries).into_iter().collect();
+        arrivals.sort_unstable_by_key(|(_, kept)| kept.rank);
+        let mut parent = parent.lock().expect("telemetry summary lock");
+        for (key, kept) in &arrivals {
+            parent.fold(*key, &kept.aggregate, kept.events);
+        }
+        parent.dropped += std::mem::take(&mut fork.dropped);
     }
 }
 
@@ -478,78 +602,26 @@ impl Telemetry {
             .map_or(0, |inner| inner.lock().expect("telemetry sink lock").dropped_count())
     }
 
-    /// Tell the sink that `n` events were lost upstream
-    /// ([`Sink::note_dropped`]).
-    pub fn note_dropped(&self, n: u64) {
-        match &self.inner {
-            Some(inner) if n > 0 => inner.lock().expect("telemetry sink lock").note_dropped(n),
-            _ => {}
+    /// A handle on a fork of this handle's sink ([`Sink::fork`]) whose
+    /// events carry `scope`: one parallel job records through it, and
+    /// [`Telemetry::join`] later folds what it recorded into this sink.
+    /// The fork of a disabled handle is disabled.
+    pub fn fork(&self, scope: &'static str) -> Telemetry {
+        let inner = self
+            .inner
+            .as_ref()
+            .map(|inner| Arc::new(Mutex::new(inner.lock().expect("telemetry sink lock").fork())));
+        Telemetry { inner, scope }
+    }
+
+    /// Fold what this fork recorded into the sink it was forked from
+    /// ([`Sink::join`]), as if each event had been recorded there in order.
+    /// Joining forks in a fixed order makes the parent's contents
+    /// independent of how the jobs that recorded them were scheduled.
+    pub fn join(&self) {
+        if let Some(inner) = &self.inner {
+            inner.lock().expect("telemetry sink lock").join();
         }
-    }
-
-    /// Record a pre-built event verbatim — scope and timestamp are taken
-    /// from the event, not from this handle. This is the replay primitive
-    /// behind [`JobRecorder::merge_into`]: buffered events keep the scope
-    /// they were recorded under when they are merged into a shared sink.
-    #[inline]
-    pub fn emit(&self, event: Event) {
-        self.record(event);
-    }
-}
-
-/// A per-job buffered recorder for deterministic parallel execution.
-///
-/// Concurrent jobs recording straight into one shared sink interleave by
-/// scheduling order, which would make the retained stream depend on the
-/// worker count. A `JobRecorder` gives each job a private bounded buffer
-/// instead: the job records through [`JobRecorder::handle`], and when the
-/// executor merges results in canonical job order it calls
-/// [`JobRecorder::merge_into`], replaying the buffered events into the
-/// shared sink. The merged stream is therefore byte-identical for any
-/// number of workers.
-///
-/// A recorder forked from a disabled parent is itself disabled and costs
-/// nothing.
-#[derive(Debug)]
-pub struct JobRecorder {
-    buffer: Option<MemorySink>,
-    handle: Telemetry,
-}
-
-impl JobRecorder {
-    /// Fork a buffered recorder from `parent`, tagging events with
-    /// `scope` (pass `parent.scope()` to inherit). Holds at most
-    /// `capacity` events; older events are evicted and counted.
-    pub fn fork(parent: &Telemetry, scope: &'static str, capacity: usize) -> Self {
-        if !parent.enabled() {
-            return JobRecorder { buffer: None, handle: Telemetry::disabled() };
-        }
-        let buffer = MemorySink::new(capacity);
-        let handle = Telemetry::new(buffer.clone()).with_scope(scope);
-        JobRecorder { buffer: Some(buffer), handle }
-    }
-
-    /// The recording handle the job should use.
-    pub fn handle(&self) -> Telemetry {
-        self.handle.clone()
-    }
-
-    /// Events evicted from the job buffer because it was full.
-    pub fn dropped(&self) -> u64 {
-        self.buffer.as_ref().map_or(0, MemorySink::dropped)
-    }
-
-    /// Replay the buffered events, in recording order, into `target`, and
-    /// tell it how many the buffer evicted ([`Telemetry::note_dropped`]).
-    /// Returns how many events were merged.
-    pub fn merge_into(self, target: &Telemetry) -> u64 {
-        let Some(buffer) = self.buffer else { return 0 };
-        let events = buffer.events();
-        for event in &events {
-            target.emit(*event);
-        }
-        target.note_dropped(buffer.dropped());
-        events.len() as u64
     }
 }
 
@@ -640,53 +712,105 @@ mod tests {
         assert!(scoped.enabled());
     }
 
-    #[test]
-    fn job_recorder_buffers_and_merges_in_order() {
-        let sink = MemorySink::new(64);
-        let parent = Telemetry::new(sink.clone());
-        let fork = JobRecorder::fork(&parent, "job-b", 16);
-        let handle = fork.handle();
-        handle.counter(5, "c", 1);
-        handle.gauge(7, "g", 2.0);
-        // Nothing reaches the parent until the merge.
-        assert_eq!(sink.len(), 0);
-        assert_eq!(fork.merge_into(&parent), 2);
-        let events = sink.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "c");
-        assert_eq!(events[0].scope, "job-b", "merged events keep their recorded scope");
-        assert_eq!(events[1].name, "g");
-    }
-
-    #[test]
-    fn job_recorder_from_disabled_parent_is_disabled() {
-        let fork = JobRecorder::fork(&Telemetry::disabled(), "job", 16);
-        assert!(!fork.handle().enabled());
-        fork.handle().counter(1, "c", 1);
-        assert_eq!(fork.dropped(), 0);
-        assert_eq!(fork.merge_into(&Telemetry::disabled()), 0);
-    }
-
-    #[test]
-    fn job_recorder_buffer_is_bounded() {
-        let sink = MemorySink::new(64);
-        let parent = Telemetry::new(sink.clone());
-        let fork = JobRecorder::fork(&parent, "job", 2);
-        let handle = fork.handle();
-        for i in 0..5u64 {
-            handle.counter(i, "c", 1);
+    /// Record `script` — `(fork, at, name)` triples — through forks of
+    /// `parent` (one per fork number, joined in fork order) and, for
+    /// comparison, straight into `direct`.
+    fn record_both(parent: &Telemetry, direct: &Telemetry, script: &[(usize, u64, &'static str)]) {
+        let forks: Vec<Telemetry> = (0..=script.iter().map(|s| s.0).max().unwrap_or(0))
+            .map(|_| parent.fork("job"))
+            .collect();
+        for &(fork, at, name) in script {
+            forks[fork].counter(at, name, at);
         }
-        assert_eq!(fork.dropped(), 3);
-        assert_eq!(fork.merge_into(&parent), 2);
-        assert_eq!(sink.events()[0].at, 3);
+        let direct = direct.with_scope("job");
+        for fork in 0..forks.len() {
+            for &(_, at, name) in script.iter().filter(|s| s.0 == fork) {
+                direct.counter(at, name, at);
+            }
+        }
+        for fork in &forks {
+            fork.join();
+        }
     }
 
     #[test]
-    fn emit_preserves_event_scope() {
+    fn joined_memory_forks_equal_a_serial_recording() {
+        let (joined, serial) = (MemorySink::new(4), MemorySink::new(4));
+        let (parent, direct) = (Telemetry::new(joined.clone()), Telemetry::new(serial.clone()));
+        parent.counter(0, "before", 1);
+        direct.counter(0, "before", 1);
+        // The second fork finishes first; forks still join in fork order.
+        let script = [(1, 10, "b"), (0, 1, "a"), (1, 11, "b"), (0, 2, "a"), (1, 12, "b")];
+        let mut script = script.to_vec();
+        script.extend((3..9).map(|at| (0, at, "a")));
+        record_both(&parent, &direct, &script);
+        assert_eq!(joined.events(), serial.events());
+        assert_eq!(joined.dropped(), serial.dropped());
+        assert_eq!(joined.dropped(), 12 - 4, "twelve events, four kept");
+        let kept: Vec<u64> = joined.events().iter().map(|e| e.at).collect();
+        assert_eq!(kept, vec![8, 10, 11, 12], "fork 0's last event, then all of fork 1");
+    }
+
+    #[test]
+    fn nothing_reaches_the_parent_until_the_join() {
         let sink = MemorySink::new(8);
-        let tel = Telemetry::new(sink.clone()).with_scope("mine");
-        tel.emit(Event { at: 9, name: "x", scope: "theirs", kind: EventKind::Counter, value: 1.0 });
-        assert_eq!(sink.events()[0].scope, "theirs");
+        let parent = Telemetry::new(sink.clone());
+        let fork = parent.fork("job-b");
+        fork.gauge(7, "g", 2.0);
+        assert!(sink.is_empty());
+        fork.join();
+        assert_eq!(sink.events()[0].scope, "job-b", "joined events keep their recorded scope");
+        fork.join();
+        assert_eq!(sink.len(), 1, "a join empties the fork");
+    }
+
+    #[test]
+    fn the_fork_of_a_disabled_handle_is_disabled() {
+        let fork = Telemetry::disabled().fork("job");
+        assert!(!fork.enabled());
+        assert_eq!(fork.scope(), "job");
+        fork.counter(1, "c", 1);
+        fork.join();
+    }
+
+    #[test]
+    fn a_long_summary_fork_joins_without_dropping() {
+        // More events than any fixed per-job buffer held: a fork folds as
+        // it records, so nothing is evicted before the join.
+        let (joined, serial) = (SummarySink::new(16), SummarySink::new(16));
+        let (parent, direct) = (Telemetry::new(joined.clone()), Telemetry::new(serial.clone()));
+        let fork = parent.fork("job");
+        let direct = direct.with_scope("job");
+        for at in 0..(1u64 << 20) + 5 {
+            fork.counter(at, "stream.chunk.records", 3);
+            direct.counter(at, "stream.chunk.records", 3);
+        }
+        fork.join();
+        assert_eq!(joined.aggregates(), serial.aggregates());
+        assert_eq!(joined.aggregates().dropped, 0);
+        assert_eq!(
+            joined.aggregates().entries[&("job", "stream.chunk.records", EventKind::Counter)],
+            Aggregate::Counter { sum: 3.0 * ((1u64 << 20) + 5) as f64 }
+        );
+    }
+
+    #[test]
+    fn summary_forks_admit_keys_as_a_serial_recording_does() {
+        let (joined, serial) = (SummarySink::new(3), SummarySink::new(3));
+        let (parent, direct) = (Telemetry::new(joined.clone()), Telemetry::new(serial.clone()));
+        for tel in [&parent, &direct] {
+            tel.with_scope("job").counter(0, "a", 1);
+        }
+        // Fork 0's first key is already in the parent; its keys arrive
+        // c, then b. Fork 1 brings d (no room left) and b again.
+        let script = [(0, 1, "a"), (1, 2, "d"), (0, 3, "c"), (1, 4, "b"), (0, 5, "b"), (0, 6, "d")];
+        record_both(&parent, &direct, &script);
+        let folded = joined.aggregates();
+        assert_eq!(folded, serial.aggregates());
+        let keys: Vec<&str> = folded.entries.keys().map(|k| k.1).collect();
+        assert_eq!(keys, vec!["a", "b", "c"]);
+        assert_eq!(folded.dropped, 2, "both events on d");
+        assert_eq!(joined.dropped_count(), 2);
     }
 
     #[test]
@@ -730,23 +854,6 @@ mod tests {
                     Aggregate::Span { count: 2, total_ns: 400, max_ns: 300 }
                 ),
             ]
-        );
-    }
-
-    #[test]
-    fn summary_sink_counts_what_a_job_recorder_evicted() {
-        let sink = SummarySink::new(16);
-        let parent = Telemetry::new(sink.clone());
-        let fork = JobRecorder::fork(&parent, "job", 2);
-        for i in 0..5u64 {
-            fork.handle().counter(i, "c", 1);
-        }
-        assert_eq!(fork.merge_into(&parent), 2);
-        let folded = sink.aggregates();
-        assert_eq!(folded.dropped, 3, "the recorder's evictions reach the summary");
-        assert_eq!(
-            folded.entries[&("job", "c", EventKind::Counter)],
-            Aggregate::Counter { sum: 2.0 }
         );
     }
 
