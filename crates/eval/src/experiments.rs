@@ -57,7 +57,6 @@ pub fn payload_realism_experiment(
     exec.par_map(products, |_, p| {
         let config =
             RunConfig { sensitivity: Sensitivity::new(sensitivity), ..RunConfig::default() };
-        // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
         let runner = PipelineRunner::new(p.clone(), config).with_training(&training);
         let out_real = runner.run(&realistic);
         let out_rand = runner.run(&random);
@@ -131,7 +130,6 @@ pub fn site_profile_experiment(
                 monitored_hosts: cluster.servers.clone(),
                 ..RunConfig::default()
             };
-            // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
             let runner = PipelineRunner::new(p.clone(), config).with_training(training);
             let out = runner.run(&cluster.test);
             ledger.score_alerts(&out.alerts, &out.alert_truths)

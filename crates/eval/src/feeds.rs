@@ -196,7 +196,6 @@ impl TestFeed {
     /// sensitivity, probe or fault plan instead of training again.
     pub fn trained_runner(&self, product: &IdsProduct) -> PipelineRunner {
         let config = RunConfig { monitored_hosts: self.servers.clone(), ..RunConfig::default() };
-        // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
         PipelineRunner::new(product.clone(), config).with_training(&self.training)
     }
 

@@ -5,8 +5,9 @@
 //! drives the Figure-1 pipeline directly from the `idse-traffic`
 //! [`RecordStream`]:
 //!
-//! * each product's engines train once, before any shard job starts, and
-//!   every shard job deploys clones of them;
+//! * each product's engines train once, before any shard job starts, in
+//!   one fold over the training stream that never stores it, and every
+//!   shard job deploys clones of them;
 //! * each shard consumes a lazily merged stream of its background chunk
 //!   sequence and its slice of the (small, materialized) campaign, in the
 //!   exact order `Trace::merge` would produce ([`ShardFeed`]); the campaign
@@ -38,15 +39,20 @@ use crate::confusion::{join_alerts, ConfusionCounts, StreamLedger};
 use crate::feeds::{FeedConfig, TestFeed};
 use crate::harness::EvaluationRequest;
 use idse_exec::{CancelToken, Cancelled};
-use idse_ids::pipeline::{PipelineRunner, PipelineSession, RunConfig};
+use idse_ids::engine::BenignObservation;
+use idse_ids::pipeline::{PipelineRunner, PipelineSession, RunConfig, RunnerTraining};
 use idse_ids::products::IdsProduct;
 use idse_ids::Sensitivity;
 use idse_net::trace::TraceRecord;
 use idse_net::FlowKey;
 use idse_sim::SimTime;
 use idse_telemetry::Telemetry;
-use idse_traffic::{flow_shard, RecordStream};
+use idse_traffic::{flow_shard, RecordStream, Session, SessionMerge, SessionSynth};
 use serde::{Deserialize, Serialize};
+
+/// Sessions per training batch: the unit the executor's workers synthesize
+/// ahead of the training fold.
+const TRAINING_BATCH_SESSIONS: usize = 64;
 
 /// One shard's lazily merged feed: the background [`RecordStream`] for
 /// shard `s` merged in time order with shard `s`'s slice of the campaign.
@@ -237,7 +243,6 @@ pub fn run_shard_cancellable(
         let progress_at = chunk.last().map(|r| r.at.as_nanos()).unwrap_or(0);
         let records = chunk.len() as u64;
         for (runner, session) in runners.iter().zip(&mut sessions) {
-            // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; all reported counts come from the ordered ledger")
             session.push_chunk(chunk.iter().cloned());
             runner.config().telemetry.counter(progress_at, "stream.chunk.records", records);
         }
@@ -347,8 +352,8 @@ impl EvaluationRequest {
     /// Evaluate products over the streamed real-time-cluster feed this
     /// request describes, at a fixed `sensitivity`.
     ///
-    /// Each product's engines train once, on the request's executor, and
-    /// the training trace is dropped before any shard job starts. Then one
+    /// Each product's engines train once, on the request's executor, in one
+    /// fold over the training stream that is never stored. Then one
     /// job per shard generates the shard's feed once and drives every
     /// product's deployment over it; when the executor has more workers
     /// than there are shards, each shard's products split into groups, one
@@ -394,18 +399,7 @@ impl EvaluationRequest {
         crate::harness::evaluated_once(products);
         let exec = self.executor();
         let profile = TestFeed::realtime_cluster_profile(&self.feed);
-        // Train each product once, then let the training trace go: the
-        // shard jobs deploy clones of the trained engines.
-        let runners: Vec<PipelineRunner> = {
-            let training = RecordStream::new(TestFeed::training_stream(&profile, &self.feed))
-                .expect("feed session rate within MAX_SESSION_RATE")
-                .collect_trace();
-            exec.par_map(products, |_, product| {
-                let config = stream_run_config(&profile, sensitivity, Telemetry::disabled());
-                // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "the engines' hash containers are keyed per-packet state: entry, get, insert and len only, never iterated into a report")
-                PipelineRunner::new(product.clone(), config).with_training(&training)
-            })
-        };
+        let runners = self.trained_runners(products, &profile, sensitivity);
         let campaign = campaign_shards(&profile, &self.feed);
 
         // Product `p` belongs to group `p % groups`; jobs run shard-major,
@@ -449,6 +443,48 @@ impl EvaluationRequest {
             .zip(per_product)
             .map(|(product, outcomes)| self.merge_shards(product.id.name(), &ledger, outcomes))
             .collect())
+    }
+
+    /// Each product's runner, trained once on the request's known-benign
+    /// training stream without storing it: the executor's workers
+    /// synthesize batches of consecutive sessions ahead of this thread,
+    /// which merges them into records and folds each record, in stream
+    /// order, into every product's trainable engines. The baselines equal
+    /// training on the collected trace.
+    fn trained_runners(
+        &self,
+        products: &[IdsProduct],
+        profile: &idse_traffic::SiteProfile,
+        sensitivity: f64,
+    ) -> Vec<PipelineRunner> {
+        let synth = SessionSynth::new(TestFeed::training_stream(profile, &self.feed))
+            .expect("feed session rate within MAX_SESSION_RATE");
+        let mut folds: Vec<RunnerTraining> = products
+            .iter()
+            .map(|product| {
+                let config = stream_run_config(profile, sensitivity, Telemetry::disabled());
+                PipelineRunner::new(product.clone(), config).begin_runner_training()
+            })
+            .collect();
+        // The workers observe each packet where they synthesized it, so
+        // no packet crosses threads: this one merges the batches' runs of
+        // observations and folds them.
+        let observed = |batch| -> Option<Session<BenignObservation>> {
+            let run = synth.synthesize_batch(&batch)?;
+            Some(run.map_packets(|packet| BenignObservation::of_packet(&packet)))
+        };
+        self.executor().ordered_fan_out(
+            synth.session_batches(TRAINING_BATCH_SESSIONS),
+            observed,
+            |batches| {
+                for (at, obs) in SessionMerge::new(batches) {
+                    for fold in &mut folds {
+                        fold.learn_benign_observation(at, &obs);
+                    }
+                }
+            },
+        );
+        folds.into_iter().map(RunnerTraining::finish_runner_training).collect()
     }
 
     /// Deterministic reduce: fold one product's shard outcomes (in shard

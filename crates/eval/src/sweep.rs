@@ -161,7 +161,6 @@ pub(crate) fn measure_sweep_point(
 ) -> SweepPoint {
     let config =
         RunConfig { sensitivity: Sensitivity::new(sensitivity), ..trained.config().clone() };
-    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; the point's counts come from the ordered ledger")
     let outcome = trained.reconfigured(config).run(&feed.test);
     let counts = ledger.score_alerts(&outcome.alerts, &outcome.alert_truths);
     SweepPoint {

@@ -77,7 +77,6 @@ fn probe(
     // nothing is blocked or excluded from the data pool.
     let config = trained.config();
     debug_assert!(!config.auto_response && config.data_pool.is_permissive());
-    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "pipeline-internal membership sets: contains/insert only, order never observed; probes report only order-free counts: a lossless verdict, failures and the loss ratio")
     let mut session = trained.session();
     for chunk in load.records().chunks(DEFAULT_CHUNK_RECORDS) {
         session.push_chunk(chunk.iter().cloned());

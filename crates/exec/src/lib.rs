@@ -21,9 +21,12 @@
 //!
 //! There is one worker pool, [`Executor::try_par_map`] (panic-containing
 //! and cancellable; [`Executor::par_map`] is its plain form), and one
-//! recorded fan-out on top of it, [`Executor::try_par_map_recorded`]. The
-//! serial path (`jobs = 1`, or one-element inputs) runs inline on the
-//! calling thread with no pool at all, and produces the same bytes.
+//! recorded fan-out on top of it, [`Executor::try_par_map_recorded`].
+//! [`Executor::ordered_fan_out`] is the streaming form: workers run a
+//! bounded window ahead of a caller that consumes the outputs in job
+//! order as they finish. The serial path (`jobs = 1`, or one-element
+//! inputs) runs inline on the calling thread with no pool at all, and
+//! produces the same bytes.
 //!
 //! ```
 //! use idse_exec::Executor;
@@ -42,8 +45,10 @@ pub mod cancel;
 pub use cancel::{CancelToken, Cancelled, SlotGuard, SlotPool};
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use idse_telemetry::Telemetry;
 
@@ -324,6 +329,202 @@ impl Executor {
             return Err(Cancelled);
         }
         Ok(outputs)
+    }
+}
+
+/// Outputs each worker of [`Executor::ordered_fan_out`] may finish ahead of
+/// the caller: the fan-out holds at most `workers × FAN_OUT_LOOKAHEAD`
+/// outputs the caller has not taken yet.
+const FAN_OUT_LOOKAHEAD: usize = 4;
+
+/// The state an ordered fan-out's threads share.
+struct Lane<I, O> {
+    jobs: I,
+    /// Jobs claimed so far; the next claim gets this index.
+    claimed: usize,
+    /// Outputs the caller has taken so far; it waits for this index next.
+    taken: usize,
+    /// Finished outputs the caller has not taken, by job index.
+    ready: BTreeMap<usize, std::thread::Result<O>>,
+    /// `jobs` returned `None` (or panicked): nothing more will be claimed.
+    drained: bool,
+    /// The caller is done: nobody claims again.
+    closed: bool,
+}
+
+/// What a thread of an ordered fan-out may do next.
+enum Claim<J> {
+    /// Run job `index`.
+    Run(usize, J),
+    /// The window is full: wait for the caller to take an output.
+    Wait,
+    /// Nothing is left to claim.
+    Done,
+}
+
+struct FanOut<I, O> {
+    lane: Mutex<Lane<I, O>>,
+    changed: Condvar,
+    window: usize,
+}
+
+impl<I: Iterator, O> FanOut<I, O> {
+    fn lock_lane(&self) -> MutexGuard<'_, Lane<I, O>> {
+        // Jobs run outside the lock, and the job iterator under it runs
+        // under `catch_unwind`, so nothing panics while holding the lane.
+        self.lane.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait_lane<'a>(&self, lane: MutexGuard<'a, Lane<I, O>>) -> MutexGuard<'a, Lane<I, O>> {
+        self.changed.wait(lane).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claim the next job if the window allows. A panicking job iterator
+    /// files its panic as the output of the index it was claiming.
+    fn claim(&self, lane: &mut Lane<I, O>) -> Claim<I::Item> {
+        if lane.closed || lane.drained {
+            return Claim::Done;
+        }
+        if lane.claimed >= lane.taken + self.window {
+            return Claim::Wait;
+        }
+        let index = lane.claimed;
+        match catch_unwind(AssertUnwindSafe(|| lane.jobs.next())) {
+            Ok(Some(job)) => {
+                lane.claimed += 1;
+                Claim::Run(index, job)
+            }
+            Ok(None) => {
+                lane.drained = true;
+                self.changed.notify_all();
+                Claim::Done
+            }
+            Err(payload) => {
+                lane.claimed += 1;
+                lane.ready.insert(index, Err(payload));
+                lane.drained = true;
+                self.changed.notify_all();
+                Claim::Done
+            }
+        }
+    }
+
+    /// Run job `index` outside the lock and file its output.
+    fn run_claimed(&self, index: usize, job: I::Item, make: &impl Fn(I::Item) -> O) {
+        let output = catch_unwind(AssertUnwindSafe(|| make(job)));
+        self.lock_lane().ready.insert(index, output);
+        self.changed.notify_all();
+    }
+
+    /// One helper thread: claim and run jobs until none is left.
+    fn help(&self, make: &impl Fn(I::Item) -> O) {
+        let mut lane = self.lock_lane();
+        loop {
+            match self.claim(&mut lane) {
+                Claim::Run(index, job) => {
+                    drop(lane);
+                    self.run_claimed(index, job, make);
+                    lane = self.lock_lane();
+                }
+                Claim::Wait => lane = self.wait_lane(lane),
+                Claim::Done => return,
+            }
+        }
+    }
+
+    /// The caller's next output, in job order; re-raises a job's panic.
+    /// While the next output is not ready, the caller runs a job itself
+    /// rather than sit idle.
+    fn take_in_order(&self, make: &impl Fn(I::Item) -> O) -> Option<O> {
+        let mut lane = self.lock_lane();
+        loop {
+            let index = lane.taken;
+            if let Some(output) = lane.ready.remove(&index) {
+                lane.taken += 1;
+                drop(lane);
+                self.changed.notify_all();
+                return Some(output.unwrap_or_else(|payload| resume_unwind(payload)));
+            }
+            match self.claim(&mut lane) {
+                Claim::Run(claimed, job) => {
+                    drop(lane);
+                    self.run_claimed(claimed, job, make);
+                    lane = self.lock_lane();
+                }
+                // Every job has run and been taken.
+                Claim::Done if lane.claimed == index => return None,
+                Claim::Wait | Claim::Done => lane = self.wait_lane(lane),
+            }
+        }
+    }
+
+    fn close_lane(&self) {
+        self.lock_lane().closed = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Closes a fan-out's lane when the caller is done, also by unwinding, so
+/// no helper waits forever on a window that will not move.
+struct CloseOnDrop<'a, I: Iterator, O>(&'a FanOut<I, O>);
+
+impl<I: Iterator, O> Drop for CloseOnDrop<'_, I, O> {
+    fn drop(&mut self) {
+        self.0.close_lane();
+    }
+}
+
+impl Executor {
+    /// Map `make` over `jobs` on the pool while the calling thread consumes
+    /// the outputs, strictly in job order, through the iterator `consume`
+    /// receives.
+    ///
+    /// `workers − 1` helper threads and the caller claim jobs in order; the
+    /// caller runs one itself whenever the output it needs next is not
+    /// ready. Nobody claims more than `workers × 4` jobs ahead of the
+    /// output the caller takes next, so a fan-out over an unbounded job
+    /// stream holds a constant number of outputs. What the caller sees is
+    /// the sequence `jobs.map(make)` yields, at any worker count; at one
+    /// worker it is exactly that, inline. A job's panic is re-raised on the
+    /// calling thread when the caller reaches its output. If `consume`
+    /// returns before the outputs run out, nobody claims again and the jobs
+    /// already claimed finish unread.
+    pub fn ordered_fan_out<J, O, R>(
+        &self,
+        jobs: impl Iterator<Item = J> + Send,
+        make: impl Fn(J) -> O + Sync,
+        consume: impl FnOnce(&mut dyn Iterator<Item = O>) -> R,
+    ) -> R
+    where
+        O: Send,
+    {
+        if self.workers <= 1 {
+            return consume(&mut jobs.map(make));
+        }
+        let fan = FanOut {
+            lane: Mutex::new(Lane {
+                jobs,
+                claimed: 0,
+                taken: 0,
+                ready: BTreeMap::new(),
+                drained: false,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+            window: self.workers * FAN_OUT_LOOKAHEAD,
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
+        )]
+        crossbeam::thread::scope(|scope| {
+            for _ in 1..self.workers {
+                scope.spawn(|_| fan.help(&make));
+            }
+            let _close = CloseOnDrop(&fan);
+            consume(&mut std::iter::from_fn(|| fan.take_in_order(&make)))
+        })
+        .expect("fan-out helpers do not panic")
     }
 }
 
@@ -673,6 +874,64 @@ mod tests {
                 assert!(x != 2, "boom");
                 Ok(x)
             },
+        );
+    }
+
+    /// Jobs finish out of order (the yields vary by job and worker), the
+    /// caller still sees `jobs.map(make)`, and no worker runs more than the
+    /// window ahead of it.
+    #[test]
+    fn ordered_fan_out_yields_job_order_within_the_window() {
+        for workers in [1usize, 2, 8] {
+            let taken = AtomicUsize::new(0);
+            let made = Executor::new(workers).ordered_fan_out(
+                0..500u64,
+                |job| {
+                    let ahead = job as usize - taken.load(Ordering::SeqCst);
+                    assert!(ahead <= workers * FAN_OUT_LOOKAHEAD, "job {job} ran {ahead} ahead");
+                    for _ in 0..(job.wrapping_mul(0x9e37_79b9) >> 30) % 4 {
+                        std::thread::yield_now();
+                    }
+                    job * 3
+                },
+                |outputs| {
+                    outputs
+                        .inspect(|_| {
+                            taken.fetch_add(1, Ordering::SeqCst);
+                        })
+                        .collect::<Vec<u64>>()
+                },
+            );
+            assert_eq!(made, (0..500u64).map(|j| j * 3).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn ordered_fan_out_stops_when_the_caller_does() {
+        let first = Executor::new(4).ordered_fan_out(
+            0..,
+            |job: u64| job,
+            |outputs| outputs.take(10).sum::<u64>(),
+        );
+        assert_eq!(first, 45, "an unbounded job stream ends with its caller");
+        let none = Executor::new(4).ordered_fan_out(
+            std::iter::empty::<u8>(),
+            |job| job,
+            |outputs| outputs.count(),
+        );
+        assert_eq!(none, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "poisoned job 7")]
+    fn ordered_fan_out_reraises_a_job_panic_in_order() {
+        Executor::new(2).ordered_fan_out(
+            0..20u32,
+            |job| {
+                assert!(job != 7, "poisoned job {job}");
+                job
+            },
+            |outputs| outputs.count(),
         );
     }
 

@@ -7,10 +7,10 @@
 //! grades and the **Network Lethal Dose** search hunts for.
 
 use crate::alert::Alert;
+use crate::keyed::HostSet;
 use idse_sim::stats::StageCounters;
 use idse_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// How the IDS taps the network (paper §2.2: "Load balancers may be
@@ -334,7 +334,7 @@ pub struct ManagementConsole {
     response_delay: SimDuration,
     /// Sources blocked at the perimeter, with install time.
     blocked: Vec<(Ipv4Addr, SimTime)>,
-    blocked_set: HashSet<Ipv4Addr>,
+    blocked_set: HostSet,
     snmp_traps: u32,
 }
 
@@ -345,7 +345,7 @@ impl ManagementConsole {
             caps,
             response_delay,
             blocked: Vec::new(),
-            blocked_set: HashSet::new(),
+            blocked_set: HostSet::default(),
             snmp_traps: 0,
         }
     }
@@ -370,7 +370,7 @@ impl ManagementConsole {
             }
             if self.caps.firewall {
                 let src = alert.flow.src;
-                if self.blocked_set.insert(src) {
+                if self.blocked_set.add_host(src) {
                     self.blocked.push((src, alert.raised_at + self.response_delay));
                 }
             }
@@ -379,7 +379,7 @@ impl ManagementConsole {
 
     /// Whether `src` is blocked as of `now`.
     pub fn is_blocked(&self, now: SimTime, src: Ipv4Addr) -> bool {
-        self.blocked_set.contains(&src) && self.blocked.iter().any(|&(a, t)| a == src && now >= t)
+        self.blocked_set.has_host(src) && self.blocked.iter().any(|&(a, t)| a == src && now >= t)
     }
 
     /// All blocked sources with install times.

@@ -23,7 +23,7 @@
 
 use crate::alert::{DetectionSource, Severity};
 use crate::engine::stateful::{Cooldown, DistinctCounter, RateCounter};
-use crate::engine::{Detection, DetectionEngine, Sensitivity};
+use crate::engine::{BenignObservation, Detection, DetectionEngine, Sensitivity};
 use idse_net::trace::{AttackClass, Trace};
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
@@ -51,7 +51,7 @@ impl Default for AnomalyConfig {
 }
 
 /// Learned baselines.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Baselines {
     /// Max distinct destination ports per source per second seen benign.
     scan_ports: f64,
@@ -105,14 +105,17 @@ impl std::fmt::Debug for AnomalyEngine {
     }
 }
 
-fn printable_fraction(data: &[u8]) -> f64 {
+pub(crate) fn printable_fraction(data: &[u8]) -> f64 {
     if data.is_empty() {
         return 1.0;
     }
-    let printable = data
+    // Branch-free per byte, so the count vectorizes.
+    let printable: usize = data
         .iter()
-        .filter(|&&b| (0x20..0x7f).contains(&b) || b == b'\r' || b == b'\n' || b == b'\t')
-        .count();
+        .map(|&b| {
+            usize::from((0x20..0x7f).contains(&b) | (b == b'\r') | (b == b'\n') | (b == b'\t'))
+        })
+        .sum();
     printable as f64 / data.len() as f64
 }
 
@@ -120,27 +123,28 @@ fn prefix24(addr: Ipv4Addr) -> u32 {
     u32::from(addr) >> 8
 }
 
-/// Extract printable tokens of length ≥ 4 from a payload (path components,
-/// identifiers).
-fn tokens(payload: &[u8]) -> Vec<Vec<u8>> {
-    // Pre-sized: called per record on the anomaly hot path, so growth by
-    // repeated doubling would reallocate for every payload.
-    let mut out = Vec::with_capacity(payload.len() / 8 + 1);
-    let mut cur = Vec::with_capacity(16);
-    for &b in payload {
+/// The printable tokens of length ≥ 4 in a payload (path components,
+/// identifiers), lowercased, each followed by a space: one buffer, so a
+/// payload's tokens cost one allocation on the anomaly hot path.
+pub(crate) fn token_list(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for &b in payload.iter().chain(b" ") {
         if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
-            cur.push(b.to_ascii_lowercase());
+            out.push(b.to_ascii_lowercase());
+        } else if out.len() - start >= 4 {
+            out.push(b' ');
+            start = out.len();
         } else {
-            if cur.len() >= 4 {
-                out.push(std::mem::take(&mut cur));
-            }
-            cur.clear();
+            out.truncate(start);
         }
     }
-    if cur.len() >= 4 {
-        out.push(cur);
-    }
     out
+}
+
+/// The tokens of a [`token_list`], in payload order.
+pub(crate) fn listed_tokens(list: &[u8]) -> impl Iterator<Item = &[u8]> {
+    list.split(|&b| b == b' ').filter(|token| !token.is_empty())
 }
 
 fn is_login_payload(payload: &[u8]) -> bool {
@@ -162,6 +166,27 @@ impl AnomalyEngine {
         }
     }
 
+    /// Start a training pass over this engine, on top of any baselines it
+    /// already has.
+    pub fn begin_anomaly_training(self) -> AnomalyTraining {
+        AnomalyTraining {
+            base: (*self.base).clone(),
+            engine: self,
+            scan: DistinctCounter::new(),
+            fanout: DistinctCounter::new(),
+            syn: RateCounter::new(),
+            fails: RateCounter::new(),
+            dns_sizes: Vec::new(),
+            icmp_sizes: Vec::new(),
+        }
+    }
+
+    /// Whether `other` learned exactly these baselines.
+    #[cfg(test)]
+    pub(crate) fn same_baselines(&self, other: &Self) -> bool {
+        self.base == other.base
+    }
+
     /// Whether [`DetectionEngine::train`] has run.
     pub fn is_trained(&self) -> bool {
         self.base.trained
@@ -175,63 +200,63 @@ impl AnomalyEngine {
     }
 }
 
-impl DetectionEngine for AnomalyEngine {
-    fn name(&self) -> &'static str {
-        "anomaly"
-    }
+/// A training pass over an [`AnomalyEngine`]: known-benign records in, one
+/// at a time in stream order, then the trained engine out. Folding a
+/// trace's records gives exactly the baselines [`DetectionEngine::train`]
+/// learns from it.
+#[derive(Debug)]
+pub struct AnomalyTraining {
+    engine: AnomalyEngine,
+    base: Baselines,
+    scan: DistinctCounter<Ipv4Addr, u16>,
+    fanout: DistinctCounter<Ipv4Addr, Ipv4Addr>,
+    syn: RateCounter<Ipv4Addr>,
+    fails: RateCounter<Ipv4Addr>,
+    /// Payload sizes, kept so the mean and spread are computed in one
+    /// order, as two passes over the trace would.
+    dns_sizes: Vec<f64>,
+    icmp_sizes: Vec<f64>,
+}
 
-    fn set_sensitivity(&mut self, s: Sensitivity) {
-        self.sensitivity = s;
-    }
-
-    fn train(&mut self, benign: &Trace) {
-        let mut scan = DistinctCounter::new();
-        let mut fanout = DistinctCounter::new();
-        let mut syn = RateCounter::new();
-        let mut fails = RateCounter::new();
-        let mut dns_sizes: Vec<f64> = Vec::new();
-        let mut icmp_sizes: Vec<f64> = Vec::new();
-        let b = Arc::make_mut(&mut self.base);
-        for rec in benign.records() {
-            let p = &rec.packet;
-            let now = rec.at;
-            if p.is_syn() {
-                if let Some(t) = p.tcp_header() {
-                    b.scan_ports =
-                        b.scan_ports.max(f64::from(scan.record(now, p.ip.src, t.dst_port)));
-                }
-                b.fanout_hosts =
-                    b.fanout_hosts.max(f64::from(fanout.record(now, p.ip.src, p.ip.dst)));
-                b.syn_rate = b.syn_rate.max(f64::from(syn.record(now, p.ip.dst)));
+impl AnomalyTraining {
+    /// Fold one known-benign record, observed at `at`, into the baselines.
+    pub fn learn_anomaly_baselines(&mut self, at: SimTime, obs: &BenignObservation) {
+        let b = &mut self.base;
+        if obs.syn {
+            if let Some(port) = obs.syn_port {
+                b.scan_ports = b.scan_ports.max(f64::from(self.scan.record(at, obs.src, port)));
             }
-            if crate::aho::contains(&p.payload, b"Login incorrect") {
-                b.failed_logins = b.failed_logins.max(f64::from(fails.record(now, p.ip.src)));
-            }
-            if is_login_payload(&p.payload) {
-                b.login_hosts.insert(p.ip.src);
-                b.login_prefixes.insert(prefix24(p.ip.src));
-            }
-            if !p.payload.is_empty() {
-                if let Some(port) = p.transport.dst_port() {
-                    let frac = printable_fraction(&p.payload);
-                    b.min_printable.entry(port).and_modify(|m| *m = m.min(frac)).or_insert(frac);
-                }
-            }
-            if p.transport.dst_port() == Some(53) {
-                dns_sizes.push(p.payload.len() as f64);
-            }
-            if matches!(
-                p.transport,
-                idse_net::Transport::Icmp(h) if h.kind == idse_net::packet::IcmpKind::EchoRequest
-            ) {
-                icmp_sizes.push(p.payload.len() as f64);
-            }
-            if p.transport.dst_port() == Some(2049) {
-                for t in tokens(&p.payload) {
-                    b.rpc_tokens.insert(t);
-                }
+            b.fanout_hosts =
+                b.fanout_hosts.max(f64::from(self.fanout.record(at, obs.src, obs.dst)));
+            b.syn_rate = b.syn_rate.max(f64::from(self.syn.record(at, obs.dst)));
+        }
+        if obs.failed_login {
+            b.failed_logins = b.failed_logins.max(f64::from(self.fails.record(at, obs.src)));
+        }
+        if obs.login {
+            b.login_hosts.insert(obs.src);
+            b.login_prefixes.insert(prefix24(obs.src));
+        }
+        if let (Some(port), Some(frac)) = (obs.dst_port, obs.printable) {
+            b.min_printable.entry(port).and_modify(|m| *m = m.min(frac)).or_insert(frac);
+        }
+        if obs.dst_port == Some(53) {
+            self.dns_sizes.push(obs.payload_len as f64);
+        }
+        if obs.echo_request {
+            self.icmp_sizes.push(obs.payload_len as f64);
+        }
+        for t in listed_tokens(&obs.rpc_tokens) {
+            if !b.rpc_tokens.contains(t) {
+                b.rpc_tokens.insert(t.to_vec());
             }
         }
+    }
+
+    /// Finish the pass: the size models and the degenerate-baseline guards,
+    /// then the trained engine.
+    pub fn finish_anomaly_training(self) -> AnomalyEngine {
+        let Self { mut engine, base: mut b, dns_sizes, icmp_sizes, .. } = self;
         if !dns_sizes.is_empty() {
             let n = dns_sizes.len() as f64;
             let mean = dns_sizes.iter().sum::<f64>() / n;
@@ -261,6 +286,26 @@ impl DetectionEngine for AnomalyEngine {
         b.syn_rate = b.syn_rate.max(5.0);
         b.failed_logins = b.failed_logins.max(1.0);
         b.trained = true;
+        engine.base = Arc::new(b);
+        engine
+    }
+}
+
+impl DetectionEngine for AnomalyEngine {
+    fn name(&self) -> &'static str {
+        "anomaly"
+    }
+
+    fn set_sensitivity(&mut self, s: Sensitivity) {
+        self.sensitivity = s;
+    }
+
+    fn train(&mut self, benign: &Trace) {
+        let mut training = self.clone().begin_anomaly_training();
+        for rec in benign.records() {
+            training.learn_anomaly_baselines(rec.at, &BenignObservation::of_packet(&rec.packet));
+        }
+        *self = training.finish_anomaly_training();
     }
 
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection> {
@@ -403,8 +448,8 @@ impl DetectionEngine for AnomalyEngine {
             && self.sensitivity.value() >= 0.55
             && !packet.payload.is_empty()
         {
-            let novel =
-                tokens(&packet.payload).into_iter().any(|t| !self.base.rpc_tokens.contains(&t));
+            let list = token_list(&packet.payload);
+            let novel = listed_tokens(&list).any(|t| !self.base.rpc_tokens.contains(t));
             if novel && self.cooldown.try_fire(now, ("rpc", src)) {
                 out.push(Detection {
                     class: AttackClass::TrustExploit,
@@ -618,12 +663,36 @@ mod tests {
         assert!(ratio < 0.005, "benign alert ratio {ratio} too high ({alerts} alerts)");
     }
 
+    proptest::proptest! {
+        /// The token buffer lists exactly the runs of token characters of
+        /// length ≥ 4, lowercased, in order. Bytes come from a small mixed
+        /// alphabet so that long runs and separators are both common.
+        #[test]
+        fn token_list_matches_a_split_reference(
+            picks in proptest::collection::vec(0usize..9, 0..64),
+        ) {
+            let payload: Vec<u8> = picks.iter().map(|&i| b"aB9_-/ .\x00"[i]).collect();
+            let token_char = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'-';
+            let reference: Vec<Vec<u8>> = payload
+                .split(|b| !token_char(b))
+                .filter(|t| t.len() >= 4)
+                .map(<[u8]>::to_ascii_lowercase)
+                .collect();
+            let list = token_list(&payload);
+            let got: Vec<Vec<u8>> = listed_tokens(&list).map(<[u8]>::to_vec).collect();
+            proptest::prop_assert_eq!(got, reference);
+        }
+    }
+
     #[test]
     fn token_extraction() {
-        let toks = tokens(b"/export/.ssh/authorized_keys\x00\x00data");
-        assert!(toks.contains(&b"export".to_vec()));
-        assert!(toks.contains(&b"authorized_keys".to_vec()));
-        assert!(!toks.contains(&b"ssh".to_vec()), "3-byte tokens are skipped");
-        assert!(toks.contains(&b"data".to_vec()));
+        let list = token_list(b"/export/.ssh/Authorized_Keys\x00\x00data");
+        let toks: Vec<&[u8]> = listed_tokens(&list).collect();
+        assert_eq!(
+            toks,
+            [&b"export"[..], b"authorized_keys", b"data"],
+            "3-byte tokens are skipped"
+        );
+        assert!(token_list(b"abc").is_empty());
     }
 }

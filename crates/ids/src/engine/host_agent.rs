@@ -14,12 +14,12 @@
 
 use crate::alert::{DetectionSource, Severity};
 use crate::engine::stateful::{Cooldown, RateCounter};
-use crate::engine::{Detection, DetectionEngine, Sensitivity};
+use crate::engine::{BenignObservation, Detection, DetectionEngine, Sensitivity};
+use crate::keyed::HostSet;
 use idse_net::frag::{OverlapPolicy, Reassembler};
 use idse_net::trace::{AttackClass, Trace};
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -37,10 +37,10 @@ pub struct HostAgentConfig {
 /// reassembly state.
 #[derive(Clone)]
 pub struct HostAgentEngine {
-    monitored: HashSet<Ipv4Addr>,
+    monitored: HostSet,
     sensitivity: Sensitivity,
     /// Origins that legitimately logged into each monitored host.
-    known_login_sources: Arc<HashSet<Ipv4Addr>>,
+    known_login_sources: Arc<HostSet>,
     trained: bool,
     failed_logins: RateCounter<(Ipv4Addr, Ipv4Addr)>,
     cooldown: Cooldown<(&'static str, Ipv4Addr)>,
@@ -51,7 +51,7 @@ pub struct HostAgentEngine {
 impl std::fmt::Debug for HostAgentEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HostAgentEngine")
-            .field("monitored", &self.monitored.len())
+            .field("monitored", &self.monitored.host_count())
             .field("trained", &self.trained)
             .finish()
     }
@@ -74,8 +74,49 @@ impl HostAgentEngine {
         }
     }
 
+    /// Start a training pass over these agents, on top of any login
+    /// origins they already know.
+    pub fn begin_login_training(self) -> HostAgentTraining {
+        HostAgentTraining { known: (*self.known_login_sources).clone(), agents: self }
+    }
+
+    /// Whether `other` learned exactly these login origins, and how many.
+    #[cfg(test)]
+    pub(crate) fn same_origins(&self, other: &Self) -> Option<usize> {
+        let same =
+            self.trained == other.trained && self.known_login_sources == other.known_login_sources;
+        same.then_some(self.known_login_sources.host_count())
+    }
+
     fn concerns_us(&self, packet: &Packet) -> bool {
-        self.monitored.contains(&packet.ip.dst) || self.monitored.contains(&packet.ip.src)
+        self.monitored.has_host(packet.ip.dst) || self.monitored.has_host(packet.ip.src)
+    }
+}
+
+/// A training pass over a [`HostAgentEngine`]: known-benign records in, one
+/// at a time, then the trained agents out. Folding a trace's records gives
+/// exactly the origins [`DetectionEngine::train`] learns from it.
+#[derive(Debug)]
+pub struct HostAgentTraining {
+    agents: HostAgentEngine,
+    known: HostSet,
+}
+
+impl HostAgentTraining {
+    /// Fold one known-benign record: a login to a monitored host makes its
+    /// source a known origin.
+    pub fn learn_login_origin(&mut self, obs: &BenignObservation) {
+        if obs.login && self.agents.monitored.has_host(obs.dst) {
+            self.known.add_host(obs.src);
+        }
+    }
+
+    /// Finish the pass: the trained agents.
+    pub fn finish_login_training(self) -> HostAgentEngine {
+        let Self { mut agents, known } = self;
+        agents.known_login_sources = Arc::new(known);
+        agents.trained = true;
+        agents
     }
 }
 
@@ -89,14 +130,11 @@ impl DetectionEngine for HostAgentEngine {
     }
 
     fn train(&mut self, benign: &Trace) {
-        let known = Arc::make_mut(&mut self.known_login_sources);
+        let mut training = self.clone().begin_login_training();
         for rec in benign.records() {
-            let p = &rec.packet;
-            if self.monitored.contains(&p.ip.dst) && crate::aho::contains(&p.payload, b"login: ") {
-                known.insert(p.ip.src);
-            }
+            training.learn_login_origin(&BenignObservation::of_packet(&rec.packet));
         }
-        self.trained = true;
+        *self = training.finish_login_training();
     }
 
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection> {
@@ -118,8 +156,8 @@ impl DetectionEngine for HostAgentEngine {
             packet
         };
 
-        let to_us = self.monitored.contains(&packet.ip.dst);
-        let from_us = self.monitored.contains(&packet.ip.src);
+        let to_us = self.monitored.has_host(packet.ip.dst);
+        let from_us = self.monitored.has_host(packet.ip.src);
         let src = packet.ip.src;
 
         // Failed-login log watching (per victim host, per source).
@@ -141,7 +179,7 @@ impl DetectionEngine for HostAgentEngine {
             && self.trained
             && self.sensitivity.value() >= 0.3
             && crate::aho::contains(&packet.payload, b"Last login")
-            && !self.known_login_sources.contains(&src)
+            && !self.known_login_sources.has_host(src)
             && self.cooldown.try_fire(now, ("origin", src))
         {
             out.push(Detection {
@@ -193,7 +231,7 @@ impl DetectionEngine for HostAgentEngine {
     }
 
     fn state_bytes(&self) -> usize {
-        self.known_login_sources.len() * 8 + self.monitored.len() * 8 + 4096
+        self.known_login_sources.host_count() * 8 + self.monitored.host_count() * 8 + 4096
     }
 }
 

@@ -17,6 +17,7 @@ use idse_net::trace::{AttackClass, Trace};
 use idse_net::Packet;
 use idse_sim::SimTime;
 use serde::{Deserialize, Serialize};
+use std::net::Ipv4Addr;
 
 /// The sensitivity knob, in `[0, 1]`. Higher values lower detection
 /// thresholds: more true positives *and* more false positives — the
@@ -68,6 +69,65 @@ pub struct Detection {
     pub source: DetectionSource,
     /// Detector/rule name.
     pub detector: &'static str,
+}
+
+/// What training reads from one known-benign packet, taken once per
+/// record: every engine's training fold learns from this alone and never
+/// touches the payload, so a stream's observations can be taken on the
+/// threads that synthesize it and folded in order on one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenignObservation {
+    pub(crate) src: Ipv4Addr,
+    pub(crate) dst: Ipv4Addr,
+    /// A TCP SYN.
+    pub(crate) syn: bool,
+    /// The destination port of a SYN that carries a TCP header.
+    pub(crate) syn_port: Option<u16>,
+    pub(crate) dst_port: Option<u16>,
+    /// The payload holds `Login incorrect`.
+    pub(crate) failed_login: bool,
+    /// The payload holds `login: `.
+    pub(crate) login: bool,
+    /// The payload's printable fraction, when it is non-empty and has a
+    /// destination port.
+    pub(crate) printable: Option<f64>,
+    pub(crate) payload_len: usize,
+    /// An ICMP echo request.
+    pub(crate) echo_request: bool,
+    /// The payload's path tokens (an `anomaly::token_list`), on the NFS
+    /// port only.
+    pub(crate) rpc_tokens: Vec<u8>,
+}
+
+impl BenignObservation {
+    /// Observe `packet`.
+    pub fn of_packet(packet: &Packet) -> Self {
+        let payload = &packet.payload;
+        let dst_port = packet.transport.dst_port();
+        let syn = packet.is_syn();
+        Self {
+            src: packet.ip.src,
+            dst: packet.ip.dst,
+            syn,
+            syn_port: packet.tcp_header().filter(|_| syn).map(|t| t.dst_port),
+            dst_port,
+            failed_login: crate::aho::contains(payload, b"Login incorrect"),
+            login: crate::aho::contains(payload, b"login: "),
+            printable: dst_port
+                .filter(|_| !payload.is_empty())
+                .map(|_| anomaly::printable_fraction(payload)),
+            payload_len: payload.len(),
+            echo_request: matches!(
+                packet.transport,
+                idse_net::Transport::Icmp(h) if h.kind == idse_net::packet::IcmpKind::EchoRequest
+            ),
+            rpc_tokens: if dst_port == Some(2049) {
+                anomaly::token_list(payload)
+            } else {
+                Vec::new()
+            },
+        }
+    }
 }
 
 /// A detection engine: packets in, detections out.

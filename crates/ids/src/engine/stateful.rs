@@ -7,19 +7,19 @@
 //! per packet — real consoles rate-limit exactly this way, and without it
 //! the monitor stage would melt during floods.
 
+use crate::keyed::KeyedState;
 use idse_sim::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 /// A per-key event-rate counter over one-second tumbling buckets.
 #[derive(Debug, Clone)]
 pub struct RateCounter<K: Eq + Hash + Clone> {
-    buckets: HashMap<K, (u64, u32)>, // key -> (bucket epoch-second, count)
+    buckets: KeyedState<K, (u64, u32)>, // key -> (bucket epoch-second, count)
 }
 
 impl<K: Eq + Hash + Clone> Default for RateCounter<K> {
     fn default() -> Self {
-        Self { buckets: HashMap::new() }
+        Self { buckets: KeyedState::default() }
     }
 }
 
@@ -33,7 +33,7 @@ impl<K: Eq + Hash + Clone> RateCounter<K> {
     /// current one-second bucket (including this event).
     pub fn record(&mut self, now: SimTime, key: K) -> u32 {
         let second = now.as_nanos() / 1_000_000_000;
-        let entry = self.buckets.entry(key).or_insert((second, 0));
+        let entry = self.buckets.state_or_insert(key, || (second, 0));
         if entry.0 != second {
             *entry = (second, 0);
         }
@@ -43,7 +43,7 @@ impl<K: Eq + Hash + Clone> RateCounter<K> {
 
     /// Number of tracked keys (state accounting).
     pub fn keys(&self) -> usize {
-        self.buckets.len()
+        self.buckets.key_count()
     }
 }
 
@@ -51,12 +51,12 @@ impl<K: Eq + Hash + Clone> RateCounter<K> {
 /// (e.g. distinct destination ports per source — the port-scan signal).
 #[derive(Debug, Clone)]
 pub struct DistinctCounter<K: Eq + Hash + Clone, V: Eq + Hash> {
-    buckets: HashMap<K, (u64, HashSet<V>)>,
+    buckets: KeyedState<K, (u64, KeyedState<V, ()>)>,
 }
 
 impl<K: Eq + Hash + Clone, V: Eq + Hash> Default for DistinctCounter<K, V> {
     fn default() -> Self {
-        Self { buckets: HashMap::new() }
+        Self { buckets: KeyedState::default() }
     }
 }
 
@@ -70,45 +70,45 @@ impl<K: Eq + Hash + Clone, V: Eq + Hash> DistinctCounter<K, V> {
     /// within the current one-second bucket.
     pub fn record(&mut self, now: SimTime, key: K, value: V) -> u32 {
         let second = now.as_nanos() / 1_000_000_000;
-        let entry = self.buckets.entry(key).or_insert_with(|| (second, HashSet::new()));
+        let entry = self.buckets.state_or_insert(key, || (second, KeyedState::default()));
         if entry.0 != second {
             entry.0 = second;
-            entry.1.clear();
+            entry.1.clear_states();
         }
-        entry.1.insert(value);
-        entry.1.len() as u32
+        entry.1.set_state(value, ());
+        entry.1.key_count() as u32
     }
 
     /// Number of tracked keys.
     pub fn keys(&self) -> usize {
-        self.buckets.len()
+        self.buckets.key_count()
     }
 
     /// Approximate retained bytes (rough: 64 per key + 16 per value).
     pub fn approx_bytes(&self) -> usize {
-        self.buckets.values().map(|(_, set)| 64 + set.len() * 16).sum()
+        self.buckets.total_over_states(|(_, set)| 64 + set.key_count() * 16)
     }
 }
 
 /// Per-(detector, key) cooldown gate.
 #[derive(Debug, Clone)]
 pub struct Cooldown<K: Eq + Hash + Clone> {
-    last_fire: HashMap<K, SimTime>,
+    last_fire: KeyedState<K, SimTime>,
     period: SimDuration,
 }
 
 impl<K: Eq + Hash + Clone> Cooldown<K> {
     /// A gate that allows one firing per `period` per key.
     pub fn new(period: SimDuration) -> Self {
-        Self { last_fire: HashMap::new(), period }
+        Self { last_fire: KeyedState::default(), period }
     }
 
     /// Returns true (and arms the cooldown) if `key` may fire at `now`.
     pub fn try_fire(&mut self, now: SimTime, key: K) -> bool {
-        match self.last_fire.get(&key) {
+        match self.last_fire.state_of(&key) {
             Some(&t) if now.saturating_since(t) < self.period && now >= t => false,
             _ => {
-                self.last_fire.insert(key, now);
+                self.last_fire.set_state(key, now);
                 true
             }
         }
@@ -116,7 +116,7 @@ impl<K: Eq + Hash + Clone> Cooldown<K> {
 
     /// Number of tracked keys.
     pub fn keys(&self) -> usize {
-        self.last_fire.len()
+        self.last_fire.key_count()
     }
 }
 

@@ -37,6 +37,7 @@ pub mod cardinality;
 pub mod components;
 pub mod datapool;
 pub mod engine;
+pub mod keyed;
 pub mod pipeline;
 pub mod products;
 

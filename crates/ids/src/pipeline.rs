@@ -23,10 +23,11 @@ use crate::components::{
     BalanceStrategy, LoadBalancer, ManagementConsole, Monitor, ServeOutcome, ServiceStation,
     TapMode,
 };
-use crate::engine::anomaly::AnomalyEngine;
-use crate::engine::host_agent::{HostAgentConfig, HostAgentEngine};
+use crate::engine::anomaly::{AnomalyEngine, AnomalyTraining};
+use crate::engine::host_agent::{HostAgentConfig, HostAgentEngine, HostAgentTraining};
 use crate::engine::signature::SignatureEngine;
-use crate::engine::{Detection, DetectionEngine, Sensitivity};
+use crate::engine::{BenignObservation, Detection, DetectionEngine, Sensitivity};
+use crate::keyed::HostSet;
 use crate::products::IdsProduct;
 use idse_faults::{CompiledFaults, FaultComponent, FaultStats};
 use idse_net::trace::{GroundTruth, Trace, TraceRecord};
@@ -189,17 +190,29 @@ impl PipelineRunner {
     }
 
     /// Train the anomaly and host-agent baselines on the known-benign
-    /// `training` trace, now. The trace is not kept: deployments clone the
-    /// trained engines.
-    pub fn with_training(mut self, training: impl Borrow<Trace>) -> Self {
-        let training = training.borrow();
-        if let Some(engine) = self.trained.anomaly.as_mut() {
-            engine.train(training);
+    /// `training` trace, now: [`PipelineRunner::begin_runner_training`]
+    /// folded over its records. The trace is not kept: deployments clone
+    /// the trained engines.
+    pub fn with_training(self, training: impl Borrow<Trace>) -> Self {
+        let mut fold = self.begin_runner_training();
+        for rec in training.borrow().records() {
+            fold.learn_benign_observation(rec.at, &BenignObservation::of_packet(&rec.packet));
         }
-        if let Some(agent) = self.trained.agents.as_mut() {
-            agent.train(training);
+        fold.finish_runner_training()
+    }
+
+    /// Start training this runner's anomaly and host-agent baselines as a
+    /// fold: feed the returned pass each known-benign record's
+    /// [`BenignObservation`] in stream order, then finish it for the
+    /// trained runner. The records need never be held together.
+    pub fn begin_runner_training(self) -> RunnerTraining {
+        let Self { product, config, trained } = self;
+        RunnerTraining {
+            anomaly: trained.anomaly.map(AnomalyEngine::begin_anomaly_training),
+            agents: trained.agents.map(HostAgentEngine::begin_login_training),
+            product,
+            config,
         }
-        self
     }
 
     /// A runner with this one's trained engines under another `config`,
@@ -243,6 +256,38 @@ impl PipelineRunner {
         let mut sim = Simulation::new();
         sim.set_telemetry(self.config.telemetry.clone());
         PipelineSession { world, sim, next_index: 0 }
+    }
+}
+
+/// A training pass over a runner's engines. See
+/// [`PipelineRunner::begin_runner_training`].
+#[derive(Debug)]
+pub struct RunnerTraining {
+    product: IdsProduct,
+    config: RunConfig,
+    anomaly: Option<AnomalyTraining>,
+    agents: Option<HostAgentTraining>,
+}
+
+impl RunnerTraining {
+    /// Fold the next known-benign record, observed at `at`, into every
+    /// trainable engine.
+    pub fn learn_benign_observation(&mut self, at: SimTime, obs: &BenignObservation) {
+        if let Some(anomaly) = self.anomaly.as_mut() {
+            anomaly.learn_anomaly_baselines(at, obs);
+        }
+        if let Some(agents) = self.agents.as_mut() {
+            agents.learn_login_origin(obs);
+        }
+    }
+
+    /// Finish the pass: the runner with its trained engines.
+    pub fn finish_runner_training(self) -> PipelineRunner {
+        let trained = TrainedEngines {
+            anomaly: self.anomaly.map(AnomalyTraining::finish_anomaly_training),
+            agents: self.agents.map(HostAgentTraining::finish_login_training),
+        };
+        PipelineRunner { product: self.product, config: self.config, trained }
     }
 }
 
@@ -426,11 +471,11 @@ struct DeploymentWorld {
     /// of the product's monitoring scope (a host IDS's throughput is
     /// denominated in host data, per Table 2's System Throughput note).
     has_network_engines: bool,
-    monitored_set: std::collections::HashSet<Ipv4Addr>,
+    monitored_set: HostSet,
     // accounting (all incremental: the full trace is never held)
     offered: u64,
     monitored: u64,
-    attack_sources: std::collections::HashSet<Ipv4Addr>,
+    attack_sources: HostSet,
     alert_truths: Vec<Option<GroundTruth>>,
     pool_excluded: u64,
     induced_latency: DurationSummary,
@@ -511,8 +556,7 @@ impl DeploymentWorld {
 
         let has_network_engines =
             product.engines.signature.is_some() || product.engines.anomaly.is_some();
-        let monitored_set: std::collections::HashSet<Ipv4Addr> =
-            config.monitored_hosts.iter().copied().collect();
+        let monitored_set: HostSet = config.monitored_hosts.iter().copied().collect();
 
         Self {
             window: RecordWindow::default(),
@@ -534,7 +578,7 @@ impl DeploymentWorld {
             monitored_set,
             offered: 0,
             monitored: 0,
-            attack_sources: std::collections::HashSet::new(),
+            attack_sources: HostSet::default(),
             alert_truths: Vec::new(),
             pool_excluded: 0,
             induced_latency: DurationSummary::new(),
@@ -561,13 +605,13 @@ impl DeploymentWorld {
     /// collateral-damage attribution).
     fn admit(&mut self, idx: u32, record: TraceRecord) {
         let in_scope = self.has_network_engines
-            || self.monitored_set.contains(&record.packet.ip.dst)
-            || self.monitored_set.contains(&record.packet.ip.src);
+            || self.monitored_set.has_host(record.packet.ip.dst)
+            || self.monitored_set.has_host(record.packet.ip.src);
         if in_scope {
             self.offered += 1;
         }
         if record.truth.is_some() {
-            self.attack_sources.insert(record.packet.ip.src);
+            self.attack_sources.add_host(record.packet.ip.src);
         }
         self.window.insert(idx, record, in_scope);
     }
@@ -956,7 +1000,7 @@ impl DeploymentWorld {
             .console
             .blocked_sources()
             .iter()
-            .filter(|(src, _)| !self.attack_sources.contains(src))
+            .filter(|&&(src, _)| !self.attack_sources.has_host(src))
             .count();
 
         let alerts = self.monitor.take_alerts();
@@ -1765,6 +1809,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The streamed training fold learns exactly what training on the
+    /// collected trace learns, for each of the four products: batches
+    /// synthesized and observed on 1, 2 and 8 workers, merged in batch
+    /// order, folded one observation at a time.
+    #[test]
+    fn streamed_training_fold_equals_trace_training() {
+        use idse_traffic::{SessionMerge, SessionSynth};
+        let profile = SiteProfile::realtime_cluster();
+        let cfg = StreamConfig::new(GeneratorConfig::new(
+            profile.clone(),
+            30.0,
+            SimDuration::from_secs(12),
+            77,
+        ));
+        let trace = RecordStream::new(cfg.clone()).expect("rate in range").collect_trace();
+        let synth = SessionSynth::new(cfg).expect("rate in range");
+        let config = RunConfig {
+            monitored_hosts: (1..=8).map(|i| profile.servers.host(i)).collect(),
+            ..RunConfig::default()
+        };
+        let mut learned = Vec::new();
+        for id in ProductId::ALL {
+            let untrained = || PipelineRunner::new(IdsProduct::model(id), config.clone());
+            let want = untrained().with_training(&trace).trained;
+            for workers in [1usize, 2, 8] {
+                let mut fold = untrained().begin_runner_training();
+                idse_exec::Executor::new(workers).ordered_fan_out(
+                    synth.session_batches(9),
+                    |batch| {
+                        let run = synth.synthesize_batch(&batch)?;
+                        Some(run.map_packets(|packet| BenignObservation::of_packet(&packet)))
+                    },
+                    |runs| {
+                        for (at, obs) in SessionMerge::new(runs) {
+                            fold.learn_benign_observation(at, &obs);
+                        }
+                    },
+                );
+                let got = fold.finish_runner_training().trained;
+                let at = format!("{id:?} at {workers} workers");
+                match (&got.anomaly, &want.anomaly) {
+                    (Some(got), Some(want)) => {
+                        assert!(got.is_trained() && got.same_baselines(want), "{at}");
+                    }
+                    (got, want) => assert!(got.is_none() && want.is_none(), "{at}"),
+                }
+                match (&got.agents, &want.agents) {
+                    (Some(got), Some(want)) => {
+                        let origins = got.same_origins(want);
+                        assert!(origins.is_some(), "{at}");
+                        learned.extend(origins);
+                    }
+                    (got, want) => assert!(got.is_none() && want.is_none(), "{at}"),
+                }
+            }
+        }
+        assert!(learned.iter().all(|&n| n > 0), "host agents learned login origins: {learned:?}");
     }
 
     #[test]

@@ -28,6 +28,28 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// The skip-ahead substring check agrees with the plain window scan.
+    /// A three-letter alphabet makes partial and full matches common, and
+    /// haystacks up to 40 bytes cross the eight-byte word boundaries.
+    #[test]
+    fn contains_equals_window_scan(
+        haystack in prop::collection::vec(0u8..3, 0..40),
+        needle in prop::collection::vec(0u8..3, 0..6),
+        plant in any::<prop::sample::Index>(),
+        planted in any::<bool>(),
+    ) {
+        let mut haystack: Vec<u8> = haystack.iter().map(|b| b"abc"[*b as usize]).collect();
+        let needle: Vec<u8> = needle.iter().map(|b| b"abc"[*b as usize]).collect();
+        if planted && needle.len() <= haystack.len() {
+            let at = plant.index(haystack.len() - needle.len() + 1);
+            haystack[at..at + needle.len()].copy_from_slice(&needle);
+        }
+        let oracle = needle.is_empty()
+            || (needle.len() <= haystack.len()
+                && haystack.windows(needle.len()).any(|w| w == needle.as_slice()));
+        prop_assert_eq!(contains(&haystack, &needle), oracle);
+    }
+
     /// Every reported match end position actually ends an occurrence.
     #[test]
     fn aho_corasick_match_positions_are_real(

@@ -8,7 +8,7 @@
 //! `idse-attacks` is one of those, built on this module.
 
 use crate::packet::{Packet, Transport};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -87,7 +87,7 @@ pub fn fragment(packet: &Packet, frag_payload: usize) -> Vec<Packet> {
 }
 
 /// Key identifying fragments of one datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct FragKey {
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -98,8 +98,9 @@ struct FragKey {
 #[derive(Debug, Clone)]
 struct PartialDatagram {
     transport: Option<Transport>,
-    /// Sparse byte map: offset → byte, resolved per the overlap policy.
-    bytes: HashMap<usize, u8>,
+    /// Byte map: offset → byte, resolved per the overlap policy; `None`
+    /// where no fragment has written yet.
+    bytes: Vec<Option<u8>>,
     /// Total body length, known once the last fragment arrives.
     total_len: Option<usize>,
     header_len: usize,
@@ -109,14 +110,16 @@ struct PartialDatagram {
 #[derive(Debug, Clone)]
 pub struct Reassembler {
     policy: OverlapPolicy,
-    partial: HashMap<FragKey, PartialDatagram>,
+    // Ordered, though only looked up by key: the reassembler's state
+    // carries no hash order.
+    partial: BTreeMap<FragKey, PartialDatagram>,
     completed: u64,
 }
 
 impl Reassembler {
     /// Create a reassembler using the given overlap policy.
     pub fn new(policy: OverlapPolicy) -> Self {
-        Self { policy, partial: HashMap::new(), completed: 0 }
+        Self { policy, partial: BTreeMap::new(), completed: 0 }
     }
 
     /// The configured policy.
@@ -140,7 +143,7 @@ impl Reassembler {
         let header_len = packet.transport.header_len();
         let entry = self.partial.entry(key).or_insert_with(|| PartialDatagram {
             transport: None,
-            bytes: HashMap::new(),
+            bytes: Vec::new(),
             total_len: None,
             header_len,
         });
@@ -172,9 +175,9 @@ impl Reassembler {
         let body_len = total - entry.header_len;
         let mut payload = vec![0u8; body_len];
         for (i, slot) in payload.iter_mut().enumerate() {
-            match entry.bytes.get(&(entry.header_len + i)) {
-                Some(&b) => *slot = b,
-                None => return None, // hole remains
+            match entry.bytes.get(entry.header_len + i) {
+                Some(&Some(b)) => *slot = b,
+                _ => return None, // hole remains
             }
         }
         self.partial.remove(&key);
@@ -197,14 +200,16 @@ impl Reassembler {
     }
 }
 
-fn insert_byte(map: &mut HashMap<usize, u8>, idx: usize, b: u8, policy: OverlapPolicy) {
+fn insert_byte(map: &mut Vec<Option<u8>>, idx: usize, b: u8, policy: OverlapPolicy) {
+    if map.len() <= idx {
+        map.resize(idx + 1, None);
+    }
+    let slot = &mut map[idx];
     match policy {
         OverlapPolicy::FirstWins => {
-            map.entry(idx).or_insert(b);
+            slot.get_or_insert(b);
         }
-        OverlapPolicy::LastWins => {
-            map.insert(idx, b);
-        }
+        OverlapPolicy::LastWins => *slot = Some(b),
     }
 }
 

@@ -34,6 +34,6 @@ pub mod stream;
 
 pub use profiles::{AppProtocol, SiteProfile};
 pub use stream::{
-    flow_shard, GeneratorConfig, PayloadMode, RecordStream, StreamConfig, StreamError,
-    DEFAULT_CHUNK_RECORDS, MAX_SESSION_RATE,
+    flow_shard, GeneratorConfig, PayloadMode, RecordStream, Session, SessionBatch, SessionMerge,
+    SessionSynth, StreamConfig, StreamError, DEFAULT_CHUNK_RECORDS, MAX_SESSION_RATE,
 };

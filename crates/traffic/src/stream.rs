@@ -8,11 +8,23 @@
 //! handshake/data/teardown, a UDP query/response pair, a telemetry burst —
 //! whose packets are spread over the following milliseconds.
 //!
-//! A [`RecordStream`] yields those records as a lazy iterator of chunks
-//! whose memory footprint is O(sessions in flight), independent of the
-//! total run length, so the Figure-1 pipeline can consume chunks as they
-//! are produced and never hold the full trace. Consumers that want a whole
-//! trace call [`RecordStream::collect_trace`].
+//! Generation has two halves:
+//!
+//! * [`SessionSynth`] is pure synthesis: slice `i`'s arrivals, and session
+//!   `(i, j)` → packets, with the shard filter applied. It can run on any
+//!   thread, in batches of consecutive sessions
+//!   ([`SessionSynth::session_batches`]), each merged into one run.
+//! * [`SessionMerge`] is the one heap merge that puts sessions' packets in
+//!   stream order. It merges a stream's sessions, a batch's sessions into
+//!   its run, and consecutive runs into the stream ([`SessionMerge`]),
+//!   always to the same records.
+//!
+//! A [`RecordStream`] is the merge over the stream's sessions, each
+//! synthesized when the merge reaches it, yielding the records as a lazy
+//! iterator of chunks whose memory footprint is O(sessions in flight),
+//! independent of the total run length, so the Figure-1 pipeline can
+//! consume chunks as they are produced and never hold the full trace.
+//! Consumers that want a whole trace call [`RecordStream::collect_trace`].
 //!
 //! # Determinism contract
 //!
@@ -48,6 +60,7 @@ use idse_sim::{RngStream, SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Width of one generation slice of virtual time. Internal constant: it is
 /// part of the stream's byte-level definition and never varies with the
@@ -172,187 +185,90 @@ pub fn flow_shard(a: Ipv4Addr, b: Ipv4Addr, shards: u32) -> u32 {
     (h % u64::from(shards.max(1))) as u32
 }
 
-/// One admitted session's remaining packets, ordered by next-packet time
-/// with the global admission sequence breaking ties — exactly the order a
-/// stable sort of the fully materialized trace would produce.
-struct InFlight {
-    seq: u64,
-    // An owning iterator rather than Vec + cursor: emission *moves* each
-    // packet out (no per-record clone on the streaming hot path), and the
-    // heap invariant only ever holds non-empty sessions.
-    packets: std::vec::IntoIter<(SimTime, Packet)>,
+/// One generated session: its arrival instant and its packets, in time
+/// order from that instant. A consumer that needs less than the packets
+/// can [`Session::map_packets`] them before the merge.
+#[derive(Debug, Clone)]
+pub struct Session<P = Packet> {
+    /// The session's arrival instant; no packet of it is earlier.
+    pub start: SimTime,
+    /// The session's packets, times non-decreasing.
+    pub packets: Vec<(SimTime, P)>,
 }
 
-impl InFlight {
-    fn head_at(&self) -> SimTime {
-        self.packets.as_slice()[0].0
-    }
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other.head_at().cmp(&self.head_at()).then_with(|| other.seq.cmp(&self.seq))
+impl<P> Session<P> {
+    /// The session with each packet replaced by `f(packet)`, times kept.
+    pub fn map_packets<Q>(self, mut f: impl FnMut(P) -> Q) -> Session<Q> {
+        let packets = self.packets.into_iter().map(|(at, packet)| (at, f(packet))).collect();
+        Session { start: self.start, packets }
     }
 }
 
-/// A lazy, chunked, deterministic benign-traffic stream.
-///
-/// Iterating yields `Vec<TraceRecord>` chunks in global time order (ties
-/// broken by generation sequence, matching a stable sort). See the module
-/// docs for the determinism contract.
-#[derive(Debug)]
-pub struct RecordStream {
+/// One 1-second generation slice: its index, the RNG its sessions derive
+/// their child streams from, and its sorted arrival instants.
+#[derive(Debug, Clone)]
+struct Slice {
+    index: u64,
+    rng: RngStream,
+    arrivals: Vec<SimTime>,
+}
+
+/// The pure half of a stream: which sessions arrive when, and what packets
+/// each one carries. Session `j` of slice `i` is a function of `(config, i,
+/// j)` alone, so sessions can be synthesized in any order, on any thread;
+/// [`SessionMerge`] is the other half, which puts their packets in stream
+/// order.
+#[derive(Debug, Clone)]
+pub struct SessionSynth {
     config: StreamConfig,
     protos: Vec<AppProtocol>,
     weights: Vec<f64>,
-    /// Current slice index and its sorted arrival instants.
-    slice: u64,
     n_slices: u64,
-    slice_rng: RngStream,
-    arrivals: Vec<SimTime>,
-    next_arrival: usize,
-    /// Sessions admitted but not fully emitted.
-    in_flight: BinaryHeap<InFlight>,
-    session_seq: u64,
-    emitted: u64,
 }
 
-impl std::fmt::Debug for InFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InFlight")
-            .field("seq", &self.seq)
-            .field("remaining", &self.packets.len())
-            .finish()
-    }
-}
-
-impl RecordStream {
-    /// Build the stream for `config`. Fails for a session rate outside
+impl SessionSynth {
+    /// The synthesizer for `config`. Fails for a session rate outside
     /// `0..=MAX_SESSION_RATE`.
     pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
         let rate = config.generator.session_rate;
         if !(0.0..=MAX_SESSION_RATE).contains(&rate) {
             return Err(StreamError::RateOutOfRange(rate));
         }
-        let span = config.generator.span.as_nanos();
-        let n_slices = span.div_ceil(SLICE_NANOS);
+        let n_slices = config.generator.span.as_nanos().div_ceil(SLICE_NANOS);
         let (protos, weights) = config.generator.profile.mix_weights();
-        let mut stream = Self {
-            slice_rng: RngStream::derive(config.generator.seed, "chunk/0"),
-            config,
-            protos,
-            weights,
-            slice: 0,
-            n_slices,
-            arrivals: Vec::new(),
-            next_arrival: 0,
-            in_flight: BinaryHeap::new(),
-            session_seq: 0,
-            emitted: 0,
-        };
-        if n_slices > 0 {
-            stream.load_slice(0);
-        }
-        Ok(stream)
+        Ok(Self { config, protos, weights, n_slices })
     }
 
-    /// Records emitted so far (across all chunks).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// The stream's configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
-    /// Drain the stream into a fully materialized trace. This is the only
-    /// sanctioned materialized path: it is by construction a `collect()` of
-    /// the stream, so it costs O(total records) memory.
-    pub fn collect_trace(self) -> Trace {
-        let mut trace = Trace::new();
-        for chunk in self {
-            for rec in chunk {
-                trace.push(rec);
-            }
-        }
-        trace.finish();
-        trace
-    }
-
-    /// The straightforward O(total-records) implementation of the same byte
-    /// sequence: admit every session up front in generation order, then
-    /// stable-sort all packets by time. This is the oracle the streaming
-    /// merge is proven against (see the crate's property tests);
-    /// experiments should iterate or [`Self::collect_trace`] instead.
-    pub fn materialize(config: &StreamConfig) -> Result<Trace, StreamError> {
-        let mut stream = RecordStream::new(config.clone())?;
-        loop {
-            if stream.next_arrival < stream.arrivals.len() {
-                stream.admit_next();
-            } else if stream.slice + 1 < stream.n_slices {
-                let next = stream.slice + 1;
-                stream.load_slice(next);
-            } else {
-                break;
-            }
-        }
-        let mut sessions: Vec<InFlight> = stream.in_flight.into_vec();
-        sessions.sort_by_key(|s| s.seq);
-        let mut trace = Trace::new();
-        for s in sessions {
-            for (at, packet) in s.packets {
-                trace.push(TraceRecord { at, packet, truth: None });
-            }
-        }
-        trace.finish();
-        Ok(trace)
-    }
-
-    /// Load slice `i`: derive its RNG and draw its sorted arrival instants.
-    fn load_slice(&mut self, i: u64) {
-        self.slice = i;
-        self.slice_rng = RngStream::derive(self.config.generator.seed, &format!("chunk/{i}"));
-        self.next_arrival = 0;
-        self.arrivals.clear();
+    /// Slice `i`: derive its RNG and draw its sorted arrival instants.
+    fn slice(&self, i: u64) -> Slice {
+        let mut rng = RngStream::derive(self.config.generator.seed, &format!("chunk/{i}"));
+        let mut arrivals = Vec::new();
         let slice_start = i * SLICE_NANOS;
         let span = self.config.generator.span.as_nanos();
         let slice_end = ((i + 1) * SLICE_NANOS).min(span);
-        let width_secs = (slice_end - slice_start) as f64 / 1e9;
+        let width_secs = slice_end.saturating_sub(slice_start) as f64 / 1e9;
         let rate = self.config.generator.session_rate;
         if rate > 0.0 && width_secs > 0.0 {
-            let k = poisson(&mut self.slice_rng, rate * width_secs);
-            self.arrivals.reserve(k as usize);
+            let k = poisson(&mut rng, rate * width_secs);
+            arrivals.reserve(k as usize);
             for _ in 0..k {
-                let offset = (self.slice_rng.unit() * width_secs * 1e9) as u64;
-                self.arrivals.push(SimTime::from_nanos(slice_start + offset.min(SLICE_NANOS - 1)));
+                let offset = (rng.unit() * width_secs * 1e9) as u64;
+                arrivals.push(SimTime::from_nanos(slice_start + offset.min(SLICE_NANOS - 1)));
             }
             // Stable by draw order: equal instants keep their draw
             // sequence, which is what the session child labels key on.
-            self.arrivals.sort();
+            arrivals.sort();
         }
+        Slice { index: i, rng, arrivals }
     }
 
-    /// Admit the next arrival of the current slice: derive the session's
-    /// isolated stream, test shard membership on the address draws alone,
-    /// and synthesize its packets only if it belongs to this stream.
-    fn admit_next(&mut self) {
-        let start = self.arrivals[self.next_arrival];
-        let j = self.next_arrival;
-        self.next_arrival += 1;
-        let mut srng = self.slice_rng.child(&format!("sess-{j}"));
+    /// Session `j` of `slice`: derive its isolated stream, test shard
+    /// membership on the address draws alone, and synthesize its packets
+    /// only if it belongs to this stream. `None` for another shard's
+    /// session (no payload draws burned) and for a session without packets.
+    fn session_at(&self, slice: &Slice, j: usize) -> Option<Session> {
+        let start = slice.arrivals[j];
+        let mut srng = slice.rng.child(&format!("sess-{j}"));
         let profile = &self.config.generator.profile;
         let client = {
             let n = srng.uniform_u64(1, profile.client_hosts.max(2) as u64) as u32;
@@ -370,59 +286,293 @@ impl RecordStream {
         if self.config.shards > 1
             && flow_shard(client, server, self.config.shards) != self.config.shard
         {
-            return; // another worker's session; no payload draws burned
+            return None;
         }
         let proto = self.protos[srng.pick_weighted(&self.weights)];
-        let session_id = (self.slice as u32).wrapping_mul(65_537).wrapping_add(j as u32);
+        let session_id = (slice.index as u32).wrapping_mul(65_537).wrapping_add(j as u32);
         let packets =
             synthesize(&self.config.generator, start, proto, client, server, session_id, &mut srng);
-        if !packets.is_empty() {
-            self.in_flight.push(InFlight { seq: self.session_seq, packets: packets.into_iter() });
-        }
-        self.session_seq += 1;
+        (!packets.is_empty()).then_some(Session { start, packets })
     }
 
-    /// The earliest instant any not-yet-admitted session could start: the
-    /// next arrival of the current slice, or the start of the next slice.
-    /// `None` once every slice is exhausted.
-    fn frontier(&self) -> Option<SimTime> {
-        if self.next_arrival < self.arrivals.len() {
-            Some(self.arrivals[self.next_arrival])
-        } else if self.slice + 1 < self.n_slices {
-            Some(SimTime::from_nanos((self.slice + 1) * SLICE_NANOS))
-        } else {
-            None
+    /// The stream's sessions as consecutive batches of at most
+    /// `batch_sessions` arrivals (at least 1), in stream order. A batch
+    /// never spans two slices; slice `i`'s arrivals are drawn when the
+    /// iterator reaches it.
+    pub fn session_batches(&self, batch_sessions: usize) -> SessionBatches<'_> {
+        SessionBatches {
+            synth: self,
+            size: batch_sessions.max(1),
+            cursor: ArrivalCursor::default(),
         }
     }
 
-    /// Produce the next record in global time order, if any.
-    fn next_record(&mut self) -> Option<TraceRecord> {
+    /// Synthesize `batch` as one run: its sessions of this stream merged
+    /// into time order, starting at its first session's start. `None` if
+    /// none of its sessions has packets in this stream. Runs of
+    /// consecutive batches merge into the stream ([`SessionMerge`]) just
+    /// as sessions do, so one thread can merge what many synthesized while
+    /// holding only a few runs.
+    pub fn synthesize_batch(&self, batch: &SessionBatch) -> Option<Session> {
+        let sessions: Vec<Session> =
+            batch.sessions.clone().filter_map(|j| self.session_at(&batch.slice, j)).collect();
+        let start = sessions.first()?.start;
+        let packets = SessionMerge::new(sessions.into_iter().map(Some)).collect();
+        Some(Session { start, packets })
+    }
+}
+
+/// A position among a stream's arrivals: the current slice, drawn when
+/// reached, and the next arrival in it.
+#[derive(Debug, Default)]
+struct ArrivalCursor {
+    slice: Option<Arc<Slice>>,
+    next: usize,
+    next_slice: u64,
+}
+
+impl ArrivalCursor {
+    /// The next arrival's slice and index, drawing later slices as needed;
+    /// `None` once every slice is spent. Does not advance.
+    fn upcoming_arrival(&mut self, synth: &SessionSynth) -> Option<(&Arc<Slice>, usize)> {
+        while self.slice.as_ref().is_none_or(|slice| self.next == slice.arrivals.len()) {
+            if self.next_slice == synth.n_slices {
+                return None;
+            }
+            self.slice = Some(Arc::new(synth.slice(self.next_slice)));
+            self.next_slice += 1;
+            self.next = 0;
+        }
+        Some((self.slice.as_ref()?, self.next))
+    }
+}
+
+/// Consecutive arrivals `sessions` of one slice: the unit of parallel
+/// synthesis ([`SessionSynth::synthesize_batch`]).
+#[derive(Debug, Clone)]
+pub struct SessionBatch {
+    slice: Arc<Slice>,
+    sessions: std::ops::Range<usize>,
+}
+
+/// The iterator of [`SessionSynth::session_batches`].
+#[derive(Debug)]
+pub struct SessionBatches<'a> {
+    synth: &'a SessionSynth,
+    size: usize,
+    cursor: ArrivalCursor,
+}
+
+impl Iterator for SessionBatches<'_> {
+    type Item = SessionBatch;
+
+    fn next(&mut self) -> Option<SessionBatch> {
+        let (slice, first) = self.cursor.upcoming_arrival(self.synth)?;
+        let end = (first + self.size).min(slice.arrivals.len());
+        let batch = SessionBatch { slice: Arc::clone(slice), sessions: first..end };
+        self.cursor.next = end;
+        Some(batch)
+    }
+}
+
+/// Every session of a stream in order, each synthesized when taken.
+#[derive(Debug)]
+struct SliceSessions {
+    synth: SessionSynth,
+    cursor: ArrivalCursor,
+}
+
+impl Iterator for SliceSessions {
+    type Item = Option<Session>;
+
+    fn next(&mut self) -> Option<Option<Session>> {
+        let (slice, j) = self.cursor.upcoming_arrival(&self.synth)?;
+        let session = self.synth.session_at(slice, j);
+        self.cursor.next += 1;
+        Some(session)
+    }
+}
+
+/// One admitted session's remaining packets, ordered by next-packet time
+/// with the admission sequence breaking ties — exactly the order a stable
+/// sort of the fully materialized trace would produce.
+struct InFlight<P> {
+    seq: u64,
+    // An owning iterator rather than Vec + cursor: emission *moves* each
+    // packet out (no per-record clone on the streaming hot path), and the
+    // heap invariant only ever holds non-empty sessions.
+    packets: std::vec::IntoIter<(SimTime, P)>,
+}
+
+impl<P> InFlight<P> {
+    fn head_at(&self) -> SimTime {
+        self.packets.as_slice()[0].0
+    }
+}
+
+impl<P> PartialEq for InFlight<P> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<P> Eq for InFlight<P> {}
+impl<P> PartialOrd for InFlight<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<P> Ord for InFlight<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
+        other.head_at().cmp(&self.head_at()).then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<P> std::fmt::Debug for InFlight<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InFlight")
+            .field("seq", &self.seq)
+            .field("remaining", &self.packets.len())
+            .finish()
+    }
+}
+
+/// The one heap merge: sessions in, in stream order, and `(time, packet)`
+/// records out in global time order (ties broken by admission order,
+/// matching a stable sort). A `None` session stands for one without
+/// packets. Over the runs of consecutive batches
+/// ([`SessionSynth::synthesize_batch`], made on any threads) taken in
+/// batch order, it yields the records [`RecordStream`] yields, with each
+/// packet as the runs carry it.
+///
+/// Before it admits a session starting at `s`, the merge emits every
+/// in-flight packet at or before `s`: every later session starts at `s` or
+/// after, and at equal instants the earlier-admitted session sorts first.
+/// So it holds only the sessions in flight and the next one, and the
+/// records are the same whichever thread made the sessions.
+pub struct SessionMerge<I, P> {
+    sessions: I,
+    upcoming: Option<Session<P>>,
+    in_flight: BinaryHeap<InFlight<P>>,
+    admitted: u64,
+}
+
+impl<P, I: Iterator<Item = Option<Session<P>>>> SessionMerge<I, P> {
+    /// The merge over `sessions`, which must come in stream order.
+    pub fn new(sessions: I) -> Self {
+        Self { sessions, upcoming: None, in_flight: BinaryHeap::new(), admitted: 0 }
+    }
+
+    /// The start of the next session to admit, taking it from the input.
+    fn upcoming_start(&mut self) -> Option<SimTime> {
         loop {
-            let frontier = self.frontier();
+            if let Some(session) = &self.upcoming {
+                return Some(session.start);
+            }
+            self.upcoming = self.sessions.next()?;
+        }
+    }
+}
+
+impl<I: std::fmt::Debug, P> std::fmt::Debug for SessionMerge<I, P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionMerge")
+            .field("sessions", &self.sessions)
+            .field("in_flight", &self.in_flight.len())
+            .field("admitted", &self.admitted)
+            .finish()
+    }
+}
+
+impl<P, I: Iterator<Item = Option<Session<P>>>> Iterator for SessionMerge<I, P> {
+    type Item = (SimTime, P);
+
+    /// The next record in global time order, if any.
+    fn next(&mut self) -> Option<(SimTime, P)> {
+        loop {
+            let frontier = self.upcoming_start();
             if let Some(top) = self.in_flight.peek() {
-                // Safe to emit: every future session starts at or after the
-                // frontier, and at equal instants the admitted session (lower
-                // generation sequence) sorts first anyway.
-                if frontier.is_none_or(|f| top.head_at() <= f) {
+                if frontier.is_none_or(|s| top.head_at() <= s) {
                     let mut top = self.in_flight.pop()?;
-                    let (at, packet) =
-                        top.packets.next().expect("in-flight sessions are non-empty");
+                    let record = top.packets.next().expect("in-flight sessions are non-empty");
                     if !top.packets.as_slice().is_empty() {
                         self.in_flight.push(top);
                     }
-                    self.emitted += 1;
-                    return Some(TraceRecord { at, packet, truth: None });
+                    return Some(record);
                 }
             }
-            if self.next_arrival < self.arrivals.len() {
-                self.admit_next();
-            } else if self.slice + 1 < self.n_slices {
-                let next = self.slice + 1;
-                self.load_slice(next);
-            } else {
-                return None;
+            let session = self.upcoming.take()?;
+            let packets = session.packets.into_iter();
+            self.in_flight.push(InFlight { seq: self.admitted, packets });
+            self.admitted += 1;
+        }
+    }
+}
+
+/// A lazy, chunked, deterministic benign-traffic stream: the one merge
+/// over the stream's sessions, each synthesized when the merge reaches it.
+///
+/// Iterating yields `Vec<TraceRecord>` chunks in global time order (ties
+/// broken by generation sequence, matching a stable sort). See the module
+/// docs for the determinism contract.
+#[derive(Debug)]
+pub struct RecordStream {
+    records: SessionMerge<SliceSessions, Packet>,
+    chunk_records: usize,
+    emitted: u64,
+}
+
+impl RecordStream {
+    /// Build the stream for `config`. Fails for a session rate outside
+    /// `0..=MAX_SESSION_RATE`.
+    pub fn new(config: StreamConfig) -> Result<Self, StreamError> {
+        let chunk_records = config.chunk_records;
+        let synth = SessionSynth::new(config)?;
+        let sessions = SliceSessions { synth, cursor: ArrivalCursor::default() };
+        Ok(Self { records: SessionMerge::new(sessions), chunk_records, emitted: 0 })
+    }
+
+    /// Records emitted so far (across all chunks).
+    pub fn emitted(&self) -> u64 {
+        self.emitted
+    }
+
+    /// The stream's configuration.
+    pub fn config(&self) -> &StreamConfig {
+        &self.records.sessions.synth.config
+    }
+
+    /// Drain the stream into a fully materialized trace. This is the only
+    /// sanctioned materialized path: it is by construction a `collect()` of
+    /// the stream, so it costs O(total records) memory.
+    pub fn collect_trace(self) -> Trace {
+        let mut trace = Trace::new();
+        for (at, packet) in self.records {
+            trace.push(TraceRecord { at, packet, truth: None });
+        }
+        trace.finish();
+        trace
+    }
+
+    /// The straightforward O(total-records) implementation of the same byte
+    /// sequence: synthesize every session in generation order, then
+    /// stable-sort all packets by time. This is the oracle the streaming
+    /// merge is proven against (see the crate's property tests);
+    /// experiments should iterate or [`Self::collect_trace`] instead.
+    pub fn materialize(config: &StreamConfig) -> Result<Trace, StreamError> {
+        let synth = SessionSynth::new(config.clone())?;
+        let mut trace = Trace::new();
+        for i in 0..synth.n_slices {
+            let slice = synth.slice(i);
+            for j in 0..slice.arrivals.len() {
+                for (at, packet) in synth.session_at(&slice, j).into_iter().flat_map(|s| s.packets)
+                {
+                    trace.push(TraceRecord { at, packet, truth: None });
+                }
             }
         }
+        trace.finish();
+        Ok(trace)
     }
 }
 
@@ -430,13 +580,15 @@ impl Iterator for RecordStream {
     type Item = Vec<TraceRecord>;
 
     fn next(&mut self) -> Option<Vec<TraceRecord>> {
-        let mut chunk = Vec::with_capacity(self.config.chunk_records);
-        while chunk.len() < self.config.chunk_records {
-            match self.next_record() {
-                Some(rec) => chunk.push(rec),
-                None => break,
-            }
-        }
+        let mut chunk = Vec::with_capacity(self.chunk_records);
+        chunk.extend(
+            self.records.by_ref().take(self.chunk_records).map(|(at, packet)| TraceRecord {
+                at,
+                packet,
+                truth: None,
+            }),
+        );
+        self.emitted += chunk.len() as u64;
         if chunk.is_empty() {
             None
         } else {
@@ -740,12 +892,8 @@ mod tests {
 
     #[test]
     fn poisson_rate_is_honoured() {
-        let mut stream = RecordStream::new(config(11, 50, 100.0)).unwrap();
-        let mut sessions = stream.arrivals.len();
-        for i in 1..stream.n_slices {
-            stream.load_slice(i);
-            sessions += stream.arrivals.len();
-        }
+        let synth = SessionSynth::new(config(11, 50, 100.0)).unwrap();
+        let sessions: usize = (0..synth.n_slices).map(|i| synth.slice(i).arrivals.len()).sum();
         let rate = sessions as f64 / 50.0;
         assert!((rate - 100.0).abs() < 5.0, "rate {rate}");
     }
@@ -755,17 +903,30 @@ mod tests {
         // A span that ends mid-slice: the last slice must stop at the span.
         let mut cfg = config(8, 0, 50.0);
         cfg.generator.span = SimDuration::from_millis(5_500);
-        let mut stream = RecordStream::new(cfg).unwrap();
-        assert_eq!(stream.n_slices, 6);
-        for i in 0..stream.n_slices {
-            stream.load_slice(i);
+        let synth = SessionSynth::new(cfg).unwrap();
+        assert_eq!(synth.n_slices, 6);
+        for i in 0..synth.n_slices {
+            let slice = synth.slice(i);
             let start = SimTime::from_nanos(i * SLICE_NANOS);
             let end = SimTime::from_nanos(((i + 1) * SLICE_NANOS).min(5_500_000_000));
-            let arr = &stream.arrivals;
+            let arr = &slice.arrivals;
             assert!(!arr.is_empty());
             assert!(arr.windows(2).all(|w| w[0] <= w[1]));
             assert!(arr.iter().all(|&t| t >= start && t < end), "slice {i}");
         }
+    }
+
+    #[test]
+    fn batches_cover_every_arrival_once_in_order() {
+        let synth = SessionSynth::new(config(4, 5, 40.0)).unwrap();
+        let mut seen = Vec::new();
+        for batch in synth.session_batches(7) {
+            assert!(batch.sessions.len() <= 7 && !batch.sessions.is_empty());
+            seen.extend(batch.sessions.clone().map(|j| batch.slice.arrivals[j]));
+        }
+        let want: Vec<SimTime> =
+            (0..synth.n_slices).flat_map(|i| synth.slice(i).arrivals).collect();
+        assert_eq!(seen, want);
     }
 
     #[test]
@@ -797,7 +958,7 @@ mod tests {
         let mut total = 0usize;
         while let Some(chunk) = stream.next() {
             total += chunk.len();
-            max_in_flight = max_in_flight.max(stream.in_flight.len());
+            max_in_flight = max_in_flight.max(stream.records.in_flight.len());
         }
         assert!(total > 5_000, "got {total}");
         assert!(

@@ -1,10 +1,12 @@
 //! Property-based tests for the traffic generator: determinism, content
 //! realism, and structural invariants over arbitrary seeds and rates.
 
+use idse_exec::Executor;
 use idse_net::trace::Trace;
 use idse_sim::{RngStream, SimDuration, SimTime};
 use idse_traffic::{
-    flow_shard, GeneratorConfig, PayloadMode, RecordStream, SiteProfile, StreamConfig,
+    flow_shard, GeneratorConfig, PayloadMode, RecordStream, SessionMerge, SessionSynth,
+    SiteProfile, StreamConfig,
 };
 use proptest::prelude::*;
 
@@ -84,6 +86,47 @@ proptest! {
                 prop_assert_eq!(&x.packet, &y.packet);
                 prop_assert_eq!(&x.truth, &y.truth);
             }
+        }
+    }
+
+    /// The batch-parallel stream equals the materialized oracle: batches of
+    /// any size, synthesized on 1, 2 or 8 workers and merged in batch
+    /// order, give the oracle's records, for any rate, span and shard; and
+    /// the serial stream gives them at any chunk size.
+    #[test]
+    fn parallel_batches_match_materialized(
+        seed in any::<u64>(),
+        rate in 0.0f64..60.0,
+        span_ms in 0u64..4_500,
+        shards in 1u32..4,
+        shard in 0u32..4,
+        chunk in 1usize..300,
+        batch in 1usize..40,
+    ) {
+        let cfg = StreamConfig::new(GeneratorConfig::new(
+            SiteProfile::realtime_cluster(),
+            rate,
+            SimDuration::from_millis(span_ms),
+            seed,
+        ))
+        .with_shard(shard, shards)
+        .with_chunk_records(chunk);
+        let oracle = RecordStream::materialize(&cfg).unwrap();
+        let want: Vec<_> = oracle.records().iter().map(|r| (r.at, r.packet.clone())).collect();
+        let serial: Vec<_> = RecordStream::new(cfg.clone())
+            .unwrap()
+            .flatten()
+            .map(|r| (r.at, r.packet))
+            .collect();
+        prop_assert!(serial == want, "the chunked serial stream differs");
+        let synth = SessionSynth::new(cfg).unwrap();
+        for workers in [1usize, 2, 8] {
+            let got: Vec<_> = Executor::new(workers).ordered_fan_out(
+                synth.session_batches(batch),
+                |b| synth.synthesize_batch(&b),
+                |runs| SessionMerge::new(runs).collect(),
+            );
+            prop_assert!(got == want, "{} workers, batches of {}", workers, batch);
         }
     }
 
