@@ -10,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use idse_ids::aho::{contains, AhoCorasick};
 use idse_ids::engine::anomaly::{AnomalyConfig, AnomalyEngine};
 use idse_ids::engine::signature::{standard_rule_db, SignatureConfig, SignatureEngine};
-use idse_ids::engine::{DetectionEngine, Sensitivity};
+use idse_ids::engine::{BenignObservation, DetectionEngine, Sensitivity};
+use idse_net::Trace;
 use idse_sim::{RngStream, SimDuration};
 use idse_traffic::{GeneratorConfig, RecordStream, SiteProfile, StreamConfig};
 
@@ -94,8 +95,7 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("anomaly", trace.len()), |b| {
         b.iter_with_setup(
             || {
-                let mut e = AnomalyEngine::new(AnomalyConfig::default());
-                e.train(&trace);
+                let mut e = trained_anomaly(&trace);
                 e.set_sensitivity(Sensitivity::new(0.8));
                 e
             },
@@ -111,6 +111,15 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
+/// An anomaly engine trained on `trace`, one record at a time.
+fn trained_anomaly(trace: &Trace) -> AnomalyEngine {
+    let mut training = AnomalyEngine::new(AnomalyConfig::default()).begin_anomaly_training();
+    for rec in trace.records() {
+        training.learn_anomaly_baselines(rec.at, &BenignObservation::of_packet(&rec.packet));
+    }
+    training.finish_anomaly_training()
+}
+
 fn bench_training(c: &mut Criterion) {
     let trace = RecordStream::new(StreamConfig::new(GeneratorConfig::new(
         SiteProfile::realtime_cluster(),
@@ -122,13 +131,7 @@ fn bench_training(c: &mut Criterion) {
     .collect_trace();
     let mut group = c.benchmark_group("anomaly_training");
     group.throughput(Throughput::Elements(trace.len() as u64));
-    group.bench_function("train", |b| {
-        b.iter(|| {
-            let mut e = AnomalyEngine::new(AnomalyConfig::default());
-            e.train(&trace);
-            e.is_trained()
-        })
-    });
+    group.bench_function("train", |b| b.iter(|| trained_anomaly(&trace).is_trained()));
     group.finish();
 }
 

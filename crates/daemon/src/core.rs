@@ -10,8 +10,8 @@
 //! The queue is bounded by a [`SlotPool`]: each accepted job holds a
 //! [`SlotGuard`] from submit until it reaches a terminal state, so
 //! capacity counts queued *and* running work and is released
-//! deterministically by RAII — including when a job panics (the executor
-//! unwinds through `catch_unwind`) or is cancelled.
+//! deterministically by RAII — including when a job is cancelled, or
+//! panics (unwinding drops the guard).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -357,9 +357,9 @@ impl DaemonCore {
             return error_line(&format!("job {id} is already {}", job.state.name()));
         }
         if let Some(n) = after_chunks {
-            // Arm the fuse and leave the job queued/running: it will
-            // observe cancellation at its n-th chunk boundary, which is
-            // the only way to cancel "mid-flight" reproducibly.
+            // Arm the rank and leave the job queued/running: it will
+            // stop before its checkpoint of canonical rank n, which is the
+            // only way to cancel "mid-flight" reproducibly.
             job.cancel.arm_after_checkpoints(n);
             return line(&serde_json::json!({
                 "ok": true,

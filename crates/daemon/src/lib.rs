@@ -13,11 +13,12 @@
 //! * Admission is a bounded [`idse_exec::SlotPool`]: a full queue rejects
 //!   the submit with a reason (backpressure is explicit, never a silent
 //!   wait), and a finished, cancelled, or panicked job releases its slot
-//!   deterministically through the RAII guard.
+//!   deterministically through the RAII guard, which unwinding drops.
 //! * Cancellation is the cooperative [`idse_exec::CancelToken`], observed
 //!   at the chunk boundaries of the streaming path and the job starts of
-//!   the batch path; the checkpoint fuse stops a stream job at the same
-//!   chunks at any worker count.
+//!   the batch path; each checkpoint has a canonical rank, so an armed
+//!   `after_chunks` stops a stream or batch job at the same checkpoints at
+//!   any worker count.
 //! * A job's telemetry is folded as it arrives into per-stage aggregates
 //!   ([`idse_telemetry::SummarySink`]) with an explicit count of what the
 //!   key cap dropped, so a finished job costs the daemon O(stages ×

@@ -21,7 +21,7 @@
 //! | `submit`   | `spec` (a [`JobSpec`] object)        | enqueue a job; rejected with a reason when the queue is full or the daemon is draining |
 //! | `status`   | `id`                                 | one snapshot line for the job: state, detail, `aggregates` and `dropped` counts, result |
 //! | `watch`    | `id`                                 | once the job is terminal: its `running` phase line, one `summary` line per `(scope, name, kind)` telemetry aggregate in key order, its terminal phase line, then a line counting the `aggregates` and the events `dropped` before the fold or beyond the key cap |
-//! | `cancel`   | `id`, optional `after_chunks`        | cancel now, or arm the checkpoint fuse: a stream job stops before every chunk of canonical rank `after_chunks` or more (chunk `c` of shard `s` of `S` has rank `c·S + s + 1`, whatever the product count), a batch job at its n-th job start |
+//! | `cancel`   | `id`, optional `after_chunks`        | cancel now, or arm a checkpoint rank: the job stops before every checkpoint of canonical rank `after_chunks` or more, at any worker count. A stream job's chunk `c` of shard `s` of `S` has rank `c·S + s + 1`, whatever the product count; with `S` sweep jobs, a batch job's sweep job `k` has rank `k + 1`, its check between phases `S + 1` and its probe job `j` `S + 2 + j` |
 //! | `list`     | —                                    | one line with every job's snapshot |
 //! | `drain`    | —                                    | run every queued job to completion, in submission order |
 //! | `shutdown` | optional `graceful` (default `true`) | stop accepting submits; graceful drains the queue first |
@@ -48,10 +48,10 @@ pub enum Request {
     Cancel {
         /// Daemon-assigned job id.
         id: u64,
-        /// When set, arm the checkpoint fuse instead of cancelling
-        /// immediately: a stream job stops before every chunk of canonical
-        /// rank `n` or more, at any worker count — the deterministic
-        /// mid-flight cancel.
+        /// When set, arm a checkpoint rank instead of cancelling
+        /// immediately: the job stops before every checkpoint (a stream
+        /// chunk, a batch job) of canonical rank `n` or more, at any worker
+        /// count — the deterministic mid-flight cancel.
         after_chunks: Option<u64>,
     },
     /// Report every job's state.

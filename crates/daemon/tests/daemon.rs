@@ -207,7 +207,7 @@ fn watch_after_completion_replays_the_full_event_log() {
 
 #[test]
 fn cancel_mid_flight_stops_at_a_chunk_boundary_with_partial_telemetry() {
-    // Arm the fuse at rank 3 before the job runs. Chunk `c` of shard `s`
+    // Arm rank 3 before the job runs. Chunk `c` of shard `s`
     // of 2 has rank `2c + s + 1`, so each shard pushes its first 64-record
     // chunk (ranks 1 and 2) and stops there, at any worker count.
     let mut core = core(2);
@@ -424,5 +424,37 @@ fn daemon_store_bytes_match_direct_evaluation_at_any_worker_count() {
         for (rel, bytes) in &direct {
             assert_eq!(Some(bytes), daemon.get(rel), "store file {rel} differs at jobs={jobs}");
         }
+    }
+}
+
+/// A cancelled 2-product evaluation, replayed at 1, 2 and 8 workers: its
+/// whole output is the same bytes at every width. Two sweep steps make
+/// four sweep jobs (ranks 1–4) and the check between the phases rank 5;
+/// probe job `j` has rank `6 + j`, so `after_chunks` 7 lets exactly the
+/// first probe job (FlowHunter's operating run) finish.
+#[test]
+fn cancelled_evaluation_is_byte_identical_at_any_width() {
+    let script = [
+        r#"{"cmd":"submit","spec":{"kind":"evaluate","products":["nid","flow"],"seed":9,"rate":4.0,"sweep":2,"intensity":1}}"#,
+        r#"{"cmd":"cancel","id":1,"after_chunks":7}"#,
+        r#"{"cmd":"drain"}"#,
+        r#"{"cmd":"watch","id":1}"#,
+    ]
+    .join("\n");
+    let run = |jobs: usize| {
+        let mut core =
+            DaemonCore::new(DaemonConfig::default().with_queue_capacity(2).with_jobs(jobs))
+                .expect("core");
+        replay(&mut core, &script).expect("replay")
+    };
+    let want = run(1);
+    let watch = &want[3..];
+    assert!(watch[watch.len() - 2].contains("\"phase\":\"cancelled\""), "{want:?}");
+    let operating: Vec<&String> =
+        watch.iter().filter(|l| l.contains("\"name\":\"phase.operating_run\"")).collect();
+    assert_eq!(operating.len(), 1, "{want:?}");
+    assert!(operating[0].contains("FlowHunter"), "{}", operating[0]);
+    for jobs in [2, 8, 2] {
+        assert_eq!(run(jobs), want, "--jobs {jobs} differs from --jobs 1");
     }
 }

@@ -228,9 +228,13 @@ impl EvaluationRequest {
     ///
     /// The batch path's safe points are job boundaries: the token is
     /// polled before each sweep point and each measured probe, and
-    /// between the two phases. Telemetry recorded by jobs that ran before
-    /// the cancel is flushed in canonical order; nothing is recorded to
-    /// the run store unless the evaluation completes.
+    /// between the two phases. Each checkpoint's rank is its place in the
+    /// canonical job order: with `S` sweep jobs, sweep job `k` has rank
+    /// `k + 1`, the check between the phases `S + 1` and probe job `j`
+    /// `S + 2 + j` ([`CancelToken::stop_before_rank`]), so an armed token
+    /// stops the same jobs at any worker count. Telemetry recorded by jobs
+    /// that ran before the cancel is flushed in canonical order; nothing is
+    /// recorded to the run store unless the evaluation completes.
     pub fn evaluate_products_cancellable(
         &self,
         products: &[IdsProduct],
@@ -244,20 +248,29 @@ impl EvaluationRequest {
         // Each product trains once; every sweep point and probe below
         // deploys clones of its trained engines.
         let trained = exec.par_map(products, |_, product| feed.trained_runner(product));
-        // Jobs run in (product name, stage, point) order: the order the
-        // batch fuse burns in and, as every job records under its
+        // Jobs run in (product name, stage, point) order: the order of
+        // their checkpoint ranks and, as every job records under its
         // product's scope, the order their telemetry joins the sink in.
         let mut by_name: Vec<usize> = (0..products.len()).collect();
         by_name.sort_by_key(|&p| products[p].id.name());
 
         // Phase 1+2a: the sweep fan-out — one job per (product, step).
-        let sweep_jobs: Vec<(usize, usize)> =
-            by_name.iter().flat_map(|&p| (0..self.sweep.steps).map(move |k| (p, k))).collect();
-        let points =
-            exec.try_par_map_recorded(&sweep_jobs, &self.telemetry, cancel, |&(p, k), _| {
-                cancel.guard()?;
+        let sweep_jobs: Vec<((usize, usize), u64)> = by_name
+            .iter()
+            .flat_map(|&p| (0..self.sweep.steps).map(move |k| (p, k)))
+            .zip(1..)
+            .collect();
+        let points = exec.try_par_map_recorded(
+            &sweep_jobs,
+            &self.telemetry,
+            cancel,
+            |&((p, k), rank), _| {
+                if cancel.stop_before_rank(rank) {
+                    return Err(Cancelled);
+                }
                 Ok(measure_sweep_point(&trained[p], feed, &ledger, self.sweep.sensitivity_at(k)))
-            })?;
+            },
+        )?;
 
         // Reduce 2a: assemble each product's curve (its points arrive in
         // step order) and pick the §3.3 operating point.
@@ -268,7 +281,7 @@ impl EvaluationRequest {
                 points: Vec::with_capacity(self.sweep.steps),
             })
             .collect();
-        for (&(p, _), point) in sweep_jobs.iter().zip(points) {
+        for (&((p, _), _), point) in sweep_jobs.iter().zip(points) {
             curves[p].points.push(point);
         }
         let operating: Vec<f64> = products
@@ -293,17 +306,23 @@ impl EvaluationRequest {
         } else {
             &[Probe::Operate, Probe::Throughput]
         };
-        let probe_jobs: Vec<(usize, Probe)> = by_name
+        let boundary = sweep_jobs.len() as u64 + 1;
+        if cancel.stop_before_rank(boundary) {
+            return Err(Cancelled);
+        }
+        let probe_jobs: Vec<((usize, Probe), u64)> = by_name
             .iter()
             .flat_map(|&p| probes_per_product.iter().map(move |&probe| (p, probe)))
+            .zip(boundary + 1..)
             .collect();
-        cancel.guard()?;
         let outputs = exec.try_par_map_recorded(
             &probe_jobs,
             &self.telemetry,
             cancel,
-            |&(p, probe), forks| {
-                cancel.guard()?;
+            |&((p, probe), rank), forks| {
+                if cancel.stop_before_rank(rank) {
+                    return Err(Cancelled);
+                }
                 if probe == Probe::Throughput {
                     let report = throughput::search(&trained[p], feed, self.max_throughput_factor);
                     return Ok(ProbeOutput::Throughput(report));
@@ -333,7 +352,7 @@ impl EvaluationRequest {
             },
         )?;
         let mut probes: BTreeMap<(usize, Probe), ProbeOutput> =
-            probe_jobs.into_iter().zip(outputs).collect();
+            probe_jobs.into_iter().map(|(job, _)| job).zip(outputs).collect();
 
         // Reduce 2b: fill the scorecards in input product order.
         let evaluations: Vec<ProductEvaluation> = products

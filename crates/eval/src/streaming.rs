@@ -215,7 +215,7 @@ fn stream_run_config(
 ///
 /// The token is checked once per chunk — between chunks, never mid-chunk,
 /// whatever the number of runners — against the chunk's canonical rank
-/// ([`ShardFeed::chunk_rank`]), so a fuse armed with `n` stops this shard
+/// ([`ShardFeed::chunk_rank`]), so a token armed with `n` stops this shard
 /// before its first chunk of rank `n` or more, whatever the other shard
 /// jobs have done. Every product stops at the same record boundary, and
 /// everything observed so far (including the progress counters) is a pure
@@ -376,7 +376,7 @@ impl EvaluationRequest {
     /// cancellation: the token is polled at every chunk boundary of every
     /// shard job — once per shard chunk, whatever the product count (see
     /// [`run_shard_cancellable`]) — and between job claims on the executor.
-    /// A fuse armed with `n` stops every shard before its first chunk of
+    /// A token armed with `n` stops every shard before its first chunk of
     /// canonical rank `n` or more ([`ShardFeed::chunk_rank`]), so the run
     /// pushes exactly the chunks of rank below `n` at any worker count; an
     /// explicit cancel is best-effort.
@@ -779,7 +779,7 @@ mod tests {
         let profile = TestFeed::realtime_cluster_profile(&cfg);
         let shard_chunks = |shard| ShardFeed::new(&profile, &cfg, shard).count() as u64;
         let (shard0_chunks, shard1_chunks) = (shard_chunks(0), shard_chunks(1));
-        assert!(shard0_chunks >= 4 && shard1_chunks >= 4, "both shards outlast the fuse");
+        assert!(shard0_chunks >= 4 && shard1_chunks >= 4, "both shards outlast the armed rank");
         // Chunk `c` of shard `s` has rank `2c + s + 1`. Armed with 7, shard
         // 0 pushes its chunks of rank 1, 3, 5 and shard 1 those of rank 2,
         // 4, 6: three each, to both products, whichever shard runs first.

@@ -5,6 +5,8 @@
 
 #![allow(clippy::float_cmp, reason = "tests assert bit-exact determinism")]
 
+use std::collections::BTreeSet;
+
 use idse_eval::feeds::FeedConfig;
 use idse_eval::EvaluationRequest;
 use idse_ids::products::{IdsProduct, ProductId};
@@ -74,4 +76,42 @@ fn recorded_stream_is_deterministic_and_scoped() {
     assert!(summary.counter("phase.sweep.points").is_some());
     assert!(summary.gauge("phase.throughput.zero_loss_pps").is_some());
     assert!(summary.gauge("sim.queue_depth").is_some(), "kernel queue-depth samples missing");
+}
+
+/// A batch evaluation armed to stop at rank `n` stops the same jobs at
+/// every width: in the sweep phase, at the check between the phases, and
+/// in the probe phase. With two products and three sweep steps, sweep job
+/// `k` has rank `k + 1`, the check between the phases 7, and probe job `j`
+/// `8 + j`.
+#[test]
+fn batch_cancellation_is_identical_at_any_width() {
+    use idse_exec::{CancelToken, Cancelled};
+    let products =
+        [IdsProduct::model(ProductId::NidSentry), IdsProduct::model(ProductId::GuardSecure)];
+    let feed = request(Telemetry::disabled()).build_feed();
+    let run = |n: u64, jobs: usize| {
+        let sink = MemorySink::new(1 << 20);
+        let outcome = request(Telemetry::new(sink.clone()))
+            .with_jobs(jobs)
+            .evaluate_products_cancellable(&products, &feed, &CancelToken::after_checkpoints(n));
+        assert!(matches!(outcome, Err(Cancelled)), "rank {n} at {jobs} workers completed");
+        assert_eq!(sink.dropped(), 0);
+        sink.events()
+    };
+    for n in [4, 7, 9] {
+        let want = run(n, 1);
+        let summary = summarize(&want);
+        // The sweep phase finished only if the stop came after it; the
+        // first probe job (GuardSecure's operating run) ran only at rank 9.
+        assert_eq!(summary.counter("phase.sweep.points").is_some(), n > 6, "rank {n}");
+        let operating = summary.span("phase.operating_run").map(|span| span.count);
+        assert_eq!(operating, (n == 9).then_some(1), "rank {n}");
+        let scopes: BTreeSet<&str> =
+            want.iter().filter(|e| e.name == "phase.operating_run").map(|e| e.scope).collect();
+        let expected: &[&str] = if n == 9 { &["GuardSecure GS-5"] } else { &[] };
+        assert!(scopes.iter().eq(expected), "rank {n}: {scopes:?}");
+        for jobs in [2, 8] {
+            assert!(run(n, jobs) == want, "rank {n}: {jobs} workers differ from 1");
+        }
+    }
 }

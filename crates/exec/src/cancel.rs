@@ -10,26 +10,22 @@
 //!
 //! * [`CancelToken`] — a shared flag jobs poll at their natural safe
 //!   points (chunk boundaries of the streaming path, job starts of the
-//!   batch path). For deterministic tests it carries an optional
-//!   *checkpoint fuse*: arm it with `n` and the `n`-th checkpoint observes
-//!   cancellation, without any timing involved. Batch checkpoints burn the
-//!   fuse in the order they reach it, so they stop at the same place only
-//!   at `--jobs 1`; stream chunks are ranked in a canonical order instead
-//!   ([`CancelToken::stop_before_rank`]) and stop at the same place at any
-//!   worker count.
+//!   batch path). For deterministic tests it carries an optional armed
+//!   threshold `n`: every checkpoint numbers itself by its position in a
+//!   canonical order ([`CancelToken::stop_before_rank`]), and the
+//!   checkpoints of rank `n` or more stop, without any timing involved.
+//!   No checkpoint reads what another has done, so a run stops at the
+//!   same place at any worker count.
 //! * [`SlotPool`] — a counting semaphore whose permits are RAII
 //!   [`SlotGuard`]s. A job that finishes, cancels, *or panics* releases
-//!   its slot when the guard drops (panics unwind through
-//!   `catch_unwind` inside [`Executor::try_par_map`]), so a poisoned job
+//!   its slot when the guard drops (unwinding drops it), so a poisoned job
 //!   can never leak queue capacity for the life of the process.
-//!
-//! [`Executor::try_par_map`]: crate::Executor::try_par_map
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The fuse value meaning "no checkpoint budget armed".
-const FUSE_UNARMED: u64 = u64::MAX;
+/// The threshold value meaning "no checkpoint rank armed".
+const UNARMED: u64 = u64::MAX;
 
 /// A job batch (or single job) stopped at a cancellation point.
 ///
@@ -47,23 +43,23 @@ impl std::fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CancelState {
     cancelled: AtomicBool,
-    /// Remaining checkpoint budget; [`FUSE_UNARMED`] disables the fuse.
-    fuse: AtomicU64,
-    /// The `n` the fuse was armed with: the first ranked checkpoint that
-    /// stops. [`FUSE_UNARMED`] when unarmed.
+    /// The `n` the token was armed with: the first checkpoint rank that
+    /// stops. [`UNARMED`] when unarmed.
     threshold: AtomicU64,
 }
 
-/// A shared, clonable cancellation flag with a deterministic test fuse.
+/// A shared, clonable cancellation flag with a deterministic test
+/// threshold.
 ///
 /// Cloning is cheap (an `Arc` bump) and every clone observes the same
 /// state, so the daemon can hand one end to a running job and keep the
 /// other to serve `cancel` requests. Jobs poll cooperatively via
-/// [`CancelToken::checkpoint`] at safe points — nothing is interrupted
-/// mid-chunk, which is what keeps partially-cancelled runs deterministic.
+/// [`CancelToken::stop_before_rank`] at safe points — nothing is
+/// interrupted mid-chunk, which is what keeps partially-cancelled runs
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct CancelToken {
     state: Arc<CancelState>,
@@ -76,36 +72,33 @@ impl Default for CancelToken {
 }
 
 impl CancelToken {
-    /// A fresh token: not cancelled, no fuse armed.
+    /// A fresh token: not cancelled, no threshold armed.
     pub fn new() -> Self {
         CancelToken {
             state: Arc::new(CancelState {
                 cancelled: AtomicBool::new(false),
-                fuse: AtomicU64::new(FUSE_UNARMED),
-                threshold: AtomicU64::new(FUSE_UNARMED),
+                threshold: AtomicU64::new(UNARMED),
             }),
         }
     }
 
-    /// A token whose `n`-th [`checkpoint`](CancelToken::checkpoint) call
-    /// observes cancellation — the deterministic way to stop a serial run
-    /// at an exact chunk boundary. `n == 0` is already cancelled.
+    /// A token whose checkpoints of rank `n` or more observe cancellation —
+    /// the deterministic way to stop a run at an exact checkpoint. `n == 0`
+    /// is already cancelled.
     pub fn after_checkpoints(n: u64) -> Self {
         let token = CancelToken::new();
         token.arm_after_checkpoints(n);
         token
     }
 
-    /// Arm (or re-arm) the checkpoint fuse on an existing token: the
-    /// `n`-th subsequent checkpoint observes cancellation, and so does
-    /// every ranked checkpoint of rank `n` or more. The daemon uses this to
-    /// schedule a mid-flight cancel against a job that has not started yet.
+    /// Arm (or re-arm) an existing token: every checkpoint of rank `n` or
+    /// more observes cancellation. The daemon uses this to schedule a
+    /// mid-flight cancel against a job that has not started yet.
     pub fn arm_after_checkpoints(&self, n: u64) {
         if n == 0 {
             self.cancel();
         } else {
             self.state.threshold.store(n, Ordering::Relaxed);
-            self.state.fuse.store(n, Ordering::Relaxed);
         }
     }
 
@@ -114,58 +107,27 @@ impl CancelToken {
         self.state.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested (by [`cancel`] or by an
-    /// exhausted fuse).
+    /// Whether cancellation has been requested by [`cancel`] (reaching an
+    /// armed rank does not set it).
     ///
     /// [`cancel`]: CancelToken::cancel
     pub fn is_cancelled(&self) -> bool {
         self.state.cancelled.load(Ordering::Relaxed)
     }
 
-    /// Cooperative cancellation point: burns one unit of the fuse (if
-    /// armed) and reports whether the caller should stop.
-    ///
-    /// Jobs call this at chunk boundaries; a `true` return means "flush
-    /// what you have and return [`Cancelled`]".
-    pub fn checkpoint(&self) -> bool {
-        if self.is_cancelled() {
-            return true;
-        }
-        let burned = self.state.fuse.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |fuse| {
-            if fuse == FUSE_UNARMED {
-                None
-            } else {
-                Some(fuse.saturating_sub(1))
-            }
-        });
-        if burned == Ok(1) {
-            // This checkpoint took the fuse from 1 to 0: trip the flag so
-            // every clone (and every later checkpoint) observes it.
-            self.cancel();
-            return true;
-        }
-        false
-    }
-
-    /// Checkpoint as a `Result`, for `?`-style early return from jobs.
-    pub fn guard(&self) -> Result<(), Cancelled> {
-        if self.checkpoint() {
-            Err(Cancelled)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Ranked cancellation point: whether the caller should stop before
-    /// the checkpoint of 1-based canonical `rank`, because cancellation
-    /// was requested or because `rank` reaches the armed fuse's `n`.
+    /// Cooperative cancellation point: whether the caller should stop
+    /// before the checkpoint of 1-based canonical `rank`, because
+    /// cancellation was requested or because `rank` reaches the armed `n`.
+    /// A `true` return means "flush what you have and return
+    /// [`Cancelled`]".
     ///
     /// Concurrent jobs that number their checkpoints in one canonical
     /// order (the streaming path ranks chunk `c` of shard `s` of `S` as
-    /// `c·S + s + 1`) each stop at the same place whatever the schedule:
-    /// the check reads the armed `n` and burns nothing, and reaching it
-    /// stops only the caller — tripping the shared flag would stop the
-    /// other jobs at whichever chunk they happened to be on.
+    /// `c·S + s + 1`; the batch path ranks its jobs in job order) each stop
+    /// at the same place whatever the schedule: the check reads the armed
+    /// `n` and changes nothing, and reaching it stops only the caller —
+    /// tripping the shared flag would stop the other jobs at whichever
+    /// checkpoint they happened to be on.
     pub fn stop_before_rank(&self, rank: u64) -> bool {
         self.is_cancelled() || rank >= self.state.threshold.load(Ordering::Relaxed)
     }
@@ -181,13 +143,12 @@ struct SlotState {
 ///
 /// Admission is explicit ([`try_acquire`] never blocks — a full pool is a
 /// *backpressure signal*, not a wait), and release is RAII: dropping the
-/// [`SlotGuard`] frees the slot. Because [`Executor::try_par_map`] runs
-/// each job under `catch_unwind`, a guard held by a panicking job is
-/// dropped during unwind — the poisoned job's capacity comes back
-/// deterministically, in the same process, for the next plan to claim.
+/// [`SlotGuard`] frees the slot. A guard held by a panicking job is
+/// dropped while the panic unwinds — the poisoned job's capacity comes
+/// back deterministically, in the same process, for the next plan to
+/// claim.
 ///
 /// [`try_acquire`]: SlotPool::try_acquire
-/// [`Executor::try_par_map`]: crate::Executor::try_par_map
 #[derive(Debug, Clone)]
 pub struct SlotPool {
     state: Arc<SlotState>,
@@ -252,10 +213,9 @@ mod tests {
     fn fresh_tokens_never_cancel() {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());
-        for _ in 0..1000 {
-            assert!(!token.checkpoint());
+        for rank in (1..1000).chain([u64::MAX - 1]) {
+            assert!(!token.stop_before_rank(rank));
         }
-        assert!(token.guard().is_ok());
     }
 
     #[test]
@@ -264,25 +224,22 @@ mod tests {
         let clone = token.clone();
         token.cancel();
         assert!(clone.is_cancelled());
-        assert!(clone.checkpoint());
-        assert_eq!(clone.guard(), Err(Cancelled));
+        assert!(clone.stop_before_rank(1), "an explicit cancel stops every rank");
     }
 
     #[test]
-    fn fuse_trips_on_the_nth_checkpoint_exactly() {
+    fn an_armed_token_stops_from_the_nth_rank_exactly() {
         let token = CancelToken::after_checkpoints(3);
-        assert!(!token.checkpoint(), "checkpoint 1 passes");
-        assert!(!token.checkpoint(), "checkpoint 2 passes");
-        assert!(!token.is_cancelled(), "fuse burns silently until it trips");
-        assert!(token.checkpoint(), "checkpoint 3 observes cancellation");
-        assert!(token.is_cancelled(), "the tripped fuse latches the shared flag");
-        assert!(token.checkpoint(), "later checkpoints stay cancelled");
+        assert!(!token.stop_before_rank(1), "rank 1 passes");
+        assert!(!token.stop_before_rank(2), "rank 2 passes");
+        assert!(token.stop_before_rank(3), "rank 3 observes cancellation");
+        assert!(token.stop_before_rank(u64::MAX - 1), "so does every later rank");
+        assert!(!token.is_cancelled(), "reaching the rank does not trip the shared flag");
     }
 
     #[test]
     fn ranked_checkpoints_stop_at_the_armed_rank_and_burn_nothing() {
         let token = CancelToken::new();
-        assert!(!token.stop_before_rank(u64::MAX - 1), "an unarmed token never stops");
         token.arm_after_checkpoints(3);
         // Any order, any number of times: the answer depends on the rank.
         for _ in 0..2 {
@@ -292,24 +249,24 @@ mod tests {
             assert!(!token.stop_before_rank(1));
         }
         assert!(!token.is_cancelled(), "reaching the rank does not trip the shared flag");
-        assert!(!token.checkpoint() && !token.checkpoint(), "the batch fuse is untouched");
-        assert!(token.checkpoint(), "and trips on its own n-th checkpoint");
+        token.cancel();
         assert!(token.stop_before_rank(1), "an explicit cancel stops every rank");
     }
 
     #[test]
-    fn zero_checkpoint_fuse_is_immediately_cancelled() {
+    fn zero_checkpoint_token_is_immediately_cancelled() {
         let token = CancelToken::after_checkpoints(0);
         assert!(token.is_cancelled());
+        assert!(token.stop_before_rank(1));
     }
 
     #[test]
     fn rearming_an_existing_token_schedules_a_future_trip() {
         let token = CancelToken::new();
-        assert!(!token.checkpoint());
-        token.arm_after_checkpoints(2);
-        assert!(!token.checkpoint());
-        assert!(token.clone().checkpoint(), "the fuse is shared state, clones trip it");
+        assert!(!token.stop_before_rank(2));
+        token.clone().arm_after_checkpoints(2);
+        assert!(!token.stop_before_rank(1));
+        assert!(token.stop_before_rank(2), "the threshold is shared state, clones arm it");
     }
 
     #[test]

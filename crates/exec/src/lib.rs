@@ -9,24 +9,24 @@
 //! (enforced by clippy's `disallowed-methods`, see `clippy.toml`), and it is built so
 //! that output is **byte-identical at any worker count**:
 //!
-//! * jobs are claimed in input order from a shared queue that idle
-//!   workers steal from — dynamic load balancing without any per-worker
-//!   state that could leak into results;
-//! * results go back into their submission slots, never into completion
-//!   order ([`reduce_in_order`] is the same step for callers that hold
+//! * jobs are claimed in input order from one shared lane that idle
+//!   threads take the next job from — dynamic load balancing without any
+//!   per-worker state that could leak into results;
+//! * the caller takes the outputs in job order, never in completion order
+//!   ([`reduce_in_order`] is the same step for callers that hold
 //!   `(index, output)` pairs);
 //! * a job that records telemetry records into its own forks of the
 //!   caller's handle, one per scope ([`Forks::scoped`]), and the forks are
 //!   joined into the caller's sink in `(scope, job index)` order.
 //!
-//! There is one worker pool, [`Executor::try_par_map`] (panic-containing
-//! and cancellable; [`Executor::par_map`] is its plain form), and one
-//! recorded fan-out on top of it, [`Executor::try_par_map_recorded`].
-//! [`Executor::ordered_fan_out`] is the streaming form: workers run a
-//! bounded window ahead of a caller that consumes the outputs in job
-//! order as they finish. The serial path (`jobs = 1`, or one-element
-//! inputs) runs inline on the calling thread with no pool at all, and
-//! produces the same bytes.
+//! There is one worker pool, [`Executor::ordered_fan_out`]: helpers run a
+//! bounded window ahead of a caller that consumes the outputs in job order
+//! as they finish. [`Executor::par_map`] collects it over a slice, and
+//! [`Executor::try_par_map_recorded`] is the recorded, cancellable fan-out
+//! over a slice. A job's panic is re-raised on the calling thread when the
+//! caller reaches that job's output. The serial path (`jobs = 1`, or
+//! one-element inputs) runs inline on the calling thread with no pool at
+//! all, and produces the same bytes.
 //!
 //! ```
 //! use idse_exec::Executor;
@@ -47,53 +47,16 @@ pub use cancel::{CancelToken, Cancelled, SlotGuard, SlotPool};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use idse_telemetry::Telemetry;
 
-/// A job that panicked inside [`Executor::try_par_map`].
-///
-/// Panics are contained at the job boundary so one poisoned input cannot
-/// take down the whole batch (or the worker pool): every other job still
-/// runs and returns its normal output. The error carries the submission
-/// index and the panic payload's message, both pure functions of the
-/// input batch — so a failing batch is as deterministic as a passing one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Submission index of the job that panicked.
-    pub index: usize,
-    /// The panic payload, stringified (`&str` and `String` payloads are
-    /// preserved verbatim; anything else becomes a fixed placeholder).
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for JobPanic {}
-
-/// Stringify a caught panic payload deterministically.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A fixed-size pool of workers for deterministic parallel maps.
 ///
-/// The executor owns no threads between calls: each [`Executor::par_map`]
-/// spins up a scoped pool (on the vendored `crossbeam` shim over
-/// `std::thread::scope`), drains the job queue, joins every worker, and
-/// merges the results in index order. `workers == 1` bypasses the pool
-/// entirely — the serial reference path.
+/// The executor owns no threads between calls: each fan-out spins up a
+/// scoped pool (on the vendored `crossbeam` shim over
+/// `std::thread::scope`), drains its jobs, and joins every helper.
+/// `workers == 1` bypasses the pool entirely — the serial reference path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     workers: usize,
@@ -134,111 +97,20 @@ impl Executor {
     ///
     /// `f` receives `(index, &item)` and must be a pure function of them
     /// (plus captured shared state it only reads). This is
-    /// [`Executor::try_par_map`] with a token nobody cancels; a job panic
-    /// is re-raised here.
+    /// [`Executor::ordered_fan_out`] collected, with a window as long as
+    /// `items`, so no job waits on the caller; a job panic is re-raised here.
     pub fn par_map<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
     where
         T: Sync,
         O: Send,
         F: Fn(usize, &T) -> O + Sync,
     {
-        self.try_par_map(items, &CancelToken::new(), f)
-            .into_iter()
-            .map(|slot| {
-                slot.expect("an uncancelled batch claims every job")
-                    .expect("par_map job panicked; use try_par_map to contain job panics")
-            })
-            .collect()
-    }
-
-    /// The worker pool. Workers claim the next unclaimed index from a
-    /// shared queue, so a slow job never stalls the rest of the batch;
-    /// completion order is then erased by putting each output back in its
-    /// submission slot.
-    ///
-    /// Each job runs under `catch_unwind`: a panicking job yields
-    /// `Some(Err(`[`JobPanic`]`))` in its slot instead of poisoning the
-    /// pool, and every other slot's bytes stay identical to a run without
-    /// it, at any worker count.
-    ///
-    /// Workers stop *claiming* once `cancel` observes cancellation, and
-    /// every never-claimed slot comes back as `None`. Jobs that were
-    /// already claimed run to completion — cancellation is cooperative, so
-    /// `f` itself should poll the token at its safe points (the streaming
-    /// path checks at chunk boundaries) and encode an early stop in its
-    /// output type. Which slots are `None` is deterministic on the serial
-    /// path (a prefix of completed jobs, then `None`s); under a pool it
-    /// depends on which claims raced the flag, which is why every
-    /// deterministic cancellation test pins `--jobs 1` or uses a
-    /// checkpoint fuse the jobs burn themselves.
-    pub fn try_par_map<T, O, F>(
-        &self,
-        items: &[T],
-        cancel: &CancelToken,
-        f: F,
-    ) -> Vec<Option<Result<O, JobPanic>>>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(usize, &T) -> O + Sync,
-    {
-        // Contain the panic at the job boundary: the worker loop (and the
-        // serial path) below never unwinds through `run`, so the scope
-        // join stays infallible and the claim queue keeps draining.
-        let run = |i: usize, item: &T| -> Result<O, JobPanic> {
-            catch_unwind(AssertUnwindSafe(|| f(i, item)))
-                .map_err(|payload| JobPanic { index: i, message: panic_message(payload) })
-        };
-
-        let n = items.len();
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| if cancel.is_cancelled() { None } else { Some(run(i, item)) })
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
-        )]
-        let per_worker: Vec<Vec<(usize, Result<O, JobPanic>)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut completed = Vec::new();
-                            // Steal the next unclaimed job from the shared
-                            // queue; Relaxed suffices — the only contended
-                            // state is the claim counter itself, and job
-                            // results flow back through the join.
-                            while !cancel.is_cancelled() {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                completed.push((i, run(i, &items[i])));
-                            }
-                            completed
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("executor worker does not panic"))
-                    .collect()
-            })
-            .expect("executor scope does not panic");
-
-        let mut slots: Vec<Option<Result<O, JobPanic>>> = (0..n).map(|_| None).collect();
-        for (i, result) in per_worker.into_iter().flatten() {
-            assert!(slots[i].is_none(), "job {i} completed twice");
-            slots[i] = Some(result);
-        }
-        slots
+        self.fan_out(
+            items.iter().enumerate(),
+            |(i, item)| f(i, item),
+            |outputs| outputs.collect(),
+            items.len(),
+        )
     }
 }
 
@@ -277,10 +149,13 @@ impl Executor {
     /// therefore byte-identical for any worker count, including the
     /// inline serial path.
     ///
-    /// Jobs should poll `cancel` at their safe points; once it trips,
-    /// unstarted jobs are never claimed. Returns `Err(Cancelled)` if any
-    /// job was skipped or stopped early. A job panic is re-raised here,
-    /// after the batch; its forks are lost with it.
+    /// Jobs poll `cancel` at their safe points. For a stop that is the same
+    /// at any worker count, each job checks its own canonical rank
+    /// ([`CancelToken::stop_before_rank`]); once an explicit
+    /// [`CancelToken::cancel`] lands, unstarted jobs are never claimed.
+    /// Returns `Err(Cancelled)` if any job was skipped or stopped early. A
+    /// job panic is re-raised when the caller reaches that job's output;
+    /// the forks of the batch are lost with it.
     pub fn try_par_map_recorded<T, O, F>(
         &self,
         items: &[T],
@@ -293,31 +168,24 @@ impl Executor {
         O: Send,
         F: Fn(&T, &Forks<'_>) -> Result<O, Cancelled> + Sync,
     {
-        let slots = self.try_par_map(items, cancel, |_, item| {
-            let forks = Forks { parent, made: RefCell::default() };
-            let output = f(item, &forks);
-            (output, forks.made.into_inner())
-        });
-        let mut outputs = Vec::with_capacity(items.len());
+        let ran: Vec<(Result<O, Cancelled>, Vec<Telemetry>)> = self.fan_out(
+            items.iter().take_while(|_| !cancel.is_cancelled()),
+            |item| {
+                let forks = Forks { parent, made: RefCell::default() };
+                let output = f(item, &forks);
+                (output, forks.made.into_inner())
+            },
+            |outputs| outputs.collect(),
+            items.len(),
+        );
+        let mut stopped = ran.len() < items.len();
+        let mut outputs = Vec::with_capacity(ran.len());
         let mut forks = Vec::new();
-        let mut stopped = false;
-        for slot in slots {
-            match slot {
-                None => stopped = true,
-                #[expect(
-                    clippy::panic,
-                    reason = "re-raises a job panic the executor contained for slot accounting; swallowing it would report a poisoned run as a clean cancellation"
-                )]
-                Some(Err(job_panic)) => {
-                    panic!("recorded job panicked; contain it inside the job: {job_panic}")
-                }
-                Some(Ok((output, made))) => {
-                    forks.extend(made);
-                    match output {
-                        Ok(output) => outputs.push(output),
-                        Err(Cancelled) => stopped = true,
-                    }
-                }
+        for (output, made) in ran {
+            forks.extend(made);
+            match output {
+                Ok(output) => outputs.push(output),
+                Err(Cancelled) => stopped = true,
             }
         }
         // Stable: within one scope, forks stay in job index order.
@@ -485,10 +353,11 @@ impl Executor {
     /// output the caller takes next, so a fan-out over an unbounded job
     /// stream holds a constant number of outputs. What the caller sees is
     /// the sequence `jobs.map(make)` yields, at any worker count; at one
-    /// worker it is exactly that, inline. A job's panic is re-raised on the
-    /// calling thread when the caller reaches its output. If `consume`
-    /// returns before the outputs run out, nobody claims again and the jobs
-    /// already claimed finish unread.
+    /// worker, or when `jobs`' `size_hint` allows at most one job, it is
+    /// exactly that, inline. A job's panic is re-raised on the calling
+    /// thread when the caller reaches its output. If `consume` returns
+    /// before the outputs run out, nobody claims again and the jobs already
+    /// claimed finish unread.
     pub fn ordered_fan_out<J, O, R>(
         &self,
         jobs: impl Iterator<Item = J> + Send,
@@ -498,7 +367,24 @@ impl Executor {
     where
         O: Send,
     {
-        if self.workers <= 1 {
+        self.fan_out(jobs, make, consume, self.workers * FAN_OUT_LOOKAHEAD)
+    }
+
+    /// [`Executor::ordered_fan_out`] holding at most `window` outputs the
+    /// caller has not taken. No more threads run than `jobs`' `size_hint`
+    /// upper bound has jobs.
+    fn fan_out<J, O, R>(
+        &self,
+        jobs: impl Iterator<Item = J> + Send,
+        make: impl Fn(J) -> O + Sync,
+        consume: impl FnOnce(&mut dyn Iterator<Item = O>) -> R,
+        window: usize,
+    ) -> R
+    where
+        O: Send,
+    {
+        let threads = self.workers.min(jobs.size_hint().1.unwrap_or(usize::MAX));
+        if threads <= 1 {
             return consume(&mut jobs.map(make));
         }
         let fan = FanOut {
@@ -511,14 +397,14 @@ impl Executor {
                 closed: false,
             }),
             changed: Condvar::new(),
-            window: self.workers * FAN_OUT_LOOKAHEAD,
+            window: window.max(1),
         };
         #[expect(
             clippy::disallowed_methods,
             reason = "idse-exec is the one sanctioned home of raw threads; callers get canonical-order results"
         )]
         crossbeam::thread::scope(|scope| {
-            for _ in 1..self.workers {
+            for _ in 1..threads {
                 scope.spawn(|_| fan.help(&make));
             }
             let _close = CloseOnDrop(&fan);
@@ -586,6 +472,7 @@ pub fn reduce_in_order<O>(mut completed: Vec<(usize, O)>, expected: usize) -> Ve
 mod tests {
     use super::*;
     use idse_telemetry::MemorySink;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -618,6 +505,32 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(exec.par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(exec.par_map(&[7u32], |i, &x| (i, x)), vec![(0, 7)]);
+        // One job needs no helper: it runs inline on the calling thread.
+        let caller = std::thread::current().id();
+        assert_eq!(exec.par_map(&[()], |_, ()| std::thread::current().id()), vec![caller]);
+    }
+
+    /// A batch of known length is never throttled by the look-ahead window:
+    /// while job 0 blocks, the other worker runs every other job.
+    #[test]
+    fn par_map_runs_a_whole_batch_past_a_blocked_first_job() {
+        let done = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..12).collect();
+        let seen = Executor::new(2).par_map(&items, |i, _| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return 0;
+            }
+            // Bounded wait (about 10 s) so a throttled batch fails, not hangs.
+            for _ in 0..5000 {
+                if done.load(Ordering::SeqCst) == items.len() - 1 {
+                    break;
+                }
+                breathe();
+            }
+            done.load(Ordering::SeqCst)
+        });
+        assert_eq!(seen[0], items.len() - 1, "jobs 1.. waited for job 0");
     }
 
     #[test]
@@ -645,89 +558,63 @@ mod tests {
         reduce_in_order(vec![(0, ()), (0, ())], 2);
     }
 
-    /// One poisoned job out of sixteen: the other fifteen still complete,
-    /// with byte-identical outputs at one worker and at eight.
     #[test]
-    fn one_poisoned_job_leaves_the_rest_intact() {
-        let items: Vec<u64> = (0..16).collect();
-        let f = |_: usize, &x: &u64| {
-            assert!(x != 7, "poisoned input {x}");
-            (0..x).map(|k| (k as f64).sqrt()).sum::<f64>()
-        };
-
-        let serial = Executor::serial().try_par_map(&items, &CancelToken::new(), f);
-        let parallel = Executor::new(8).try_par_map(&items, &CancelToken::new(), f);
-        assert_eq!(serial, parallel, "worker count changed a faulted batch");
-
-        assert_eq!(serial.len(), 16);
-        for (i, slot) in serial.iter().enumerate() {
-            let slot = slot.as_ref().expect("an uncancelled batch runs every job");
-            if i == 7 {
-                let err = slot.as_ref().expect_err("job 7 must be the poisoned one");
-                assert_eq!(err.index, 7);
-                assert!(err.message.contains("poisoned input 7"), "got: {}", err.message);
-            } else {
-                let clean = f(i, &items[i]);
-                assert_eq!(slot.as_ref().expect("healthy job completes"), &clean);
-            }
-        }
-    }
-
-    #[test]
-    fn try_par_map_matches_par_map_on_healthy_batches() {
-        let items: Vec<u64> = (0..64).collect();
-        let f = |i: usize, &x: &u64| i as u64 + x * x;
-        let tried: Vec<u64> = Executor::new(4)
-            .try_par_map(&items, &CancelToken::new(), f)
-            .into_iter()
-            .map(|slot| slot.expect("no slot skipped").expect("healthy batch"))
-            .collect();
-        assert_eq!(tried, Executor::new(4).par_map(&items, f));
-    }
-
-    #[test]
-    #[should_panic(expected = "par_map job panicked")]
+    #[should_panic(expected = "boom")]
     fn par_map_still_propagates_job_panics() {
         let items = [1u32, 2, 3];
-        Executor::serial().par_map(&items, |_, &x| {
+        Executor::new(4).par_map(&items, |_, &x| {
             assert!(x != 2, "boom");
             x
         });
     }
 
     #[test]
-    fn job_panic_display_is_deterministic() {
-        let err = JobPanic { index: 3, message: "boom".to_string() };
-        assert_eq!(err.to_string(), "job 3 panicked: boom");
+    fn uncancelled_recorded_map_matches_par_map() {
+        let items: Vec<u64> = (0..32).collect();
+        for workers in [1, 4] {
+            let exec = Executor::new(workers);
+            let recorded = exec
+                .try_par_map_recorded(
+                    &items,
+                    &Telemetry::disabled(),
+                    &CancelToken::new(),
+                    |&x, _| Ok(x * x + 1),
+                )
+                .expect("a fresh token never cancels");
+            assert_eq!(recorded, exec.par_map(&items, |_, &x| x * x + 1), "{workers} workers");
+        }
     }
 
-    #[test]
-    fn uncancelled_map_matches_try_par_map() {
-        let items: Vec<u64> = (0..32).collect();
-        let f = |i: usize, &x: &u64| i as u64 + x;
-        for workers in [1, 4] {
-            let slots = Executor::new(workers).try_par_map(&items, &CancelToken::new(), f);
-            let outputs: Vec<u64> = slots
-                .into_iter()
-                .map(|s| s.expect("no slot skipped").expect("no job panicked"))
-                .collect();
-            assert_eq!(outputs, Executor::new(workers).par_map(&items, f));
-        }
+    /// The names and instants of what a recorded batch joined into its sink.
+    fn joined(sink: &MemorySink) -> Vec<String> {
+        sink.events().iter().map(|e| format!("{}@{}", e.name, e.at)).collect()
     }
 
     #[test]
     fn serial_cancellation_stops_at_a_deterministic_boundary() {
-        // The fuse trips inside job 2's checkpoint; jobs 3.. are never
-        // claimed. Serial path, so the split point is exact.
+        // Job `x` has rank `x + 1`: jobs 0 and 1 finish, and every later
+        // job, claimed all the same, stops itself at its checkpoint.
         let token = CancelToken::after_checkpoints(3);
+        let sink = MemorySink::new(1 << 12);
         let items: Vec<u64> = (0..8).collect();
-        let slots = Executor::serial().try_par_map(&items, &token, |_, &x| {
-            token.checkpoint();
-            x * 10
-        });
-        let done: Vec<Option<u64>> =
-            slots.into_iter().map(|s| s.map(|r| r.expect("no panics"))).collect();
-        assert_eq!(done, vec![Some(0), Some(10), Some(20), None, None, None, None, None]);
+        let claimed = AtomicUsize::new(0);
+        let outcome = Executor::serial().try_par_map_recorded(
+            &items,
+            &Telemetry::new(sink.clone()),
+            &token,
+            |&x, forks| {
+                claimed.fetch_add(1, Ordering::SeqCst);
+                if token.stop_before_rank(x + 1) {
+                    return Err(Cancelled);
+                }
+                forks.scoped("s").counter(x, "job.done", x * 10);
+                Ok(x)
+            },
+        );
+        assert_eq!(outcome, Err(Cancelled));
+        assert_eq!(joined(&sink), ["job.done@0", "job.done@1"]);
+        assert_eq!(claimed.load(Ordering::SeqCst), 8, "reaching a rank cancels no claim");
+        assert!(!token.is_cancelled());
     }
 
     #[test]
@@ -735,59 +622,88 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for workers in [1, 4] {
-            let slots = Executor::new(workers).try_par_map(&[1u32, 2, 3], &token, |_, &x| x);
-            assert!(slots.iter().all(Option::is_none), "{workers} workers ran a cancelled batch");
+            let ran = AtomicUsize::new(0);
+            let outcome = Executor::new(workers).try_par_map_recorded(
+                &[1u32, 2, 3],
+                &Telemetry::disabled(),
+                &token,
+                |&x, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    Ok(x)
+                },
+            );
+            assert_eq!(outcome, Err(Cancelled));
+            assert_eq!(ran.load(Ordering::SeqCst), 0, "{workers} workers ran a cancelled batch");
         }
     }
 
+    /// Ranked checkpoints stop the same jobs at every width: exactly the
+    /// jobs of rank below the armed `n` complete and record.
     #[test]
     fn parallel_cancellation_keeps_completed_slots_intact() {
-        let token = CancelToken::after_checkpoints(5);
         let items: Vec<u64> = (0..64).collect();
-        let slots = Executor::new(4).try_par_map(&items, &token, |i, &x| {
-            token.checkpoint();
-            assert_eq!(i as u64, x);
-            x + 100
-        });
-        assert_eq!(slots.len(), 64);
-        let completed = slots.iter().flatten().count();
-        assert!(completed < 64, "the fuse stopped the batch early");
-        for (i, slot) in slots.into_iter().enumerate() {
-            if let Some(result) = slot {
-                assert_eq!(result.expect("no panics"), i as u64 + 100);
-            }
+        let stream = |workers: usize| {
+            let token = CancelToken::after_checkpoints(5);
+            let sink = MemorySink::new(1 << 12);
+            let outcome = Executor::new(workers).try_par_map_recorded(
+                &items,
+                &Telemetry::new(sink.clone()),
+                &token,
+                |&x, forks| {
+                    if token.stop_before_rank(x + 1) {
+                        return Err(Cancelled);
+                    }
+                    forks.scoped("s").counter(x, "job.done", x + 100);
+                    Ok(x)
+                },
+            );
+            assert_eq!(outcome, Err(Cancelled), "{workers} workers");
+            joined(&sink)
+        };
+        let serial = stream(1);
+        assert_eq!(serial, ["job.done@0", "job.done@1", "job.done@2", "job.done@3"]);
+        for workers in [2, 4, 8] {
+            assert_eq!(stream(workers), serial, "{workers} workers");
         }
     }
 
-    /// The satellite fix end-to-end: a batch with a cancelled tail *and* a
-    /// poisoned job releases every slot it claimed, so a follow-up plan in
-    /// the same process gets the full queue capacity back.
+    /// A cancelled batch and a batch with a poisoned job each release every
+    /// slot they claimed, so a follow-up plan in the same process gets the
+    /// full queue capacity back.
     #[test]
     fn cancelled_and_poisoned_jobs_release_their_slots() {
         let pool = SlotPool::new(4);
-        let token = CancelToken::after_checkpoints(2);
         let items: Vec<u64> = (0..4).collect();
-        let slots = Executor::serial().try_par_map(&items, &token, |i, &x| {
-            let _slot = pool.try_acquire().expect("admission bounded by the pool");
-            token.checkpoint();
-            assert!(i != 1, "poisoned input");
-            x
-        });
-        // Job 0 completed, job 1 panicked (guard dropped during unwind),
-        // job 2 tripped the fuse, job 3 was never claimed.
-        assert!(slots[0].as_ref().expect("ran").is_ok());
-        assert!(slots[1].as_ref().expect("ran").is_err());
-        assert!(slots[3].is_none());
+        let token = CancelToken::after_checkpoints(3);
+        let batch = |poisoned: u64| {
+            Executor::new(2).try_par_map_recorded(
+                &items,
+                &Telemetry::disabled(),
+                &token,
+                |&x, _| {
+                    let _slot = pool.try_acquire().expect("admission bounded by the pool");
+                    if token.stop_before_rank(x + 1) {
+                        return Err(Cancelled);
+                    }
+                    assert!(x != poisoned, "poisoned input");
+                    Ok(x)
+                },
+            )
+        };
+        // Jobs 2 and 3 stop at their checkpoints.
+        assert_eq!(batch(u64::MAX), Err(Cancelled));
+        assert_eq!(pool.in_use(), 0, "every cancelled job released its slot");
+        // Job 1 panics; unwinding drops its guard, and the caller re-raises.
+        let poisoned = std::panic::catch_unwind(AssertUnwindSafe(|| batch(1)));
+        assert!(poisoned.is_err(), "the job panic reaches the caller");
         assert_eq!(pool.in_use(), 0, "every claimed slot was released");
 
         // Follow-up plan in the same process: full capacity is available.
-        let followup = Executor::serial().try_par_map(&items, &CancelToken::new(), |_, &x| {
+        let followup = Executor::new(4).par_map(&items, |_, &x| {
             let _slot = pool.try_acquire().expect("freed capacity is claimable");
             x * 2
         });
-        let outputs: Vec<u64> =
-            followup.into_iter().map(|s| s.expect("ran").expect("clean")).collect();
-        assert_eq!(outputs, vec![0, 2, 4, 6]);
+        assert_eq!(followup, vec![0, 2, 4, 6]);
     }
 
     #[test]
@@ -839,32 +755,45 @@ mod tests {
 
     #[test]
     fn cancellation_flushes_partial_telemetry_in_key_order() {
-        let sink = MemorySink::new(1 << 12);
-        let parent = Telemetry::new(sink.clone());
+        // Job 2 stops at its checkpoint after recording its first event,
+        // and so do jobs 3 and 4: each job decides alone, at any width.
         let points: Vec<u32> = (0..5).collect();
-        // The fuse trips inside job 2: jobs 0 and 1 complete, job 2 stops
-        // after recording its first event, jobs 3 and 4 never run.
-        let token = CancelToken::after_checkpoints(3);
-        let outcome =
-            Executor::serial().try_par_map_recorded(&points, &parent, &token, |&point, forks| {
-                let telemetry = forks.scoped("s");
-                telemetry.counter(u64::from(point), "job.start", u64::from(point));
-                token.guard()?;
-                telemetry.counter(u64::from(point), "job.end", u64::from(point));
-                Ok(point)
-            });
-        assert_eq!(outcome, Err(Cancelled), "the tripped fuse cancels the batch");
-        let names: Vec<String> =
-            sink.events().iter().map(|e| format!("{}@{}", e.name, e.at)).collect();
-        assert_eq!(
-            names,
-            vec!["job.start@0", "job.end@0", "job.start@1", "job.end@1", "job.start@2"],
-            "partial telemetry is flushed deterministically up to the cancellation point"
-        );
+        for workers in [1, 2, 8] {
+            let sink = MemorySink::new(1 << 12);
+            let token = CancelToken::after_checkpoints(3);
+            let outcome = Executor::new(workers).try_par_map_recorded(
+                &points,
+                &Telemetry::new(sink.clone()),
+                &token,
+                |&point, forks| {
+                    let telemetry = forks.scoped("s");
+                    telemetry.counter(u64::from(point), "job.start", u64::from(point));
+                    if token.stop_before_rank(u64::from(point) + 1) {
+                        return Err(Cancelled);
+                    }
+                    telemetry.counter(u64::from(point), "job.end", u64::from(point));
+                    Ok(point)
+                },
+            );
+            assert_eq!(outcome, Err(Cancelled), "the armed rank cancels the batch");
+            assert_eq!(
+                joined(&sink),
+                [
+                    "job.start@0",
+                    "job.end@0",
+                    "job.start@1",
+                    "job.end@1",
+                    "job.start@2",
+                    "job.start@3",
+                    "job.start@4"
+                ],
+                "partial telemetry is flushed in job order at {workers} workers"
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "recorded job panicked")]
+    #[should_panic(expected = "boom")]
     fn recorded_jobs_reraise_their_panics() {
         let _ = Executor::new(2).try_par_map_recorded(
             &[1u32, 2, 3],
@@ -876,7 +805,6 @@ mod tests {
             },
         );
     }
-
     /// Jobs finish out of order (the yields vary by job and worker), the
     /// caller still sees `jobs.map(make)`, and no worker runs more than the
     /// window ahead of it.

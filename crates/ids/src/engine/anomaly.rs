@@ -24,7 +24,7 @@
 use crate::alert::{DetectionSource, Severity};
 use crate::engine::stateful::{Cooldown, DistinctCounter, RateCounter};
 use crate::engine::{BenignObservation, Detection, DetectionEngine, Sensitivity};
-use idse_net::trace::{AttackClass, Trace};
+use idse_net::trace::AttackClass;
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet};
@@ -187,7 +187,8 @@ impl AnomalyEngine {
         self.base == other.base
     }
 
-    /// Whether [`DetectionEngine::train`] has run.
+    /// Whether a training pass ([`AnomalyEngine::begin_anomaly_training`])
+    /// has finished on this engine.
     pub fn is_trained(&self) -> bool {
         self.base.trained
     }
@@ -201,9 +202,7 @@ impl AnomalyEngine {
 }
 
 /// A training pass over an [`AnomalyEngine`]: known-benign records in, one
-/// at a time in stream order, then the trained engine out. Folding a
-/// trace's records gives exactly the baselines [`DetectionEngine::train`]
-/// learns from it.
+/// at a time in stream order, then the trained engine out.
 #[derive(Debug)]
 pub struct AnomalyTraining {
     engine: AnomalyEngine,
@@ -298,14 +297,6 @@ impl DetectionEngine for AnomalyEngine {
 
     fn set_sensitivity(&mut self, s: Sensitivity) {
         self.sensitivity = s;
-    }
-
-    fn train(&mut self, benign: &Trace) {
-        let mut training = self.clone().begin_anomaly_training();
-        for rec in benign.records() {
-            training.learn_anomaly_baselines(rec.at, &BenignObservation::of_packet(&rec.packet));
-        }
-        *self = training.finish_anomaly_training();
     }
 
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection> {
@@ -493,8 +484,11 @@ mod tests {
         );
         let benign =
             RecordStream::new(StreamConfig::new(cfg)).expect("rate in range").collect_trace();
-        let mut e = AnomalyEngine::new(AnomalyConfig::default());
-        e.train(&benign);
+        let mut training = AnomalyEngine::new(AnomalyConfig::default()).begin_anomaly_training();
+        for rec in benign.records() {
+            training.learn_anomaly_baselines(rec.at, &BenignObservation::of_packet(&rec.packet));
+        }
+        let mut e = training.finish_anomaly_training();
         e.set_sensitivity(Sensitivity::new(sensitivity));
         e
     }

@@ -17,7 +17,7 @@ use crate::engine::stateful::{Cooldown, RateCounter};
 use crate::engine::{BenignObservation, Detection, DetectionEngine, Sensitivity};
 use crate::keyed::HostSet;
 use idse_net::frag::{OverlapPolicy, Reassembler};
-use idse_net::trace::{AttackClass, Trace};
+use idse_net::trace::AttackClass;
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
@@ -94,8 +94,7 @@ impl HostAgentEngine {
 }
 
 /// A training pass over a [`HostAgentEngine`]: known-benign records in, one
-/// at a time, then the trained agents out. Folding a trace's records gives
-/// exactly the origins [`DetectionEngine::train`] learns from it.
+/// at a time, then the trained agents out.
 #[derive(Debug)]
 pub struct HostAgentTraining {
     agents: HostAgentEngine,
@@ -127,14 +126,6 @@ impl DetectionEngine for HostAgentEngine {
 
     fn set_sensitivity(&mut self, s: Sensitivity) {
         self.sensitivity = s;
-    }
-
-    fn train(&mut self, benign: &Trace) {
-        let mut training = self.clone().begin_login_training();
-        for rec in benign.records() {
-            training.learn_login_origin(&BenignObservation::of_packet(&rec.packet));
-        }
-        *self = training.finish_login_training();
     }
 
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection> {
@@ -288,10 +279,7 @@ mod tests {
 
     #[test]
     fn masquerade_detected_after_training() {
-        let mut a = agent();
-        a.set_sensitivity(Sensitivity::new(0.5));
         // Train: only 10.0.5.5 logs into our hosts.
-        let mut benign = idse_net::Trace::new();
         let known = Packet::tcp(
             Ipv4Header::simple(Ipv4Addr::new(10, 0, 5, 5), Ipv4Addr::new(10, 0, 1, 1)),
             TcpHeader {
@@ -304,8 +292,14 @@ mod tests {
             },
             b"login: ops\r\nLast login: yesterday\r\n".to_vec(),
         );
-        benign.push_benign(SimTime::ZERO, known.clone());
-        a.train(&benign);
+        let trained = || {
+            let mut training = agent().begin_login_training();
+            training.learn_login_origin(&BenignObservation::of_packet(&known));
+            let mut a = training.finish_login_training();
+            a.set_sensitivity(Sensitivity::new(0.5));
+            a
+        };
+        let mut a = trained();
 
         // Same credentials from a foreign host.
         let foreign =
@@ -314,9 +308,7 @@ mod tests {
         assert!(d.iter().any(|d| d.class == AttackClass::Masquerade));
 
         // The known host stays clean.
-        let mut a2 = agent();
-        a2.set_sensitivity(Sensitivity::new(0.5));
-        a2.train(&benign);
+        let mut a2 = trained();
         assert!(a2.inspect(SimTime::from_secs(1), &known).is_empty());
     }
 

@@ -13,7 +13,7 @@ pub mod signature;
 pub mod stateful;
 
 use crate::alert::{DetectionSource, Severity};
-use idse_net::trace::{AttackClass, Trace};
+use idse_net::trace::AttackClass;
 use idse_net::Packet;
 use idse_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -137,9 +137,6 @@ pub trait DetectionEngine: Send {
 
     /// Adjust sensitivity.
     fn set_sensitivity(&mut self, s: Sensitivity);
-
-    /// Train on known-benign traffic (anomaly engines; no-op elsewhere).
-    fn train(&mut self, _benign: &Trace) {}
 
     /// Inspect one packet observed at `now`; return any detections.
     fn inspect(&mut self, now: SimTime, packet: &Packet) -> Vec<Detection>;

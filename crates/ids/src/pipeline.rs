@@ -1741,14 +1741,22 @@ mod tests {
         let untrained = PipelineRunner::new(product, config);
         let mut world =
             DeploymentWorld::build(&untrained.product, &untrained.config, &untrained.trained);
-        for engine in world.sensor_sig.iter_mut().flatten() {
-            engine.train(training);
-        }
+        let observed = || {
+            training.records().iter().map(|rec| (rec.at, BenignObservation::of_packet(&rec.packet)))
+        };
         for engine in world.sensor_ano.iter_mut().flatten() {
-            engine.train(training);
+            let mut fold = engine.clone().begin_anomaly_training();
+            for (at, obs) in observed() {
+                fold.learn_anomaly_baselines(at, &obs);
+            }
+            *engine = fold.finish_anomaly_training();
         }
         if let Some(agent) = world.agents.as_mut() {
-            agent.train(training);
+            let mut fold = agent.clone().begin_login_training();
+            for (_, obs) in observed() {
+                fold.learn_login_origin(&obs);
+            }
+            *agent = fold.finish_login_training();
         }
         let mut sim = Simulation::new();
         sim.set_telemetry(untrained.config.telemetry.clone());
