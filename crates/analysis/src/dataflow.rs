@@ -1,8 +1,8 @@
-//! Phase-3 interprocedural value dataflow over the semantic model.
+//! Phase-2 interprocedural value dataflow over the semantic model.
 //!
-//! The taint pass (phase 2) answers *reachability* questions — can this
-//! function reach a wall clock? The rules here answer *value-flow*
-//! questions the paper's reproducibility invariant depends on:
+//! clippy answers the token questions — does this crate name a wall
+//! clock? The rules here answer *value-flow* questions the paper's
+//! reproducibility invariant depends on:
 //!
 //! * **Seed lineage** (`literal-seed`, `seed-label-reuse`,
 //!   `seed-label-collision`) — every RNG stream must be constructed from
@@ -11,11 +11,6 @@
 //!   which this pass evaluates at lint time. Two labels that hash to the
 //!   same 64-bit value produce byte-identical streams even though the
 //!   source reads as if they were independent.
-//! * **Reduction order** (`unordered-float-reduce`) — float addition is
-//!   not associative, so accumulating `par_map` output in anything but
-//!   canonical order makes the result a function of `--jobs N`. The
-//!   sanctioned reduction is `reduce_in_order` (or staying inside
-//!   `idse-exec`, whose whole job is the canonical-order merge).
 //! * **Hash purity** (`impure-store-record`) — `idse-store` run ids hash
 //!   the canonical record content. Stamps, telemetry summaries and wall
 //!   clocks are *annotation* channels (`with_stamp`/`with_telemetry`,
@@ -24,19 +19,20 @@
 //!   when or how a run was observed rather than what it computed.
 //!
 //! The pass is serial and deterministic: files in canonical order, sites
-//! in (line, column) order, groupings in `BTreeMap`s. Like the taint
-//! rules, every finding carries a witness chain and honors `allow(...)`
-//! both at the finding line and at the chain's source line (the shield).
+//! in (line, column) order, groupings in `BTreeMap`s. Every finding
+//! carries a witness chain and honors `allow(...)` both at the finding
+//! line and at the chain's source line (the shield).
 
-use crate::model::{FileMeta, FileModel};
+use crate::model::FileModel;
 use crate::rules::{self, RuleId, Severity, Tier};
 use crate::source::Line;
+use crate::FileInput;
 use std::collections::BTreeMap;
 
 /// Read-only view of one analyzed file, borrowed from phase-1 output.
 pub struct FileView<'a> {
-    /// Path/crate/kind metadata.
-    pub meta: &'a FileMeta,
+    /// Path/crate/kind of the input file.
+    pub file: &'a FileInput,
     /// The extracted semantic model.
     pub model: &'a FileModel,
     /// Masked lines (code + literals channels).
@@ -195,16 +191,15 @@ fn owner_qual(view: &FileView<'_>, line: usize) -> String {
         .flatten()
         .and_then(|local| view.model.fns.get(local))
         .map(|f| f.qual.clone())
-        .unwrap_or_else(|| format!("{}:{}", view.meta.path, line + 1))
+        .unwrap_or_else(|| format!("{}:{}", view.file.path, line + 1))
 }
 
 fn in_test(view: &FileView<'_>, line: usize) -> bool {
-    view.test_flags.get(line).copied().unwrap_or(false) || view.meta.kind.is_test()
+    view.test_flags.get(line).copied().unwrap_or(false) || view.file.kind.is_test()
 }
 
-/// Tiered severity for the seed-lineage and reduction rules: substrate
-/// crates error, harness crates warn (reuse/literal) or error (reduce),
-/// tooling crates are out of scope.
+/// Tiered severity for the seed-lineage rules: substrate crates error,
+/// harness crates warn, tooling crates are out of scope.
 fn lineage_severity(crate_name: &str) -> Option<Severity> {
     match rules::crate_tier(crate_name) {
         Tier::Strict => Some(Severity::Error),
@@ -285,7 +280,7 @@ fn label_sites(files: &[FileView<'_>]) -> Vec<LabelSite> {
                         file: fi,
                         line: li,
                         column: at,
-                        crate_name: view.meta.crate_name.clone(),
+                        crate_name: view.file.crate_name.clone(),
                         label,
                         qual: owner_qual(view, li),
                     });
@@ -305,7 +300,7 @@ fn label_sites(files: &[FileView<'_>]) -> Vec<LabelSite> {
                         file: fi,
                         line: li,
                         column: at,
-                        crate_name: view.meta.crate_name.clone(),
+                        crate_name: view.file.crate_name.clone(),
                         label,
                         qual: owner_qual(view, li),
                     });
@@ -351,7 +346,7 @@ fn check_label_reuse(files: &[FileView<'_>], sites: &[LabelSite], out: &mut Vec<
                     "constant seed label \"{label}\" already used at {}:{}: the streams \
                      are identical, so the draws are correlated — give each \
                      construction site its own label",
-                    files[first.file].meta.path,
+                    files[first.file].file.path,
                     first.line + 1,
                 ),
                 chain: vec![first.qual.clone(), s.qual.clone(), format!("label \"{label}\"")],
@@ -398,7 +393,7 @@ fn check_label_collision(files: &[FileView<'_>], sites: &[LabelSite], out: &mut 
                      rename one label ({}:{})",
                     s.label,
                     other,
-                    files[other_site.file].meta.path,
+                    files[other_site.file].file.path,
                     other_site.line + 1,
                 ),
                 chain: vec![
@@ -485,7 +480,7 @@ fn classify_seed_expr(
         if is_plain_ident(name) {
             let mut matches: Vec<(usize, usize)> = Vec::new();
             for (fi, v) in files.iter().enumerate() {
-                if v.meta.crate_name != view.meta.crate_name {
+                if v.file.crate_name != view.file.crate_name {
                     continue;
                 }
                 for (local, f) in v.model.fns.iter().enumerate() {
@@ -539,7 +534,7 @@ fn classify_seed_expr(
 /// `derive_seed` are exempt — they are the sanctioned implementation.
 fn check_literal_seed(files: &[FileView<'_>], out: &mut Vec<DataflowHit>) {
     for (fi, view) in files.iter().enumerate() {
-        let Some(severity) = lineage_severity(&view.meta.crate_name) else { continue };
+        let Some(severity) = lineage_severity(&view.file.crate_name) else { continue };
         if view.model.fns.iter().any(|f| f.name == "derive_seed") {
             continue;
         }
@@ -586,170 +581,6 @@ fn check_literal_seed(files: &[FileView<'_>], out: &mut Vec<DataflowHit>) {
                 }
             }
         }
-    }
-}
-
-fn floatish(tok: &str) -> bool {
-    rules::is_floatish_token(tok)
-}
-
-/// `unordered-float-reduce`: float accumulation over `par_map` output
-/// outside a `reduce_in_order` callback or the executor crate.
-fn check_float_reduce(files: &[FileView<'_>], out: &mut Vec<DataflowHit>) {
-    for (fi, view) in files.iter().enumerate() {
-        let crate_name = view.meta.crate_name.as_str();
-        if crate_name == "idse-exec" || rules::crate_tier(crate_name) == Tier::Tooling {
-            continue;
-        }
-        // Group lines by owning function.
-        let mut by_fn: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (li, owner) in view.model.line_owners.iter().enumerate() {
-            if let Some(local) = owner {
-                if !in_test(view, li) {
-                    by_fn.entry(*local).or_default().push(li);
-                }
-            }
-        }
-        for (local, body) in by_fn {
-            let qual = view.model.fns[local].qual.clone();
-            // par_map bindings in this body.
-            let mut bindings: Vec<(String, usize)> = Vec::new();
-            for &li in &body {
-                let code = &view.lines[li].code;
-                if !(code.contains(".par_map(") || code.contains(".try_par_map(")) {
-                    continue;
-                }
-                // Inline reduce on the same statement is still unordered —
-                // unless the statement routes through reduce_in_order.
-                if code.contains("reduce_in_order(") {
-                    continue;
-                }
-                if let Some(hit) = float_sum_column(code) {
-                    out.push(float_reduce_hit(view, fi, li, hit, &qual, "par_map output", li));
-                    continue;
-                }
-                let Some(at) = rules::word_at(code, "let") else { continue };
-                let rest = code[at + 3..].trim_start();
-                let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-                let end =
-                    rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
-                let ident = &rest[..end];
-                if is_plain_ident(ident) {
-                    bindings.push((ident.to_string(), li));
-                }
-            }
-            if bindings.is_empty() {
-                continue;
-            }
-            // A binding handed to reduce_in_order is sanctioned outright.
-            bindings.retain(|(ident, _)| {
-                !body.iter().any(|&li| {
-                    let code = &view.lines[li].code;
-                    code.contains("reduce_in_order(") && rules::word_at(code, ident).is_some()
-                })
-            });
-            for (ident, bind_line) in bindings {
-                let mut loop_var: Option<String> = None;
-                for &li in body.iter().filter(|&&li| li >= bind_line) {
-                    let code = &view.lines[li].code;
-                    if li > bind_line && rules::word_at(code, &ident).is_some() {
-                        // Direct reductions over the binding.
-                        if let Some(col) = float_sum_column(code) {
-                            out.push(float_reduce_hit(view, fi, li, col, &qual, &ident, bind_line));
-                        }
-                        // A `for v in &binding` loop: remember the loop var.
-                        if let Some(at) = rules::word_at(code, "for") {
-                            let rest = code[at + 3..].trim_start();
-                            let vend = rest
-                                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                                .unwrap_or(rest.len());
-                            let v = &rest[..vend];
-                            if is_plain_ident(v) && rules::word_at(&rest[vend..], "in").is_some() {
-                                loop_var = Some(v.to_string());
-                            }
-                        }
-                    }
-                    if let Some(v) = loop_var.clone() {
-                        if let Some(op_at) = code.find("+=") {
-                            let rhs =
-                                code[op_at + 2..].trim_start().trim_start_matches(['*', '&', '(']);
-                            let rend = rhs
-                                .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.'))
-                                .unwrap_or(rhs.len());
-                            let rtok = &rhs[..rend];
-                            let lhs_float = floatish(operand_head(&code[..op_at]));
-                            if rtok == v
-                                || rtok.starts_with(&format!("{v}."))
-                                || floatish(rtok)
-                                || lhs_float
-                            {
-                                out.push(float_reduce_hit(
-                                    view, fi, li, op_at, &qual, &ident, bind_line,
-                                ));
-                                loop_var = None;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn operand_head(head: &str) -> &str {
-    let head = head.trim_end();
-    let start =
-        head.rfind(|c: char| !(c.is_alphanumeric() || c == '_' || c == '.')).map_or(0, |p| p + 1);
-    &head[start..]
-}
-
-/// Column of an explicitly-float unordered reduction on this line:
-/// `.sum::<f64>()`/`.sum::<f32>()` or `.fold(<float literal>, ...)`.
-fn float_sum_column(code: &str) -> Option<usize> {
-    for pat in [".sum::<f64", ".sum::<f32"] {
-        if let Some(at) = code.find(pat) {
-            return Some(at);
-        }
-    }
-    if let Some(at) = code.find(".fold(") {
-        let init = code[at + ".fold(".len()..].trim_start();
-        let end = init
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '_'))
-            .unwrap_or(init.len());
-        if floatish(&init[..end]) {
-            return Some(at);
-        }
-    }
-    None
-}
-
-#[allow(clippy::too_many_arguments)]
-fn float_reduce_hit(
-    view: &FileView<'_>,
-    file: usize,
-    line: usize,
-    column: usize,
-    qual: &str,
-    binding: &str,
-    bind_line: usize,
-) -> DataflowHit {
-    DataflowHit {
-        rule: RuleId::UnorderedFloatReduce,
-        severity: Severity::Error,
-        file,
-        line,
-        column,
-        message: format!(
-            "float accumulation over par_map output `{binding}` outside \
-             reduce_in_order: float addition is not associative, so the result \
-             depends on --jobs N; reduce in canonical job order"
-        ),
-        chain: vec![
-            qual.to_string(),
-            format!("par_map output `{binding}` ({}:{})", view.meta.path, bind_line + 1),
-            view.lines.get(line).map(|l| l.code.trim().to_string()).unwrap_or_default(),
-        ],
-        source: Some((file, bind_line)),
     }
 }
 
@@ -882,7 +713,7 @@ fn check_store_purity(files: &[FileView<'_>], out: &mut Vec<DataflowHit>) {
                             format!(
                                 "{} `{ident}` ({}:{})",
                                 src.phrase(),
-                                view.meta.path,
+                                view.file.path,
                                 origin_line + 1
                             ),
                             format!("{sink_name}(..)"),
@@ -903,7 +734,6 @@ pub fn analyze(files: &[FileView<'_>]) -> Vec<DataflowHit> {
     check_label_reuse(files, &sites, &mut out);
     check_label_collision(files, &sites, &mut out);
     check_literal_seed(files, &mut out);
-    check_float_reduce(files, &mut out);
     check_store_purity(files, &mut out);
     out.sort_by_key(|a| (a.file, a.line, a.column, a.rule));
     out

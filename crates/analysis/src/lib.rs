@@ -3,43 +3,30 @@
 //! Identical inputs must yield byte-identical scores: the paper's scorecard
 //! means nothing otherwise. The guard is split in two.
 //!
-//! **clippy** checks the direct, token-level hazards through workspace
+//! **clippy** checks every token-level hazard through workspace
 //! configuration: `[workspace.lints.clippy]` (`unwrap_used`, `panic`,
 //! `todo`, `unimplemented`, `float_cmp`) and `disallowed-methods` /
-//! `disallowed-types` in `clippy.toml` (wall clocks, ambient entropy, raw
-//! threads everywhere; `HashMap`/`HashSet` in the report crates). Audited
-//! exceptions are `#[expect(clippy::..., reason = "...")]`, which clippy
-//! itself reports once they stop being needed.
+//! `disallowed-types` in the root `clippy.toml` (wall clocks, ambient
+//! entropy, raw threads and hash containers, in every crate). clippy
+//! resolves each type and method use exactly, so a wrapper function cannot
+//! launder a banned call: the call inside the wrapper is itself refused.
+//! Audited exceptions are `#[expect(clippy::..., reason = "...")]`, which
+//! clippy itself reports once they stop being needed.
 //!
 //! **idse-lint** checks what only this repository can express. A small
-//! lexer (see [`source`]) feeds three phases, no rustc plugin required:
+//! lexer (see [`source`]) feeds two phases, no rustc plugin required:
 //!
 //! **Phase 1** scans each file independently — the line rules of
 //! [`rules`] (`sink-side-effect`, `materialized-feed-in-experiment`),
 //! allow-directive validation, and extraction of a lightweight semantic
-//! model (see [`model`]): `fn`/`impl`/`mod` definitions, `use` imports,
-//! call-site tokens, and taint seeds. It is a plain loop over the files in
-//! canonical order.
+//! model (see [`model`]): `fn`/`impl`/`mod` definitions and the function
+//! that owns each line. It is a plain loop over the files in canonical
+//! order.
 //!
-//! **Phase 2** assembles the per-file models into a workspace call graph
-//! and propagates taint labels (see [`taint`]) backwards from every hazard
-//! token, so a function that merely *reaches* a wall clock, ambient
-//! entropy, a hash container, a panicking helper, or raw threads — at any
-//! depth, across crates — is flagged with the full call chain. clippy sees
-//! only the token; this is the half it cannot see:
-//!
-//! ```text
-//! error[transitive-wall-clock-in-sim] crates/sim/src/lib.rs:4:24 — `step`
-//!   reaches wall-clock source `std::time::Instant::now` through 2 calls:
-//!   idse-sim::step -> idse-sim::util::now_ms -> std::time::Instant::now
-//! ```
-//!
-//! **Phase 3** runs value dataflow (see [`dataflow`]) over the same
-//! models: seed lineage (`literal-seed`, `seed-label-reuse`,
-//! `seed-label-collision` — the last judged by *evaluating* the real
-//! `derive_seed` at lint time), reduction order over `par_map` output
-//! (`unordered-float-reduce`), and run-id hash purity
-//! (`impure-store-record`).
+//! **Phase 2** runs value dataflow (see [`dataflow`]) over those models:
+//! seed lineage (`literal-seed`, `seed-label-reuse`, `seed-label-collision`
+//! — the last judged by *evaluating* the real `derive_seed` at lint time)
+//! and run-id hash purity (`impure-store-record`).
 //!
 //! ## Escape hatch
 //!
@@ -51,20 +38,16 @@
 //! let feed = request.build_feed();
 //! ```
 //!
-//! Transitive rules honor allows **at the taint source**: one directive on
-//! the hazard line (naming the transitive rule) shields every downstream
-//! caller, so an audited helper never needs N call-site suppressions. An
-//! `#[expect(clippy::...)]` on the hazard line that names the lint
-//! checking it (see [`rules::TaintLabel::clippy_lints`]) shields the same
-//! way: the exception is audited once, where the token is. A directive
-//! with an unknown rule name or a missing/empty reason is itself an error
-//! (`invalid-allow`), and a directive that suppresses nothing is flagged
-//! (`unused-allow`) so stale suppressions get deleted.
+//! A dataflow finding also honors an allow at its chain's origin (the
+//! binding or first label site), which shields every downstream finding.
+//! A directive with an unknown rule name or a missing/empty reason is
+//! itself an error (`invalid-allow`), and a directive that suppresses
+//! nothing is flagged (`unused-allow`) so stale suppressions get deleted.
 //!
 //! ## Determinism of the lint itself
 //!
 //! The lint practices what it enforces: the workspace walk is sorted, the
-//! three phases run serially in that order, all aggregation uses ordered
+//! two phases run serially in that order, all aggregation uses ordered
 //! containers, and the report is sorted before it is rendered. The text
 //! listing and the `--json` report are a pure function of the tree.
 
@@ -75,11 +58,9 @@ pub mod dataflow;
 pub mod model;
 pub mod rules;
 pub mod source;
-pub mod taint;
 
-use rules::{FileKind, LineCtx, RuleId, Severity, TaintLabel};
+use rules::{FileKind, LineCtx, RuleId, Severity};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -102,9 +83,8 @@ pub struct Finding {
     pub message: String,
     /// The offending source line (masked code channel), trimmed.
     pub excerpt: String,
-    /// For transitive findings: qualified names from the reporter down to
-    /// the taint source, ending with the hazard token. Empty for line
-    /// findings.
+    /// For dataflow findings: the witness chain from the owning function
+    /// through each flow step to the sink token. Empty for line findings.
     pub chain: Vec<String>,
 }
 
@@ -200,18 +180,6 @@ pub struct FileInput {
     pub text: String,
 }
 
-/// The unit phase 2 operates on: every file plus the workspace dependency
-/// direction (crate → direct deps), which bounds cross-crate call edges.
-#[derive(Debug, Clone, Default)]
-pub struct Workspace {
-    /// Files in canonical (sorted-walk) order.
-    pub files: Vec<FileInput>,
-    /// Crate package name → direct dependency package names. A crate
-    /// absent from the map is unconstrained (fixture corpora, the root
-    /// `workspace` pseudo-crate).
-    pub deps: BTreeMap<String, BTreeSet<String>>,
-}
-
 #[derive(Debug)]
 struct ValidDirective {
     target: usize,
@@ -223,7 +191,6 @@ struct ValidDirective {
 struct FilePass {
     report: Report,
     valid: Vec<ValidDirective>,
-    expects: Vec<source::ClippyExpect>,
     model: model::FileModel,
     lines: Vec<source::Line>,
     test_flags: Vec<bool>,
@@ -231,7 +198,7 @@ struct FilePass {
 
 /// Phase 1 for one file: line rules, directive validation, model
 /// extraction. A pure function of the input.
-fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
+fn analyze_file(input: &FileInput) -> FilePass {
     let lines = source::mask(&input.text);
     let test_flags = source::test_regions(&lines);
     let directives = source::allow_directives(&lines);
@@ -310,172 +277,27 @@ fn analyze_file(file_idx: usize, input: &FileInput) -> FilePass {
         }
     }
 
-    let model = model::extract(&input.path, crate_name, kind, file_idx, &lines, &test_flags);
-    let expects = source::clippy_expects(&lines);
-    FilePass { report, valid, expects, model, lines, test_flags }
+    let model = model::extract(&input.path, crate_name, &lines);
+    FilePass { report, valid, model, lines, test_flags }
 }
 
-/// How an allow-at-source directive kills a taint seed.
-enum SeedKill {
-    /// Directive at the seed line names the transitive rule.
-    BySourceAllow(usize),
-    /// An `#[expect(clippy::...)]` on the item covering the seed line
-    /// names a lint that checks the label's direct half: clippy holds the
-    /// audited exception (and fails the build once it stops being needed).
-    ByDirectAllow,
-}
-
-fn seed_kill(passes: &[FilePass], label: TaintLabel, s: &model::SeedInfo) -> Option<SeedKill> {
-    let pass = passes.get(s.file)?;
-    if let Some(di) =
-        pass.valid.iter().position(|d| d.target == s.line && d.rule == label.transitive_rule())
-    {
-        return Some(SeedKill::BySourceAllow(di));
-    }
-    let direct = label.clippy_lints();
-    pass.expects
-        .iter()
-        .any(|e| {
-            (e.first_line..=e.last_line).contains(&s.line)
-                && e.lints.iter().any(|l| direct.contains(&l.as_str()))
-        })
-        .then_some(SeedKill::ByDirectAllow)
-}
-
-/// Analyze a workspace: phase 1 per file, then the call graph, taint, and
-/// dataflow phases over the collected models.
-pub fn analyze(ws: &Workspace) -> Report {
+/// Analyze a workspace: phase 1 per file, then the dataflow phase over
+/// the collected models.
+pub fn analyze(files: &[FileInput]) -> Report {
     // Phase 1: per file, in canonical file order.
-    let mut passes: Vec<FilePass> =
-        ws.files.iter().enumerate().map(|(i, f)| analyze_file(i, f)).collect();
-
-    // Phase 2: whole-workspace call graph and taint propagation.
-    let metas: Vec<model::FileMeta> = ws
-        .files
-        .iter()
-        .map(|f| model::FileMeta {
-            path: f.path.clone(),
-            crate_name: f.crate_name.clone(),
-            kind: f.kind,
-        })
-        .collect();
-    let models: Vec<model::FileModel> = passes.iter().map(|p| p.model.clone()).collect();
-    let graph = model::assemble(&metas, &models, &ws.deps);
-
+    let mut passes: Vec<FilePass> = files.iter().map(analyze_file).collect();
     let mut extra_findings: Vec<Finding> = Vec::new();
     let mut extra_suppressed: Vec<Suppressed> = Vec::new();
 
-    for label in TaintLabel::ALL {
-        // Live propagation: seeds not shielded by an allow at the source.
-        let live = taint::propagate(&graph, label, &|_, s| seed_kill(&passes, label, s).is_none());
-        let hits = {
-            let direct_covered = |id: usize| -> bool {
-                let Some(w) = &live[id] else { return false };
-                let s = &w.seed;
-                let meta = &metas[s.file];
-                let in_test = passes[s.file].test_flags.get(s.line).copied().unwrap_or(false);
-                label.applies(&meta.crate_name, meta.kind, in_test).is_some()
-            };
-            taint::transitive_hits(&graph, label, &live, &direct_covered)
-        };
-        for hit in hits {
-            let f = &graph.fns[hit.fn_id];
-            let file_idx = f.file;
-            let finding = Finding {
-                rule: label.transitive_rule().name().to_string(),
-                severity: hit.severity.label().to_string(),
-                crate_name: f.crate_name.clone(),
-                file: metas[file_idx].path.clone(),
-                line: hit.line + 1,
-                column: hit.column + 1,
-                message: hit.message,
-                excerpt: passes[file_idx]
-                    .lines
-                    .get(hit.line)
-                    .map(|l| l.code.trim().to_string())
-                    .unwrap_or_default(),
-                chain: hit.chain,
-            };
-            // A call-site allow naming the transitive rule suppresses the
-            // individual finding (source allows are preferred, but the
-            // escape hatch composes either way).
-            let dir = passes[file_idx]
-                .valid
-                .iter_mut()
-                .find(|d| d.target == hit.line && d.rule == label.transitive_rule());
-            match dir {
-                Some(d) => {
-                    d.used = true;
-                    extra_suppressed.push(Suppressed { finding, reason: d.reason.clone() });
-                }
-                None => extra_findings.push(finding),
-            }
-        }
-
-        // Shield accounting: a source allow earns "used" iff some in-scope
-        // function actually reaches its seed — otherwise it is stale and
-        // `unused-allow` fires.
-        let shielded = taint::propagate(&graph, label, &|_, s| {
-            matches!(seed_kill(&passes, label, s), Some(SeedKill::BySourceAllow(_)))
-        });
-        let reachers = taint::in_scope_reachers(&graph, label, &shielded);
-        let mut shield_uses: BTreeMap<(usize, usize), (Severity, model::SeedInfo, usize)> =
-            BTreeMap::new();
-        for id in reachers {
-            let w = shielded[id].as_ref().expect("reachers are tainted");
-            let Some(SeedKill::BySourceAllow(di)) = seed_kill(&passes, label, &w.seed) else {
-                continue;
-            };
-            let f = &graph.fns[id];
-            let severity = label
-                .applies(&f.crate_name, f.kind, f.in_test)
-                .expect("in_scope_reachers filters by scope");
-            shield_uses.entry((w.seed.file, di)).and_modify(|e| e.2 += 1).or_insert((
-                severity,
-                w.seed.clone(),
-                1,
-            ));
-        }
-        for ((file_idx, di), (severity, s, n)) in shield_uses {
-            let excerpt = passes[file_idx]
-                .lines
-                .get(s.line)
-                .map(|l| l.code.trim().to_string())
-                .unwrap_or_default();
-            let plural = if n == 1 { "" } else { "s" };
-            let d = &mut passes[file_idx].valid[di];
-            d.used = true;
-            extra_suppressed.push(Suppressed {
-                finding: Finding {
-                    rule: label.transitive_rule().name().to_string(),
-                    severity: severity.label().to_string(),
-                    crate_name: metas[file_idx].crate_name.clone(),
-                    file: metas[file_idx].path.clone(),
-                    line: s.line + 1,
-                    column: s.column + 1,
-                    message: format!(
-                        "taint source `{}` allowed here: shields {n} in-scope function{plural} \
-                         from {}",
-                        s.token,
-                        label.transitive_rule().name(),
-                    ),
-                    excerpt,
-                    chain: Vec::new(),
-                },
-                reason: d.reason.clone(),
-            });
-        }
-    }
-
-    // Phase 3: value dataflow over the same models — seed lineage,
-    // reduction order, store-record purity. An allow at the finding line
-    // or at the chain's origin suppresses.
+    // Phase 2: value dataflow over the same models — seed lineage and
+    // store-record purity. An allow at the finding line or at the chain's
+    // origin suppresses.
     let dataflow_hits = {
-        let views: Vec<dataflow::FileView<'_>> = metas
+        let views: Vec<dataflow::FileView<'_>> = files
             .iter()
             .zip(passes.iter())
-            .map(|(meta, pass)| dataflow::FileView {
-                meta,
+            .map(|(file, pass)| dataflow::FileView {
+                file,
                 model: &pass.model,
                 lines: &pass.lines,
                 test_flags: &pass.test_flags,
@@ -487,8 +309,8 @@ pub fn analyze(ws: &Workspace) -> Report {
         let finding = Finding {
             rule: hit.rule.name().to_string(),
             severity: hit.severity.label().to_string(),
-            crate_name: metas[hit.file].crate_name.clone(),
-            file: metas[hit.file].path.clone(),
+            crate_name: files[hit.file].crate_name.clone(),
+            file: files[hit.file].path.clone(),
             line: hit.line + 1,
             column: hit.column + 1,
             message: hit.message,
@@ -500,9 +322,8 @@ pub fn analyze(ws: &Workspace) -> Report {
             chain: hit.chain,
         };
         // An allow at the finding line suppresses the individual finding;
-        // an allow at the chain's origin (the binding, first label site,
-        // or taint source) shields every downstream finding — the same
-        // composition the taint rules offer.
+        // an allow at the chain's origin (the binding or the first label
+        // site) shields every downstream finding.
         if let Some(d) =
             passes[hit.file].valid.iter_mut().find(|d| d.target == hit.line && d.rule == hit.rule)
         {
@@ -524,15 +345,15 @@ pub fn analyze(ws: &Workspace) -> Report {
     }
 
     // Unused-allow sweep runs after phase 2: a directive may earn its keep
-    // only as a taint-source shield.
+    // as a dataflow shield.
     for (fi, pass) in passes.iter().enumerate() {
         for d in &pass.valid {
             if !d.used {
                 extra_findings.push(Finding {
                     rule: RuleId::UnusedAllow.name().to_string(),
                     severity: Severity::Warn.label().to_string(),
-                    crate_name: metas[fi].crate_name.clone(),
-                    file: metas[fi].path.clone(),
+                    crate_name: files[fi].crate_name.clone(),
+                    file: files[fi].path.clone(),
                     line: d.target + 1,
                     column: 1,
                     message: format!("allow({}) suppressed no finding: delete it", d.rule.name()),
@@ -571,19 +392,14 @@ pub fn analyze(ws: &Workspace) -> Report {
 }
 
 /// Analyze one file's text. `file` is the workspace-relative display path.
-/// Single-file convenience over [`analyze`]: the call graph is built from
-/// this file alone.
+/// Single-file convenience over [`analyze`].
 pub fn analyze_source(file: &str, crate_name: &str, kind: FileKind, text: &str) -> Report {
-    let ws = Workspace {
-        files: vec![FileInput {
-            path: file.to_string(),
-            crate_name: crate_name.to_string(),
-            kind,
-            text: text.to_string(),
-        }],
-        deps: BTreeMap::new(),
-    };
-    analyze(&ws)
+    analyze(&[FileInput {
+        path: file.to_string(),
+        crate_name: crate_name.to_string(),
+        kind,
+        text: text.to_string(),
+    }])
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -645,38 +461,6 @@ fn crate_package_name(crate_dir: &Path) -> String {
     crate_dir.file_name().and_then(|n| n.to_str()).unwrap_or("unknown").to_string()
 }
 
-/// Dependency keys from the `[dependencies]`/`[dev-dependencies]`/
-/// `[build-dependencies]` sections of a manifest. For this workspace the
-/// key *is* the package name.
-fn manifest_deps(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut in_deps = false;
-    for line in text.lines() {
-        let t = line.trim();
-        if t.starts_with('[') {
-            let section = t.trim_matches(['[', ']']);
-            in_deps = matches!(section, "dependencies" | "dev-dependencies" | "build-dependencies");
-            if !in_deps {
-                for prefix in ["dependencies.", "dev-dependencies.", "build-dependencies."] {
-                    if let Some(name) = section.strip_prefix(prefix) {
-                        out.insert(name.trim_matches('"').to_string());
-                    }
-                }
-            }
-            continue;
-        }
-        if in_deps {
-            if let Some((key, _)) = t.split_once('=') {
-                let k = key.trim().trim_matches('"');
-                if !k.is_empty() {
-                    out.insert(k.to_string());
-                }
-            }
-        }
-    }
-    out
-}
-
 fn walk_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.exists() {
         return Ok(());
@@ -704,44 +488,41 @@ fn load_tree(
     dir: &Path,
     crate_name: &str,
     crate_root: &Path,
-    ws: &mut Workspace,
+    out: &mut Vec<FileInput>,
 ) -> std::io::Result<()> {
-    let mut files = Vec::new();
-    walk_rust_files(dir, &mut files)?;
-    for path in files {
+    let mut paths = Vec::new();
+    walk_rust_files(dir, &mut paths)?;
+    for path in paths {
         let rel_in_crate = path.strip_prefix(crate_root).unwrap_or(&path);
         let kind = classify(rel_in_crate);
         let display = path.strip_prefix(root).unwrap_or(&path).display().to_string();
         let text = std::fs::read_to_string(&path)?;
-        ws.files.push(FileInput { path: display, crate_name: crate_name.to_string(), kind, text });
+        out.push(FileInput { path: display, crate_name: crate_name.to_string(), kind, text });
     }
     Ok(())
 }
 
-/// Load a workspace rooted at `root` into memory: every crate under
-/// `crates/` (its `src/`, `tests/`, `benches/`), plus the root `examples/`
-/// and `tests/` trees, and the dependency direction from each crate's
-/// manifest. `third_party/` shims and fixture corpora are out of scope by
+/// Load a workspace rooted at `root` into memory, in canonical (sorted
+/// walk) order: every crate under `crates/` (its `src/`, `tests/`,
+/// `benches/`), plus the root `examples/` and `tests/` trees.
+/// `third_party/` shims and fixture corpora are out of scope by
 /// construction.
-pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
-    let mut ws = Workspace::default();
+pub fn load_workspace(root: &Path) -> std::io::Result<Vec<FileInput>> {
+    let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> =
         std::fs::read_dir(&crates_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
     crate_dirs.sort();
     for crate_dir in crate_dirs.into_iter().filter(|p| p.is_dir()) {
         let name = crate_package_name(&crate_dir);
-        if let Ok(manifest) = std::fs::read_to_string(crate_dir.join("Cargo.toml")) {
-            ws.deps.insert(name.clone(), manifest_deps(&manifest));
-        }
         for sub in ["src", "tests", "benches"] {
-            load_tree(root, &crate_dir.join(sub), &name, &crate_dir, &mut ws)?;
+            load_tree(root, &crate_dir.join(sub), &name, &crate_dir, &mut files)?;
         }
     }
     for sub in ["examples", "tests"] {
-        load_tree(root, &root.join(sub), "workspace", root, &mut ws)?;
+        load_tree(root, &root.join(sub), "workspace", root, &mut files)?;
     }
-    Ok(ws)
+    Ok(files)
 }
 
 /// Run the full pass over a workspace rooted at `root`.
@@ -793,17 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_deps_reads_section_keys() {
-        let toml = "[package]\nname = \"idse-eval\"\n\n[dependencies]\n\
-                    idse-sim = { workspace = true }\nserde = { workspace = true }\n\n\
-                    [dev-dependencies]\nproptest = { workspace = true }\n";
-        let deps = manifest_deps(toml);
-        assert!(deps.contains("idse-sim"));
-        assert!(deps.contains("proptest"));
-        assert!(!deps.contains("name"));
-    }
-
-    #[test]
     fn json_report_is_deterministic() {
         let run = || {
             let src = format!("{SINK_LINE}\nfn f(q: &mut EventQueue) {{}}\n");
@@ -811,109 +581,5 @@ mod tests {
             serde_json::to_string(&r).expect("report serializes")
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn transitive_finding_carries_the_chain() {
-        // The seed lives in a tooling crate outside the wall-clock scope:
-        // clippy's configuration there need not ban it, and without the
-        // taint pass this launders the clock straight into the sim crate.
-        let ws = Workspace {
-            files: vec![
-                FileInput {
-                    path: "crates/simx/src/lib.rs".to_string(),
-                    crate_name: "idse-sim".to_string(),
-                    kind: FileKind::Library,
-                    text: "pub fn step() -> u64 { now_ms() }\n\
-                           fn now_ms() -> u64 { idse_timeutil::raw_clock() }\n"
-                        .to_string(),
-                },
-                FileInput {
-                    path: "crates/timeutil/src/lib.rs".to_string(),
-                    crate_name: "idse-timeutil".to_string(),
-                    kind: FileKind::Library,
-                    text: "pub fn raw_clock() -> u64 { let t = std::time::Instant::now(); 0 }\n"
-                        .to_string(),
-                },
-            ],
-            deps: BTreeMap::new(),
-        };
-        let r = analyze(&ws);
-        let trans: Vec<_> =
-            r.findings.iter().filter(|f| f.rule == "transitive-wall-clock-in-sim").collect();
-        assert_eq!(trans.len(), r.findings.len(), "{:?}", r.findings);
-        assert_eq!(trans.len(), 1, "{:?}", r.findings);
-        assert_eq!(
-            trans[0].chain,
-            vec!["idse-sim::now_ms", "idse-timeutil::raw_clock", "std::time::Instant::now"]
-        );
-        assert_eq!(trans[0].file, "crates/simx/src/lib.rs");
-        assert_eq!(trans[0].line, 2, "reported at now_ms's call site");
-    }
-
-    #[test]
-    fn allow_at_source_shields_downstream_and_is_used() {
-        // The hazard lives outside the report crates (no direct finding);
-        // a report-crate function reaches it; one allow at the source
-        // shields the downstream caller and counts as used.
-        let ws = Workspace {
-            files: vec![
-                FileInput {
-                    path: "crates/evalx/src/lib.rs".to_string(),
-                    crate_name: "idse-eval".to_string(),
-                    kind: FileKind::Library,
-                    text: "use idse_ids::bucket_count;\n\
-                           pub fn summarize() -> usize { bucket_count() }\n"
-                        .to_string(),
-                },
-                FileInput {
-                    path: "crates/idsx/src/lib.rs".to_string(),
-                    crate_name: "idse-ids".to_string(),
-                    kind: FileKind::Library,
-                    text: "// idse-lint: allow(transitive-unordered-iteration-in-report, reason = \"size query only, order never observed\")\n\
-                           pub fn bucket_count() -> usize { std::collections::HashMap::<u32, u32>::new().len() }\n"
-                        .to_string(),
-                },
-            ],
-            deps: BTreeMap::new(),
-        };
-        // No unused-allow finding either: the shield counts as used.
-        let r = analyze(&ws);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.suppressed.len(), 1, "{:?}", r.suppressed);
-        assert!(r.suppressed[0].finding.message.contains("shields 1 in-scope function"));
-    }
-
-    #[test]
-    fn clippy_expect_at_the_seed_shields_callers() {
-        // The panic sits in a tooling crate, outside the panic scope; a
-        // sim-crate function reaches it. An `#[expect(clippy::panic)]` on
-        // the seed line is the audited exception: no caller inherits it.
-        let ws = |expect: &str| Workspace {
-            files: vec![
-                FileInput {
-                    path: "crates/simx/src/lib.rs".to_string(),
-                    crate_name: "idse-sim".to_string(),
-                    kind: FileKind::Library,
-                    text: "pub fn step() { idse_tool::fail() }\n".to_string(),
-                },
-                FileInput {
-                    path: "crates/tool/src/lib.rs".to_string(),
-                    crate_name: "idse-tool".to_string(),
-                    kind: FileKind::Library,
-                    text: format!("pub fn fail() {{\n{expect}\n    panic!(\"boom\");\n}}\n"),
-                },
-            ],
-            deps: BTreeMap::new(),
-        };
-        let bare = analyze(&ws(""));
-        assert_eq!(bare.findings.len(), 1, "{:?}", bare.findings);
-        assert_eq!(bare.findings[0].rule, "transitive-panic-in-library");
-        let expected = r#"    #[expect(clippy::panic, reason = "re-raise")]"#;
-        let shielded = analyze(&ws(expected));
-        assert!(shielded.findings.is_empty(), "{:?}", shielded.findings);
-        // An expect naming an unrelated lint shields nothing.
-        let other = analyze(&ws("    #[expect(clippy::float_cmp)]"));
-        assert_eq!(other.findings.len(), 1, "{:?}", other.findings);
     }
 }

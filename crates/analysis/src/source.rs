@@ -1,7 +1,6 @@
 //! Line-level source model: a small lexer that separates *code* from
-//! *strings* and *comments*, plus `#[cfg(test)]` region tracking,
-//! `// idse-lint: allow(...)` directive parsing, and the lines covered by
-//! `#[expect(clippy::...)]` attributes.
+//! *strings* and *comments*, plus `#[cfg(test)]` region tracking and
+//! `// idse-lint: allow(...)` directive parsing.
 //!
 //! The rule engine never looks at raw file text. It looks at the masked
 //! `code` view (string and char literal contents blanked, comments
@@ -346,46 +345,6 @@ pub fn allow_directives(lines: &[Line]) -> Vec<AllowDirective> {
     out
 }
 
-/// An `#[expect(clippy::...)]` attribute: the clippy lints it names and
-/// the lines of the item, statement, or match arm it annotates.
-#[derive(Debug, Clone)]
-pub struct ClippyExpect {
-    /// Lint names without the `clippy::` prefix.
-    pub lints: Vec<String>,
-    /// First covered line (0-based): the attribute's own line.
-    pub first_line: usize,
-    /// Last covered line (0-based), found the way [`test_regions`] finds
-    /// the end of a `#[cfg(test)]` item.
-    pub last_line: usize,
-}
-
-/// Extract `#[expect(...)]` attributes that name clippy lints. The
-/// attribute may span lines (rustfmt wraps a long reason); string contents
-/// are masked, so a reason can never be mistaken for a lint path.
-pub fn clippy_expects(lines: &[Line]) -> Vec<ClippyExpect> {
-    let mut out = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if !line.code.contains("#[expect(") {
-            continue;
-        }
-        let attr_end = (i..lines.len()).find(|&j| lines[j].code.contains(")]")).unwrap_or(i);
-        let mut lints = Vec::new();
-        for l in &lines[i..=attr_end] {
-            for (pos, _) in l.code.match_indices("clippy::") {
-                let name: String = l.code[pos + 8..]
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                lints.push(name);
-            }
-        }
-        if !lints.is_empty() {
-            out.push(ClippyExpect { lints, first_line: i, last_line: item_end(lines, i) });
-        }
-    }
-    out
-}
-
 fn parse_allow_comment(comment: &str) -> Option<(String, Option<String>)> {
     let after_tag = comment.split("idse-lint:").nth(1)?;
     let body = after_tag.trim_start().strip_prefix("allow(")?;
@@ -511,29 +470,6 @@ mod tests {
     fn escaped_content_is_recorded_as_written() {
         let lines = mask("f(\"a\\\"b\");\n");
         assert_eq!(lines[0].literals[0].1, "a\\\"b");
-    }
-
-    #[test]
-    fn clippy_expect_covers_the_annotated_item() {
-        let src = "match slot {\n\
-                   #[expect(clippy::panic, reason = \"re-raise\")]\n\
-                   Err(p) => {\n    panic!(\"{p}\");\n}\n\
-                   #[expect(\n    clippy::unwrap_used,\n    reason = \"wrapped; over lines\"\n)]\n\
-                   let v = x.unwrap();\n\
-                   #[expect(clippy::float_cmp)] let same = a == b;\n\
-                   #[expect(dead_code)]\nfn unused() {}\n";
-        let got: Vec<(Vec<String>, usize, usize)> = clippy_expects(&mask(src))
-            .into_iter()
-            .map(|e| (e.lints, e.first_line, e.last_line))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                (vec!["panic".to_string()], 1, 4),
-                (vec!["unwrap_used".to_string()], 5, 9),
-                (vec!["float_cmp".to_string()], 10, 10),
-            ]
-        );
     }
 
     #[test]

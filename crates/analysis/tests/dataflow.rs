@@ -1,4 +1,4 @@
-//! End-to-end tests for phase 3, the value-dataflow rules: one positive
+//! End-to-end tests for phase 2, the value-dataflow rules: one positive
 //! and one negative fixture per rule, witness chains, tier policy,
 //! and allow + shield composition.
 
@@ -145,50 +145,6 @@ fn seed_label_collision_fires_in_any_tier() {
     // derivation is broken wherever it runs.
     let r = lint_fixture("seed_collision_pos.rs", "idse-bench", FileKind::Library);
     assert!(r.has_errors(), "{:?}", rules_of(&r));
-}
-
-// --- unordered-float-reduce ---
-
-#[test]
-fn unordered_float_reduce_positive() {
-    let r = lint_fixture("float_reduce_pos.rs", "idse-eval", FileKind::Library);
-    assert!(r.has_errors());
-    assert_eq!(rules_of(&r), vec!["unordered-float-reduce"; 3], "{:?}", rules_of(&r));
-    // The loop accumulation carries the binding provenance in its chain.
-    let looped = &r.findings[0];
-    assert_eq!(looped.chain[0], "idse-eval::float_reduce_pos::loop_accumulate");
-    assert!(looped.chain[1].starts_with("par_map output `parts`"), "{:?}", looped.chain);
-    assert!(looped.excerpt.contains("+="), "{}", looped.excerpt);
-    // Iterator sum and fold are both caught.
-    assert!(r.findings.iter().any(|f| f.excerpt.contains("sum::<f64>")));
-    assert!(r.findings.iter().any(|f| f.excerpt.contains(".fold(0.0")));
-}
-
-#[test]
-fn unordered_float_reduce_negative() {
-    let r = lint_fixture("float_reduce_neg.rs", "idse-eval", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn unordered_float_reduce_is_legal_inside_the_executor_crate() {
-    // idse-exec owns the canonical-order merge; its internals are exempt.
-    let r = lint_fixture("float_reduce_pos.rs", "idse-exec", FileKind::Library);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-}
-
-#[test]
-fn unordered_float_reduce_shield_at_the_binding() {
-    let src = "pub fn t(exec: &Executor, xs: &[f64]) -> f64 {\n\
-               \x20   // idse-lint: allow(unordered-float-reduce, reason = \"abs-tolerance comparison downstream\")\n\
-               \x20   let parts = exec.par_map(xs, |_, x| x * 2.0);\n\
-               \x20   let a = parts.iter().sum::<f64>();\n\
-               \x20   let b = parts.iter().fold(0.0, |acc, x| acc + x);\n\
-               \x20   a + b\n\
-               }\n";
-    let r = analyze_source("x.rs", "idse-eval", FileKind::Library, src);
-    assert!(r.findings.is_empty(), "{:?}", rules_of(&r));
-    assert_eq!(r.suppressed.len(), 2, "one allow at the binding shields both reductions");
 }
 
 // --- impure-store-record ---

@@ -1,4 +1,4 @@
-//! The direct determinism rules, as clippy enforces them, under test.
+//! The determinism rules, as clippy enforces them, under test.
 //!
 //! The workspace `[workspace.lints.clippy]` table and `clippy.toml` carry
 //! six token-level rules; each has one positive and one negative module
@@ -7,9 +7,8 @@
 //! warnings` fails through `unfulfilled_lint_expectations`. A negative case
 //! carries nothing, so a new false positive fails the same run.
 //!
-//! clippy reads only the nearest `clippy.toml`, so this crate's is a copy
-//! of the report-crate file (`crates/eval/clippy.toml`), the widest scope.
-//! The crate root repeats the report crates' test exemption below.
+//! This crate has no `clippy.toml` of its own: it is linted under the
+//! root file, exactly like every other workspace crate.
 //!
 //! Two hazards have no case here:
 //!
@@ -19,14 +18,7 @@
 //!   source, so the call cannot compile; `RandomState` is the only
 //!   reachable one and is covered.
 
-#![cfg_attr(
-    test,
-    allow(
-        clippy::float_cmp,
-        clippy::disallowed_types,
-        reason = "tests assert bit-exact determinism; scratch hash sets never reach a report"
-    )
-)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 pub mod float_eq_neg;
 pub mod float_eq_pos;

@@ -1,5 +1,4 @@
-//! Negative: ordered containers in report code, and hash containers only
-//! inside test regions (scratch state whose order never reaches a report).
+//! Negative: ordered containers, in library code and in tests alike.
 use std::collections::{BTreeMap, BTreeSet};
 
 pub fn histogram(names: &[String]) -> BTreeMap<String, usize> {
@@ -16,11 +15,11 @@ pub fn flagged() -> BTreeSet<u32> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
-    fn scratch_state_may_hash() {
-        let mut seen: HashMap<u32, bool> = HashMap::new();
+    fn scratch_state_is_ordered() {
+        let mut seen: BTreeMap<u32, bool> = BTreeMap::new();
         seen.insert(1, true);
         assert!(seen[&1]);
     }

@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn standard_mix_covers_every_class() {
         let c = Campaign::standard_mix(&SiteProfile::ecommerce_web(), &config());
-        let classes: std::collections::HashSet<AttackClass> = c.classes().into_iter().collect();
+        let classes: std::collections::BTreeSet<AttackClass> = c.classes().into_iter().collect();
         assert_eq!(classes.len(), AttackClass::ALL.len(), "all classes present");
     }
 
@@ -183,7 +183,7 @@ mod tests {
         let t = c.generate(&config());
         let instances = t.attack_instances();
         assert_eq!(instances.len(), c.len());
-        let ids: std::collections::HashSet<u32> = instances.iter().map(|g| g.attack_id).collect();
+        let ids: std::collections::BTreeSet<u32> = instances.iter().map(|g| g.attack_id).collect();
         assert_eq!(ids.len(), c.len());
     }
 

@@ -103,7 +103,7 @@ mod tests {
         let f = SynFlood::new(Ipv4Addr::new(10, 0, 1, 1));
         let mut rng = RngStream::derive(5, "flood2");
         let t = f.generate(SimTime::ZERO, 2, &mut rng);
-        let sources: std::collections::HashSet<Ipv4Addr> =
+        let sources: std::collections::BTreeSet<Ipv4Addr> =
             t.records().iter().map(|r| r.packet.ip.src).collect();
         assert!(sources.len() > 1000, "spoofed sources should be diverse: {}", sources.len());
         assert!(t.records().iter().all(|r| r.packet.is_syn()));

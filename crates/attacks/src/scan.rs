@@ -281,7 +281,7 @@ mod tests {
         };
         let mut rng = RngStream::derive(1, "scan");
         let t = scan.generate(SimTime::ZERO, 9, &mut rng);
-        let ports: std::collections::HashSet<u16> = t
+        let ports: std::collections::BTreeSet<u16> = t
             .records()
             .iter()
             .filter(|r| r.packet.ip.dst == scan.target)
@@ -313,11 +313,11 @@ mod tests {
         let scan = DistributedScan::new(Ipv4Addr::new(10, 0, 1, 9));
         let mut rng = RngStream::derive(7, "dist");
         let t = scan.generate(SimTime::ZERO, 5, &mut rng);
-        let ports: std::collections::HashSet<u16> =
+        let ports: std::collections::BTreeSet<u16> =
             t.records().iter().filter_map(|r| r.packet.tcp_header().map(|h| h.dst_port)).collect();
         assert_eq!(ports.len(), 256, "full coverage");
         // Each source touches few ports — under per-source thresholds.
-        let mut per_src: std::collections::HashMap<Ipv4Addr, usize> = Default::default();
+        let mut per_src: std::collections::BTreeMap<Ipv4Addr, usize> = Default::default();
         for r in t.records() {
             *per_src.entry(r.packet.ip.src).or_default() += 1;
         }
@@ -337,7 +337,7 @@ mod tests {
         let mut rng = RngStream::derive(2, "sweep");
         let t = sweep.generate(SimTime::from_secs(5), 3, &mut rng);
         assert_eq!(t.len(), 30);
-        let hosts: std::collections::HashSet<Ipv4Addr> =
+        let hosts: std::collections::BTreeSet<Ipv4Addr> =
             t.records().iter().map(|r| r.packet.ip.dst).collect();
         assert_eq!(hosts.len(), 30);
         assert!(t

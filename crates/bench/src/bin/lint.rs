@@ -7,14 +7,13 @@
 //! ```
 //!
 //! The determinism guard is split between two tools. clippy
-//! (`cargo clippy --workspace --all-targets -- -D warnings`) checks the
-//! direct token rules through the workspace lint table and `clippy.toml`:
-//! wall clocks, ambient entropy, raw threads, hash containers in report
-//! crates, exact float compares, and panicking calls in library code. This
-//! binary checks the rest, which clippy cannot express: transitive taint
-//! through the call graph, seed lineage and label collisions, reduction
-//! order over `par_map`, store-record purity, telemetry side effects, and
-//! materialized feeds in experiment code.
+//! (`cargo clippy --workspace --all-targets -- -D warnings`) checks every
+//! token rule through the workspace lint table and the root `clippy.toml`:
+//! wall clocks, ambient entropy, raw threads, hash containers, exact float
+//! compares, and panicking calls in library code. This binary checks the
+//! rest, which clippy cannot express: seed lineage and label collisions,
+//! store-record purity, telemetry side effects, and materialized feeds in
+//! experiment code.
 //!
 //! One serial pass over the tree rooted at `--root` (default: the
 //! enclosing workspace). stdout carries the findings listing and a summary

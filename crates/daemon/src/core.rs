@@ -77,7 +77,7 @@ pub struct Job {
     pub detail: Option<String>,
     /// The job's telemetry folded per `(scope, name, kind)`, once it has
     /// run. Partial for cancelled jobs — everything up to the observed
-    /// chunk boundary.
+    /// chunk or job boundary.
     pub telemetry: Option<Aggregates>,
     /// Structured result summary for completed jobs.
     pub result: Option<Value>,
@@ -416,7 +416,13 @@ impl DaemonCore {
         let (state, detail) = match &outcome {
             JobOutcome::Completed(_) => (JobState::Completed, None),
             JobOutcome::Cancelled => {
-                (JobState::Cancelled, Some("cancelled at a chunk boundary".to_owned()))
+                // A batch job stops before a job starts; a stream job at a
+                // chunk boundary.
+                let boundary = match self.jobs.get(&id).map(|job| job.spec.job_kind()) {
+                    Some(Ok(JobKind::Evaluate)) => "job",
+                    _ => "chunk",
+                };
+                (JobState::Cancelled, Some(format!("cancelled at a {boundary} boundary")))
             }
             JobOutcome::Failed(reason) => (JobState::Failed, Some(reason.clone())),
         };

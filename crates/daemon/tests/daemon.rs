@@ -431,7 +431,8 @@ fn daemon_store_bytes_match_direct_evaluation_at_any_worker_count() {
 /// whole output is the same bytes at every width. Two sweep steps make
 /// four sweep jobs (ranks 1–4) and the check between the phases rank 5;
 /// probe job `j` has rank `6 + j`, so `after_chunks` 7 lets exactly the
-/// first probe job (FlowHunter's operating run) finish.
+/// first probe job (FlowHunter's operating run) finish. A batch job has
+/// no chunks, so its status says it stopped at a job boundary.
 #[test]
 fn cancelled_evaluation_is_byte_identical_at_any_width() {
     let script = [
@@ -439,6 +440,7 @@ fn cancelled_evaluation_is_byte_identical_at_any_width() {
         r#"{"cmd":"cancel","id":1,"after_chunks":7}"#,
         r#"{"cmd":"drain"}"#,
         r#"{"cmd":"watch","id":1}"#,
+        r#"{"cmd":"status","id":1}"#,
     ]
     .join("\n");
     let run = |jobs: usize| {
@@ -448,8 +450,16 @@ fn cancelled_evaluation_is_byte_identical_at_any_width() {
         replay(&mut core, &script).expect("replay")
     };
     let want = run(1);
-    let watch = &want[3..];
+    let (watch, status) = want[3..].split_at(want.len() - 4);
     assert!(watch[watch.len() - 2].contains("\"phase\":\"cancelled\""), "{want:?}");
+    let job = parsed(&status[0]);
+    let job = job.get("job").expect("job snapshot");
+    assert_eq!(job.get("state").and_then(Value::as_str), Some("cancelled"), "{job:?}");
+    assert_eq!(
+        job.get("detail").and_then(Value::as_str),
+        Some("cancelled at a job boundary"),
+        "{job:?}"
+    );
     let operating: Vec<&String> =
         watch.iter().filter(|l| l.contains("\"name\":\"phase.operating_run\"")).collect();
     assert_eq!(operating.len(), 1, "{want:?}");

@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn detector_histogram_is_byte_stable() {
-        // Regression guard for the PR 1 bug class: with a HashMap, the
+        // Regression guard for the PR 1 bug class: with a hash map, the
         // serialized histogram order depended on the per-instance hash
         // seed. Ordered aggregation must serialize byte-identically
         // regardless of alert arrival order.

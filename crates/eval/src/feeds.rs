@@ -280,7 +280,7 @@ mod tests {
         assert!(f.test.attack_packets() > 0);
         assert!(!f.servers.is_empty());
         // All nine attack classes present at intensity ≥ 1.
-        let classes: std::collections::HashSet<_> =
+        let classes: std::collections::BTreeSet<_> =
             f.test.attack_instances().iter().map(|g| g.class).collect();
         assert_eq!(classes.len(), 9);
     }

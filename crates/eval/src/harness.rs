@@ -789,7 +789,7 @@ mod tests {
         let feed = request.build_feed();
         let evals = request.evaluate_all(&feed);
         assert_eq!(evals.len(), 4);
-        let names: std::collections::HashSet<String> =
+        let names: std::collections::BTreeSet<String> =
             evals.iter().map(|e| e.scorecard.system.clone()).collect();
         assert_eq!(names.len(), 4);
         for e in &evals {

@@ -35,14 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(
-    test,
-    allow(
-        clippy::float_cmp,
-        clippy::disallowed_types,
-        reason = "tests assert bit-exact determinism; scratch hash sets never reach a report"
-    )
-)]
+#![cfg_attr(test, allow(clippy::float_cmp, reason = "tests assert bit-exact determinism"))]
 
 pub mod confusion;
 pub mod evidence;

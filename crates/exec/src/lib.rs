@@ -12,9 +12,9 @@
 //! * jobs are claimed in input order from one shared lane that idle
 //!   threads take the next job from — dynamic load balancing without any
 //!   per-worker state that could leak into results;
-//! * the caller takes the outputs in job order, never in completion order
-//!   ([`reduce_in_order`] is the same step for callers that hold
-//!   `(index, output)` pairs);
+//! * the caller takes the outputs in job order, never in completion order,
+//!   so any fold over them — a float sum included — sees one order at
+//!   every width;
 //! * a job that records telemetry records into its own forks of the
 //!   caller's handle, one per scope ([`Forks::scoped`]), and the forks are
 //!   joined into the caller's sink in `(scope, job index)` order.
@@ -452,22 +452,6 @@ pub fn breathe() {
     std::thread::sleep(std::time::Duration::from_millis(2));
 }
 
-/// The deterministic reduce step: erase completion order.
-///
-/// Takes the `(index, output)` pairs of a completed batch — in whatever
-/// order workers finished them — and returns the outputs in index order.
-/// Panics (via `assert!`) unless the indices are exactly `0..expected`,
-/// each present once: a job that ran twice or never is a scheduling bug
-/// that must never be silently papered over by a lossy merge.
-pub fn reduce_in_order<O>(mut completed: Vec<(usize, O)>, expected: usize) -> Vec<O> {
-    assert_eq!(completed.len(), expected, "every job must complete exactly once");
-    completed.sort_by_key(|&(i, _)| i);
-    for (slot, &(i, _)) in completed.iter().enumerate() {
-        assert_eq!(slot, i, "job indices must be dense and unique");
-    }
-    completed.into_iter().map(|(_, output)| output).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,24 +522,6 @@ mod tests {
         assert!(Executor::new(0).workers() >= 1);
         assert_eq!(Executor::new(5).workers(), 5);
         assert_eq!(Executor::serial().workers(), 1);
-    }
-
-    #[test]
-    fn reduce_in_order_sorts_completion_order_away() {
-        let completed = vec![(2, "c"), (0, "a"), (1, "b")];
-        assert_eq!(reduce_in_order(completed, 3), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "every job must complete exactly once")]
-    fn reduce_rejects_missing_jobs() {
-        reduce_in_order(vec![(0, ())], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "dense and unique")]
-    fn reduce_rejects_duplicate_indices() {
-        reduce_in_order(vec![(0, ()), (0, ())], 2);
     }
 
     #[test]

@@ -1,53 +1,42 @@
-//! Property tests for the deterministic reduce step.
+//! Property tests for the executor's ordering guarantee.
 //!
-//! The invariant the whole crate rests on: `reduce_in_order` erases job
-//! completion order. Whatever permutation the scheduler produces, the
-//! reduce returns exactly the outputs in index order.
+//! The invariant the whole crate rests on: a fan-out hands its outputs
+//! back in job order, whatever order the workers finish them in. So a
+//! fold over them — a float sum, whose result depends on the order of its
+//! terms — gives the same bits at every worker count.
 
-use idse_exec::reduce_in_order;
+use idse_exec::Executor;
 use proptest::prelude::*;
 
 proptest! {
-    /// Reducing any permutation of a completed batch yields the same bytes.
+    /// `par_map` and `ordered_fan_out` return job `i`'s output at index `i`
+    /// at every width, also when the outputs themselves collide.
     #[test]
-    fn reduce_is_permutation_invariant(
-        outputs in prop::collection::vec(any::<u64>(), 1..64),
-        swaps in prop::collection::vec(any::<prop::sample::Index>(), 0..256),
+    fn par_map_returns_input_order_at_any_width(
+        outputs in prop::collection::vec(0u64..8, 1..64),
+        workers in 2usize..5,
     ) {
-        let n = outputs.len();
-        // The canonical completion record: job i produced outputs[i].
-        let mut completed: Vec<(usize, u64)> =
-            outputs.iter().copied().enumerate().collect();
-        // Scramble completion order with an arbitrary swap sequence — a
-        // stand-in for any scheduler interleaving.
-        for pair in swaps.chunks(2) {
-            if let [a, b] = pair {
-                completed.swap(a.index(n), b.index(n));
-            }
-        }
-        let reduced = reduce_in_order(completed, n);
-        prop_assert_eq!(reduced, outputs);
+        let exec = Executor::new(workers);
+        let mapped = exec.par_map(&outputs, |i, &v| (i, v));
+        let fanned: Vec<(usize, u64)> = exec.ordered_fan_out(
+            outputs.iter().copied().enumerate(),
+            |job| job,
+            |done| done.collect(),
+        );
+        let expected: Vec<(usize, u64)> = outputs.iter().copied().enumerate().collect();
+        prop_assert_eq!(&mapped, &expected);
+        prop_assert_eq!(&fanned, &expected);
     }
 
-    /// The reduce never invents, drops, or reorders payloads even when the
-    /// payloads themselves collide (duplicate values under distinct indices).
+    /// A float sum over fan-out output is bit-identical at 1 and N workers.
     #[test]
-    fn reduce_handles_colliding_payloads(
-        value in any::<u32>(),
-        n in 1usize..32,
-        swaps in prop::collection::vec(any::<prop::sample::Index>(), 0..128),
+    fn float_sum_over_fan_out_is_width_invariant(
+        terms in prop::collection::vec(-1.0e12f64..1.0e12, 1..128),
+        workers in 2usize..5,
     ) {
-        let mut completed: Vec<(usize, (usize, u32))> =
-            (0..n).map(|i| (i, (i, value))).collect();
-        for pair in swaps.chunks(2) {
-            if let [a, b] = pair {
-                completed.swap(a.index(n), b.index(n));
-            }
-        }
-        let reduced = reduce_in_order(completed, n);
-        for (slot, &(origin, v)) in reduced.iter().enumerate() {
-            prop_assert_eq!(slot, origin);
-            prop_assert_eq!(v, value);
-        }
+        let sum_at = |exec: Executor| -> f64 {
+            exec.ordered_fan_out(terms.iter().copied(), |t| t * 1.5, |done| done.sum())
+        };
+        prop_assert_eq!(sum_at(Executor::serial()).to_bits(), sum_at(Executor::new(workers)).to_bits());
     }
 }

@@ -489,7 +489,7 @@ mod tests {
     fn session_hash_spreads_distinct_flows() {
         let mut lb =
             LoadBalancer::new(station(FailureBehavior::Hang), BalanceStrategy::SessionHash, 4);
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for i in 0..64u16 {
             let p = pkt(
                 Ipv4Addr::new(1, 1, 1, (i % 250) as u8 + 1),

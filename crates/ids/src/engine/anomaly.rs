@@ -24,10 +24,10 @@
 use crate::alert::{DetectionSource, Severity};
 use crate::engine::stateful::{Cooldown, DistinctCounter, RateCounter};
 use crate::engine::{BenignObservation, Detection, DetectionEngine, Sensitivity};
+use crate::keyed::{HostSet, KeyedState};
 use idse_net::trace::AttackClass;
 use idse_net::Packet;
 use idse_sim::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -62,11 +62,11 @@ struct Baselines {
     /// Max failed logins per source per second.
     failed_logins: f64,
     /// Hosts that logged in during training.
-    login_hosts: HashSet<Ipv4Addr>,
+    login_hosts: HostSet,
     /// /24 prefixes that logged in during training.
-    login_prefixes: HashSet<u32>,
+    login_prefixes: KeyedState<u32, ()>,
     /// Per-destination-port minimum printable fraction (text services).
-    min_printable: HashMap<u16, f64>,
+    min_printable: KeyedState<u16, f64>,
     /// DNS query payload size mean/std.
     dns_size_mean: f64,
     dns_size_std: f64,
@@ -74,7 +74,7 @@ struct Baselines {
     icmp_size_mean: f64,
     icmp_size_std: f64,
     /// Path tokens seen in RPC payloads.
-    rpc_tokens: HashSet<Vec<u8>>,
+    rpc_tokens: KeyedState<Vec<u8>, ()>,
     trained: bool,
 }
 
@@ -233,11 +233,12 @@ impl AnomalyTraining {
             b.failed_logins = b.failed_logins.max(f64::from(self.fails.record(at, obs.src)));
         }
         if obs.login {
-            b.login_hosts.insert(obs.src);
-            b.login_prefixes.insert(prefix24(obs.src));
+            b.login_hosts.add_host(obs.src);
+            b.login_prefixes.set_state(prefix24(obs.src), ());
         }
         if let (Some(port), Some(frac)) = (obs.dst_port, obs.printable) {
-            b.min_printable.entry(port).and_modify(|m| *m = m.min(frac)).or_insert(frac);
+            let min = b.min_printable.state_or_insert(port, || frac);
+            *min = min.min(frac);
         }
         if obs.dst_port == Some(53) {
             self.dns_sizes.push(obs.payload_len as f64);
@@ -246,8 +247,8 @@ impl AnomalyTraining {
             self.icmp_sizes.push(obs.payload_len as f64);
         }
         for t in listed_tokens(&obs.rpc_tokens) {
-            if !b.rpc_tokens.contains(t) {
-                b.rpc_tokens.insert(t.to_vec());
+            if b.rpc_tokens.state_of(t).is_none() {
+                b.rpc_tokens.set_state(t.to_vec(), ());
             }
         }
     }
@@ -362,8 +363,8 @@ impl DetectionEngine for AnomalyEngine {
         // Origin model: logins from hosts/prefixes never seen logging in.
         if self.config.origin_model && is_login_payload(&packet.payload) {
             let s = self.sensitivity.value();
-            let unseen_prefix = !self.base.login_prefixes.contains(&prefix24(src));
-            let unseen_host = !self.base.login_hosts.contains(&src);
+            let unseen_prefix = self.base.login_prefixes.state_of(&prefix24(src)).is_none();
+            let unseen_host = !self.base.login_hosts.has_host(src);
             let fire = (s >= 0.35 && unseen_prefix) || (s >= 0.75 && unseen_host);
             if fire && self.cooldown.try_fire(now, ("origin", src)) {
                 out.push(Detection {
@@ -378,7 +379,7 @@ impl DetectionEngine for AnomalyEngine {
         // Payload-character model: binary content on a learned text port.
         if self.config.payload_model && !packet.payload.is_empty() {
             if let Some(port) = packet.transport.dst_port() {
-                if let Some(&min_benign) = self.base.min_printable.get(&port) {
+                if let Some(&min_benign) = self.base.min_printable.state_of(&port) {
                     let margin = self.sensitivity.threshold(0.6, 0.2);
                     let frac = printable_fraction(&packet.payload);
                     if frac < min_benign - margin && self.cooldown.try_fire(now, ("payload", src)) {
@@ -440,7 +441,7 @@ impl DetectionEngine for AnomalyEngine {
             && !packet.payload.is_empty()
         {
             let list = token_list(&packet.payload);
-            let novel = listed_tokens(&list).any(|t| !self.base.rpc_tokens.contains(t));
+            let novel = listed_tokens(&list).any(|t| self.base.rpc_tokens.state_of(t).is_none());
             if novel && self.cooldown.try_fire(now, ("rpc", src)) {
                 out.push(Detection {
                     class: AttackClass::TrustExploit,
@@ -459,10 +460,10 @@ impl DetectionEngine for AnomalyEngine {
     }
 
     fn state_bytes(&self) -> usize {
-        self.base.login_hosts.len() * 8
-            + self.base.login_prefixes.len() * 8
-            + self.base.min_printable.len() * 16
-            + self.base.rpc_tokens.iter().map(|t| t.len() + 16).sum::<usize>()
+        self.base.login_hosts.host_count() * 8
+            + self.base.login_prefixes.key_count() * 8
+            + self.base.min_printable.key_count() * 16
+            + self.base.rpc_tokens.total_over_states(|token, ()| token.len() + 16)
             + self.scan_ports.approx_bytes()
             + self.fanout.approx_bytes()
     }

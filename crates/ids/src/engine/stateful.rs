@@ -86,7 +86,7 @@ impl<K: Eq + Hash + Clone, V: Eq + Hash> DistinctCounter<K, V> {
 
     /// Approximate retained bytes (rough: 64 per key + 16 per value).
     pub fn approx_bytes(&self) -> usize {
-        self.buckets.total_over_states(|(_, set)| 64 + set.key_count() * 16)
+        self.buckets.total_over_states(|_, (_, set)| 64 + set.key_count() * 16)
     }
 }
 

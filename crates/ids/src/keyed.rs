@@ -1,21 +1,29 @@
 //! Per-packet keyed state: the hash containers detectors and deployments
 //! keep, answering by key and never in order.
+//!
+//! The root `clippy.toml` bans the std hash containers in every crate;
+//! this module holds the workspace's one audited exception.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::hash::Hash;
 use std::net::Ipv4Addr;
 
 /// State kept per key — a bucket per source, a cooldown per detector, a
-/// flag per host — looked up once per packet, so it hashes.
+/// flag per host, a learned baseline per port or token — looked up once
+/// per packet, so it hashes.
 ///
 /// It answers by key, by size and by order-free totals, and offers no
 /// iteration, so its hash order cannot reach a report. The detectors'
-/// counters and cooldowns and every [`HostSet`] keep their state here, so
-/// the hash order is audited once, at this field.
+/// counters, cooldowns and baselines and every [`HostSet`] keep their
+/// state here, so the hash order is audited once, at this field.
 #[derive(Debug, Clone)]
 pub struct KeyedState<K, V> {
-    // idse-lint: allow(transitive-unordered-iteration-in-report, reason = "keyed access only: KeyedState answers by key, by count and by an order-free total, and never iterates in hash order")
-    states: HashMap<K, V>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed access only: KeyedState answers by key, by count and by an order-free \
+                  total, and never iterates in hash order"
+    )]
+    states: std::collections::HashMap<K, V>,
 }
 
 impl<K, V> Default for KeyedState<K, V> {
@@ -33,8 +41,13 @@ impl<K: Eq + Hash, V: PartialEq> PartialEq for KeyedState<K, V> {
 impl<K: Eq + Hash, V: Eq> Eq for KeyedState<K, V> {}
 
 impl<K: Eq + Hash, V> KeyedState<K, V> {
-    /// The state of `key`, if it has one.
-    pub fn state_of(&self, key: &K) -> Option<&V> {
+    /// The state of `key`, if it has one. `key` may be a borrowed form
+    /// of `K` (a `&[u8]` for a `Vec<u8>` key), so a lookup never allocates.
+    pub fn state_of<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         self.states.get(key)
     }
 
@@ -58,9 +71,10 @@ impl<K: Eq + Hash, V> KeyedState<K, V> {
         self.states.clear();
     }
 
-    /// `f` summed over every state: a total that no order can change.
-    pub fn total_over_states(&self, f: impl Fn(&V) -> usize) -> usize {
-        self.states.values().map(f).sum()
+    /// `f` summed over every key and its state: a total that no order can
+    /// change.
+    pub fn total_over_states(&self, f: impl Fn(&K, &V) -> usize) -> usize {
+        self.states.iter().map(|(key, state)| f(key, state)).sum()
     }
 }
 

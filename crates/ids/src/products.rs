@@ -422,7 +422,7 @@ mod tests {
     fn four_distinct_models() {
         let all = IdsProduct::all_models();
         assert_eq!(all.len(), 4);
-        let names: std::collections::HashSet<&str> = all.iter().map(|p| p.id.name()).collect();
+        let names: std::collections::BTreeSet<&str> = all.iter().map(|p| p.id.name()).collect();
         assert_eq!(names.len(), 4);
     }
 

@@ -234,8 +234,9 @@ pub struct ConnRecord {
 /// balancers, and the substrate for sensor-side stream reassembly.
 #[derive(Debug, Default)]
 pub struct ConnTracker {
-    // BTreeMap, not HashMap: `idse-eval` counts open streams through this
-    // tracker, and report paths must never observe hash-seeded state.
+    // An ordered map, not a hash map: `idse-eval` counts open streams
+    // through this tracker, and report paths must never observe
+    // hash-seeded state.
     conns: BTreeMap<FlowKey, ConnRecord>,
     /// Count of completed (fully closed) connections, including reset ones.
     completed: u64,

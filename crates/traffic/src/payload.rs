@@ -262,7 +262,7 @@ mod tests {
     fn random_bytes_has_high_byte_diversity() {
         let mut r = rng();
         let b = random_bytes(&mut r, 4096);
-        let distinct = b.iter().collect::<std::collections::HashSet<_>>().len();
+        let distinct = b.iter().collect::<std::collections::BTreeSet<_>>().len();
         assert!(distinct > 200, "random payload should use most byte values");
     }
 
