@@ -1,8 +1,9 @@
-//! Hot-path benchmarks: the guard on the two loops that multiply
-//! everything the paper measures — the signature engine's per-byte
-//! automaton walk and the DES kernel's per-event dispatch. A regression
-//! in either shows here (CI re-runs both) before it shows end to end; the
-//! results round-trip through `store bench-import` into the committed
+//! Hot-path benchmarks: the guard on the loops that multiply everything
+//! the paper measures — the signature engine's per-byte automaton walk and
+//! the DES kernel's per-event dispatch, both of derived events alone and
+//! of chunked inputs the way a pipeline session feeds them. A regression
+//! in any shows here (CI re-runs them) before it shows end to end; the
+//! first two round-trip through `store bench-import` into the committed
 //! `BENCH_hotpath.json` as `bench.engine_mb_s` and `bench.sim_events_s`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -86,5 +87,62 @@ fn bench_sim_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine_scan, bench_sim_dispatch);
+/// A world shaped like a pipeline deployment: each input (`true`) schedules
+/// one derived follow-up, its stage completion, a few microseconds later.
+struct Stage;
+
+impl World for Stage {
+    type Event = (bool, u64);
+
+    fn handle(
+        &mut self,
+        now: SimTime,
+        (input, id): (bool, u64),
+        queue: &mut EventQueue<(bool, u64)>,
+    ) {
+        if input {
+            queue.schedule(now + SimDuration::from_nanos(1_500 + (id % 7) * 130), (false, id));
+        }
+    }
+}
+
+/// DES dispatch as `PipelineSession::push_chunk` drives it: time-sorted
+/// inputs admitted in `DEFAULT_CHUNK_RECORDS` chunks, each chunk after a
+/// drain up to its first input, so a chunk's inputs wait in the queue
+/// beside the in-flight derived events.
+fn bench_chunked_dispatch(c: &mut Criterion) {
+    const CHUNK: usize = idse_traffic::DEFAULT_CHUNK_RECORDS;
+    const CHUNKS: usize = 8;
+
+    let mut rng = RngStream::derive(3, "bench-chunked");
+    let mut at = 0;
+    let arrivals: Vec<SimTime> = (0..CHUNK * CHUNKS)
+        .map(|_| {
+            at += rng.uniform_u64(0, 2_000);
+            SimTime::from_nanos(at)
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("hotpath");
+    group.throughput(Throughput::Elements(2 * arrivals.len() as u64));
+    group.bench_function("chunked_dispatch", |b| {
+        b.iter(|| {
+            let mut sim = Simulation::new();
+            let mut world = Stage;
+            let mut id = 0;
+            for chunk in arrivals.chunks(CHUNK) {
+                sim.run_before(&mut world, chunk[0]);
+                for &at in chunk {
+                    sim.queue_mut().schedule_input(at, (true, id));
+                    id += 1;
+                }
+            }
+            sim.run_to_completion(&mut world);
+            sim.dispatched()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engine_scan, bench_sim_dispatch, bench_chunked_dispatch);
 criterion_main!(benches);

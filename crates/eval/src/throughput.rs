@@ -10,6 +10,7 @@
 use crate::feeds::TestFeed;
 use idse_ids::pipeline::{PipelineOutcome, PipelineRunner};
 use idse_ids::products::IdsProduct;
+use idse_net::trace::Trace;
 use idse_traffic::DEFAULT_CHUNK_RECORDS;
 use serde::Serialize;
 
@@ -50,37 +51,45 @@ pub fn peak_simultaneous_streams(trace: &idse_net::trace::Trace) -> usize {
 /// packets" over a finite replay).
 const LOSSLESS: f64 = 0.001;
 
+/// How many copies of `scaled` tile at least one second of load.
+fn sustaining_copies(scaled: &Trace) -> u32 {
+    let span = scaled.span().as_secs_f64();
+    if span > 0.0 {
+        (1.0 / span).ceil().max(1.0) as u32
+    } else {
+        1
+    }
+}
+
 /// One probe of the search at time compression `factor`.
 ///
 /// Load tests replay the realistic *background* (content matters to
 /// per-packet cost); attack accuracy is measured elsewhere. The scaled
 /// trace is tiled to at least one second of sustained load so stage
-/// buffers cannot hide the offered rate as a transient. The load is fed to
-/// a [`PipelineSession`](idse_ids::pipeline::PipelineSession) in
+/// buffers cannot hide the offered rate as a transient. The tiles are
+/// streamed, never materialized, to a
+/// [`PipelineSession`](idse_ids::pipeline::PipelineSession) in
 /// [`DEFAULT_CHUNK_RECORDS`] chunks, which is byte-identical to one
-/// monolithic run. After each chunk, `stop` sees the session's
-/// evicted-unmonitored count and the number of records in the load; the
-/// probe returns `None` as soon as `stop` says so.
+/// monolithic run over [`Trace::repeated`]. After each chunk, `stop` sees
+/// the session's evicted-unmonitored count and the number of records in
+/// the load; the probe returns `None` as soon as `stop` says so.
 fn probe(
     trained: &PipelineRunner,
     feed: &TestFeed,
     factor: f64,
     mut stop: impl FnMut(u64, usize) -> bool,
 ) -> Option<PipelineOutcome> {
-    let load = {
-        let scaled = feed.background.time_scaled(factor);
-        let span = scaled.span().as_secs_f64();
-        let copies = if span > 0.0 { (1.0 / span).ceil().max(1.0) as u32 } else { 1 };
-        scaled.repeated(copies)
-    };
+    let scaled = feed.background.time_scaled(factor);
+    let mut load = scaled.tiles(sustaining_copies(&scaled));
+    let records = load.len();
     // The evicted-unmonitored count bounds `missed` from below only while
     // nothing is blocked or excluded from the data pool.
     let config = trained.config();
     debug_assert!(!config.auto_response && config.data_pool.is_permissive());
     let mut session = trained.session();
-    for chunk in load.records().chunks(DEFAULT_CHUNK_RECORDS) {
-        session.push_chunk(chunk.iter().cloned());
-        if stop(session.evicted_unmonitored(), load.len()) {
+    while load.len() > 0 {
+        session.push_chunk(load.by_ref().take(DEFAULT_CHUNK_RECORDS));
+        if stop(session.evicted_unmonitored(), records) {
             return None;
         }
     }
@@ -275,6 +284,26 @@ mod tests {
         }
         // The grid must exercise both outcomes.
         assert!(stopped > 0 && finished > 0, "stopped {stopped}, finished {finished}");
+    }
+
+    #[test]
+    fn streamed_probe_equals_a_run_over_the_materialized_load() {
+        let feed = tiny_feed();
+        for id in ProductId::ALL {
+            let trained = feed.trained_runner(&IdsProduct::model(id));
+            for factor in [1.0, 256.0, 1024.0] {
+                let streamed = run_at(&trained, &feed, factor);
+                let scaled = feed.background.time_scaled(factor);
+                let whole = trained.run(&scaled.repeated(sustaining_copies(&scaled)));
+                // Only the live-record peak depends on the chunking.
+                assert!(streamed.window_peak <= whole.window_peak, "{id:?} at {factor}");
+                assert_eq!(
+                    format!("{:?}", PipelineOutcome { window_peak: 0, ..streamed }),
+                    format!("{:?}", PipelineOutcome { window_peak: 0, ..whole }),
+                    "{id:?} at {factor}"
+                );
+            }
+        }
     }
 
     #[test]

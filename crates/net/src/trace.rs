@@ -221,28 +221,24 @@ impl Trace {
     /// producing a sustained load of the same character (used by the
     /// zero-loss and lethal-dose searches: a single compressed copy is a
     /// transient a stage's buffer can absorb; a *sustained average* cannot
-    /// be).
+    /// be). The collected [`Trace::tiles`].
     pub fn repeated(&self, times: u32) -> Trace {
+        Trace { records: self.tiles(times).collect(), sorted: true }
+    }
+
+    /// The records of [`Trace::repeated`]`(times)`, in the same order,
+    /// yielded one at a time without materializing the tiled trace.
+    ///
+    /// Copy `k` is the trace shifted by `k` periods of span plus one mean
+    /// inter-arrival gap. The order is a stable sort of the copies
+    /// appended back to back: by time, then copy, then position.
+    pub fn tiles(&self, times: u32) -> Tiles<'_> {
         assert!(times >= 1, "need at least one copy");
-        let period = {
-            // Span plus one mean inter-arrival gap so copies do not pile up.
-            let span = self.span().as_secs_f64();
-            let gap = if self.len() > 1 { span / (self.len() - 1) as f64 } else { 0.0 };
-            idse_sim::SimDuration::from_secs_f64(span + gap)
-        };
-        let mut out = Trace::new();
-        for k in 0..times {
-            let shift = idse_sim::SimDuration::from_secs_f64(period.as_secs_f64() * k as f64);
-            for r in &self.records {
-                out.push(TraceRecord {
-                    at: r.at + shift,
-                    packet: r.packet.clone(),
-                    truth: r.truth,
-                });
-            }
-        }
-        out.finish();
-        out
+        // Span plus one mean inter-arrival gap so copies do not pile up.
+        let span = self.span().as_secs_f64();
+        let gap = if self.len() > 1 { span / (self.len() - 1) as f64 } else { 0.0 };
+        let period = idse_sim::SimDuration::from_secs_f64(span + gap);
+        Tiles::new(self.records(), period.as_secs_f64(), times)
     }
 
     /// Iterate over records whose timestamps are scaled by `factor`
@@ -262,6 +258,94 @@ impl Trace {
         out
     }
 }
+
+/// Iterator over a tiled trace; see [`Trace::tiles`].
+///
+/// Copies start in copy order and each is sorted, so a copy can only
+/// overlap its predecessors when rounding of the shift puts its first
+/// record before their last. The iterator merges the copies that have
+/// started, usually one or two, and starts the next copy once its first
+/// record is strictly earlier than every started copy's next record (on a
+/// tie, the lower copy comes first).
+#[derive(Debug)]
+pub struct Tiles<'a> {
+    records: &'a [TraceRecord],
+    period_s: f64,
+    copies: u32,
+    /// The lowest copy not yet started, and its first record's time.
+    next_copy: u32,
+    next_start: Option<SimTime>,
+    /// Started copies, in copy order: their shift and next record index.
+    active: Vec<(idse_sim::SimDuration, usize)>,
+    remaining: usize,
+}
+
+impl<'a> Tiles<'a> {
+    /// Copies `0..copies` of the time-sorted `records`, copy `k` shifted
+    /// by `period_s * k` seconds.
+    fn new(records: &'a [TraceRecord], period_s: f64, copies: u32) -> Self {
+        Tiles {
+            records,
+            period_s,
+            copies,
+            next_copy: 0,
+            next_start: records.first().map(|r| r.at),
+            active: Vec::new(),
+            remaining: records.len() * copies as usize,
+        }
+    }
+
+    fn shift(&self, copy: u32) -> idse_sim::SimDuration {
+        idse_sim::SimDuration::from_secs_f64(self.period_s * copy as f64)
+    }
+
+    /// Start the next copy: its records join the merge.
+    fn start_next_copy(&mut self) {
+        self.active.push((self.shift(self.next_copy), 0));
+        self.next_copy += 1;
+        self.next_start =
+            (self.next_copy < self.copies).then(|| self.records[0].at + self.shift(self.next_copy));
+    }
+}
+
+impl Iterator for Tiles<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.remaining == 0 {
+            return None;
+        }
+        // The first started copy whose next record is earliest.
+        let mut head: Option<(usize, SimTime)> = None;
+        for (i, &(shift, next)) in self.active.iter().enumerate() {
+            let t = self.records[next].at + shift;
+            if head.is_none_or(|(_, best)| t < best) {
+                head = Some((i, t));
+            }
+        }
+        if let Some(start) = self.next_start {
+            if head.is_none_or(|(_, best)| start < best) {
+                self.start_next_copy();
+                head = Some((self.active.len() - 1, start));
+            }
+        }
+        let (i, at) = head.expect("records remain, so some copy has one");
+        let (_, index) = &mut self.active[i];
+        let record = &self.records[*index];
+        *index += 1;
+        if *index == self.records.len() {
+            self.active.remove(i);
+        }
+        self.remaining -= 1;
+        Some(TraceRecord { at, packet: record.packet.clone(), truth: record.truth })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Tiles<'_> {}
 
 // serde needs `sorted` restored on deserialize; from_json handles it, but a
 // direct serde deserialize would default `sorted` to false and re-sort on
@@ -352,6 +436,95 @@ mod tests {
         // len/span has a fencepost: 6 packets over 5 s. The steady-state
         // rate (1 packet/s of period) is preserved.
         assert!((r.mean_pps() - 1.2).abs() < 1e-9, "{}", r.mean_pps());
+    }
+
+    /// A trace of `offsets` (ns, sorted here); record `i` is identified by
+    /// its source port, and every third record is an attack.
+    fn trace_at(mut offsets: Vec<u64>) -> Trace {
+        offsets.sort_unstable();
+        let mut t = Trace::new();
+        for (i, &ns) in offsets.iter().enumerate() {
+            let mut p = pkt(0);
+            if let crate::packet::Transport::Tcp(tcp) = &mut p.transport {
+                tcp.src_port = i as u16;
+            }
+            let truth = (i % 3 == 0)
+                .then_some(GroundTruth { attack_id: i as u32, class: AttackClass::PortScan });
+            t.push(TraceRecord { at: SimTime::from_nanos(ns), packet: p, truth });
+        }
+        t
+    }
+
+    fn key(r: &TraceRecord) -> (u64, u16, Option<u32>) {
+        let port = match r.packet.transport {
+            crate::packet::Transport::Tcp(tcp) => tcp.src_port,
+            _ => unreachable!("test traces are TCP"),
+        };
+        (r.at.as_nanos(), port, r.truth.map(|t| t.attack_id))
+    }
+
+    /// The oracle: append `copies` shifted copies, then stable-sort by time.
+    fn appended_and_sorted(t: &Trace, period_s: f64, copies: u32) -> Vec<(u64, u16, Option<u32>)> {
+        let mut out = Vec::new();
+        for k in 0..copies {
+            let shift = idse_sim::SimDuration::from_secs_f64(period_s * k as f64);
+            out.extend(t.records().iter().map(|r| {
+                let (_, port, truth) = key(r);
+                ((r.at + shift).as_nanos(), port, truth)
+            }));
+        }
+        out.sort_by_key(|&(at, ..)| at);
+        out
+    }
+
+    /// Offsets whose spread is 0 (all equal), a few ns (sub-ns mean gap,
+    /// so copies touch), µs, or seconds.
+    fn arb_offsets() -> impl proptest::Strategy<Value = Vec<u64>> {
+        use proptest::prelude::*;
+        (0usize..4, prop::collection::vec(any::<u64>(), 1..40)).prop_map(|(spread, raw)| {
+            let spread = [1, 20, 1_000_000, 10_000_000_000][spread];
+            raw.into_iter().map(|x| x % spread).collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `tiles` over a time-scaled trace yields exactly the appended,
+        /// stably sorted copies, and `repeated` collects the same records.
+        #[test]
+        fn tiles_match_appended_copies_stably_sorted(
+            offsets in arb_offsets(),
+            factor in 0.25f64..2048.0,
+            copies in 1u32..12,
+        ) {
+            let scaled = trace_at(offsets).time_scaled(factor);
+            let span = scaled.span().as_secs_f64();
+            let gap = if scaled.len() > 1 { span / (scaled.len() - 1) as f64 } else { 0.0 };
+            let period_s = idse_sim::SimDuration::from_secs_f64(span + gap).as_secs_f64();
+            let expected = appended_and_sorted(&scaled, period_s, copies);
+            let tiles = scaled.tiles(copies);
+            proptest::prop_assert_eq!(tiles.len(), expected.len());
+            let tiled: Vec<_> = tiles.map(|r| key(&r)).collect();
+            proptest::prop_assert_eq!(&tiled, &expected);
+            let repeated: Vec<_> = scaled.repeated(copies).records().iter().map(key).collect();
+            proptest::prop_assert_eq!(&repeated, &expected);
+        }
+
+        /// Copies that overlap, as a shift rounded below the span would
+        /// make them, interleave exactly as the stable sort puts them.
+        #[test]
+        fn tiles_merge_overlapping_copies(
+            offsets in arb_offsets(),
+            period_frac in 0.0f64..1.5,
+            copies in 1u32..12,
+        ) {
+            let t = trace_at(offsets);
+            let period_s = t.span().as_secs_f64() * period_frac;
+            let expected = appended_and_sorted(&t, period_s, copies);
+            let tiled: Vec<_> = Tiles::new(t.records(), period_s, copies).map(|r| key(&r)).collect();
+            proptest::prop_assert_eq!(tiled, expected);
+        }
     }
 
     #[test]

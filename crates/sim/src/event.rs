@@ -1,4 +1,5 @@
-//! The event queue: a binary heap with deterministic tie-breaking.
+//! The event queue: a binary heap plus a FIFO input lane, with
+//! deterministic tie-breaking.
 //!
 //! Two events scheduled for the same virtual instant are dispatched in the
 //! order they were scheduled. `BinaryHeap` alone does not guarantee that, so
@@ -15,10 +16,18 @@
 //! input already outranks every derived event at the same instant by
 //! sequence number, so the class bit changes nothing for monolithic runs
 //! while making chunked runs order-identical to them.
+//!
+//! Drivers feed inputs in time order, so inputs need no heap: an input not
+//! earlier than the input lane's tail is appended to that FIFO, which is
+//! then sorted by `(time, class, seq)` by construction. Only an input that
+//! arrives out of order goes to the heap with the derived events. `peek` and
+//! `pop` take the earlier of the lane's front and the heap's top under that
+//! same key, so the dispatch order is the one total order a single heap
+//! gives; the heap holds only the events in flight, not every pending input.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Dispatch class of external-input events ([`EventQueue::schedule_input`]).
 pub const CLASS_INPUT: u8 = 0;
@@ -62,10 +71,15 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A priority queue of future events ordered by `(time, insertion seq)`.
+/// A priority queue of future events ordered by `(time, class, insertion
+/// seq)`: a heap for derived and out-of-order events, merged on the fly with
+/// a FIFO lane for time-ordered inputs (see the module docs).
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// Inputs in `(at, class, seq)` order: each was scheduled no earlier
+    /// than the one before it.
+    inputs: VecDeque<Scheduled<E>>,
     next_seq: u64,
 }
 
@@ -78,46 +92,63 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0 }
+        Self { heap: BinaryHeap::new(), inputs: VecDeque::new(), next_seq: 0 }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.push(at, CLASS_DERIVED, event);
+        let entry = self.entry(at, CLASS_DERIVED, event);
+        self.heap.push(entry);
     }
 
     /// Schedule an external-input event at `at`. Among events at the same
     /// instant, inputs dispatch before everything scheduled with
     /// [`EventQueue::schedule`], mirroring a run where all inputs were
     /// enqueued upfront (and therefore held the lowest sequence numbers).
+    ///
+    /// An input not earlier than the previous lane input costs O(1); one
+    /// that arrives out of order is pushed on the heap instead.
     pub fn schedule_input(&mut self, at: SimTime, event: E) {
-        self.push(at, CLASS_INPUT, event);
+        let entry = self.entry(at, CLASS_INPUT, event);
+        if self.inputs.back().is_none_or(|tail| tail.at <= at) {
+            self.inputs.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
     }
 
-    fn push(&mut self, at: SimTime, class: u8, event: E) {
+    fn entry(&mut self, at: SimTime, class: u8, event: E) -> Scheduled<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { at, class, seq, event });
+        Scheduled { at, class, seq, event }
     }
 
     /// The earliest pending event, if any.
     pub fn peek(&self) -> Option<&Scheduled<E>> {
-        self.heap.peek()
+        let top = self.heap.peek();
+        match self.inputs.front() {
+            // The `Ord` is reversed for the max-heap: "greater" is earlier.
+            Some(lane) if top.is_none_or(|top| lane > top) => Some(lane),
+            _ => top,
+        }
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop()
+        match (self.inputs.front(), self.heap.peek()) {
+            (Some(lane), top) if top.is_none_or(|top| lane > top) => self.inputs.pop_front(),
+            _ => self.heap.pop(),
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.inputs.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.inputs.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue.

@@ -4,6 +4,7 @@ use idse_sim::event::{CLASS_DERIVED, CLASS_INPUT};
 use idse_sim::stats::Summary;
 use idse_sim::{EventQueue, RngStream, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     /// Time arithmetic: (t + a) + b == (t + b) + a for in-range values.
@@ -114,5 +115,65 @@ proptest! {
             let idx = rng.pick_weighted(&weights);
             prop_assert!(weights[idx] > 0.0);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Differential check against an ordered-map model keyed by
+    /// `(at, class, seq)`: schedules, inputs and pops interleave the way a
+    /// chunked driver uses the queue. Inputs mostly continue a time-sorted
+    /// run (with ties), sometimes land earlier than the run's tail, and
+    /// derived events are scheduled at or after the last popped instant.
+    /// After every operation `peek`, `len` and `is_empty` agree with the
+    /// model, and every pop takes the model's first entry.
+    #[test]
+    fn event_queue_matches_ordered_map_model(
+        ops in prop::collection::vec((0u8..4, 0u64..40), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(u64, u8, u64), usize> = BTreeMap::new();
+        let (mut now, mut input_tail) = (0u64, 0u64);
+        for (i, &(op, dt)) in ops.iter().enumerate() {
+            let seq = q.scheduled_total();
+            match op {
+                // Derived follow-up of the event just dispatched.
+                0 => {
+                    q.schedule(SimTime::from_nanos(now + dt), i);
+                    model.insert((now + dt, CLASS_DERIVED, seq), i);
+                }
+                // Next input of a time-sorted run; `dt` 0 is a tie.
+                1 => {
+                    input_tail += dt / 8;
+                    q.schedule_input(SimTime::from_nanos(input_tail), i);
+                    model.insert((input_tail, CLASS_INPUT, seq), i);
+                }
+                // An input earlier than the run's tail.
+                2 => {
+                    let at = input_tail.saturating_sub(dt);
+                    q.schedule_input(SimTime::from_nanos(at), i);
+                    model.insert((at, CLASS_INPUT, seq), i);
+                }
+                _ => {
+                    let popped = q.pop().map(|s| (s.at.as_nanos(), s.class, s.seq, s.event));
+                    let expected = model.pop_first().map(|((at, c, s), e)| (at, c, s, e));
+                    prop_assert_eq!(popped, expected);
+                    if let Some((at, ..)) = popped {
+                        now = at;
+                    }
+                }
+            }
+            let peeked = q.peek().map(|s| (s.at.as_nanos(), s.class, s.seq, s.event));
+            let first = model.first_key_value().map(|(&(at, c, s), &e)| (at, c, s, e));
+            prop_assert_eq!(peeked, first);
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+        while let Some(s) = q.pop() {
+            let expected = model.pop_first().map(|((at, c, s), e)| (at, c, s, e));
+            prop_assert_eq!(Some((s.at.as_nanos(), s.class, s.seq, s.event)), expected);
+        }
+        prop_assert!(model.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::record::{parse_line, render_run, run_id, MetricRecord, RunDraft, RunHeader, RunRecord};
 use crate::StoreError;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// A run as persisted: header, canonically-ordered records, and the file
@@ -57,6 +57,11 @@ pub struct RunStore {
     dir: PathBuf,
 }
 
+/// The longest run-file line [`RunStore::load_file`] reads, newline
+/// included. A committed line is about a kilobyte; a longer line is
+/// refused as soon as this many bytes are read, never read whole.
+pub const MAX_RUN_LINE: usize = 1 << 20;
+
 fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     StoreError::Io { path: path.display().to_string(), source }
 }
@@ -98,41 +103,52 @@ impl RunStore {
         Ok(StoredRun { header, metrics, path, created: true })
     }
 
-    /// Load and verify one run file.
+    /// Load and verify one run file, read line by line: a line longer
+    /// than [`MAX_RUN_LINE`] is refused without being read whole.
     pub fn load_file(&self, path: impl AsRef<Path>) -> Result<StoredRun, StoreError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-        // Every committed line ends in a newline; a file that does not was
-        // cut short, even when its last line still parses.
-        if !text.is_empty() && !text.ends_with('\n') {
-            return Err(StoreError::Parse {
-                at: path.display().to_string(),
-                message: "torn final line (no trailing newline)".to_owned(),
-            });
-        }
+        let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
+        let mut reader = BufReader::new(file);
+        let mut raw = Vec::new();
         let mut header: Option<RunHeader> = None;
         let mut metrics = Vec::new();
-        for (index, line) in text.lines().enumerate() {
+        for number in 1.. {
+            raw.clear();
+            let read = (&mut reader)
+                .take(MAX_RUN_LINE as u64 + 1)
+                .read_until(b'\n', &mut raw)
+                .map_err(|e| io_err(path, e))?;
+            if read == 0 {
+                break;
+            }
+            let at = format!("{}:{number}", path.display());
+            let parse_err = |message: String| StoreError::Parse { at: at.clone(), message };
+            if raw.len() > MAX_RUN_LINE {
+                return Err(parse_err(format!("line exceeds {MAX_RUN_LINE} bytes")));
+            }
+            // Every committed line ends in a newline; a file that does not
+            // was cut short, even when its last line still parses.
+            let Some(line) = raw.strip_suffix(b"\n") else {
+                return Err(StoreError::Parse {
+                    at: path.display().to_string(),
+                    message: "torn final line (no trailing newline)".to_owned(),
+                });
+            };
+            let line = std::str::from_utf8(line.strip_suffix(b"\r").unwrap_or(line))
+                .map_err(|e| parse_err(format!("not UTF-8: {e}")))?;
             if line.trim().is_empty() {
                 continue;
             }
-            let at = format!("{}:{}", path.display(), index + 1);
             match parse_line(line, &at)? {
                 RunRecord::Header(h) => {
                     if header.is_some() {
-                        return Err(StoreError::Parse {
-                            at,
-                            message: "second header record in one run file".to_owned(),
-                        });
+                        return Err(parse_err("second header record in one run file".to_owned()));
                     }
                     header = Some(h);
                 }
                 RunRecord::Metric(m) => {
                     if header.is_none() {
-                        return Err(StoreError::Parse {
-                            at,
-                            message: "metric record before the header".to_owned(),
-                        });
+                        return Err(parse_err("metric record before the header".to_owned()));
                     }
                     metrics.push(m);
                 }
@@ -293,6 +309,27 @@ mod tests {
         assert_ne!(text, doctored);
         std::fs::write(&run.path, doctored).unwrap();
         assert!(matches!(store.load_file(&run.path), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_naming_it() {
+        // A blank line one byte past the cap: short enough lines that are
+        // blank are skipped, so only the cap can refuse this file.
+        let store = RunStore::open(tmp("long-line")).unwrap();
+        let run = store.commit(draft(7, 4.0)).unwrap();
+        let mut bytes = std::fs::read(&run.path).unwrap();
+        let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mut long = vec![b' '; MAX_RUN_LINE];
+        long.push(b'\n');
+        bytes.splice(second_line..second_line, long);
+        std::fs::write(&run.path, bytes).unwrap();
+        match store.load_file(&run.path) {
+            Err(StoreError::Parse { at, message }) => {
+                assert!(at.ends_with(".jsonl:2"), "{at}");
+                assert!(message.contains(&format!("exceeds {MAX_RUN_LINE} bytes")), "{message}");
+            }
+            other => panic!("expected a parse error at line 2, got {other:?}"),
+        }
     }
 
     #[test]
